@@ -7,9 +7,9 @@ span leaves an orthogonal complement of dimension ``(M-1)**k`` for a
 subset of size ``k``.  Summed over all ``2**N`` subsets (constant term
 included) the dimensions add up to ``M**N`` exactly.
 
-Columns for a subset are generated directly as tensor products of
-per-attribute contrast vectors, never by materialising or orthogonalising
-an ``M**N x M**N`` matrix:
+Columns for a subset are tensor products of per-attribute factors,
+generated on demand and never cached; only :func:`full_basis`, which
+serves tests and verification, holds the whole ``M**N x M**N`` basis:
 
 * for each attribute in the subset, one column of ``level_contrasts(M)``
   (a fixed orthogonal complement of the all-ones vector in R^M);
@@ -90,6 +90,13 @@ def level_contrasts(m: int) -> np.ndarray:
         out[c + 1:, c] = -1.0
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=None)
+def level_factor(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``F = [1 | level_contrasts(m)]`` and its inverse ``diag(1/|col|^2) F^T``."""
+    factor = np.hstack([np.ones((m, 1)), level_contrasts(m)])
+    return freeze(factor), freeze(factor.T / np.einsum("ij,ij->j", factor, factor)[:, None])
 
 
 def _kron_chain(factors) -> np.ndarray:
@@ -207,26 +214,18 @@ class SubspaceBasis:
         )
 
 
-@lru_cache(maxsize=None)
 def _subspace_arrays(n: int, m: int, subset: SubsetKey):
-    m_t = m ** n
-    k = len(subset)
-    if k == 0:
-        matrix = np.full((m_t, 1), 1.0 / np.sqrt(m_t))
-        matrix.setflags(write=False)
-        norms = np.ones(1)
-        norms.setflags(write=False)
-        return (((),), matrix, norms)
+    if not subset:
+        m_t = m ** n
+        return ((),), freeze(np.full((m_t, 1), 1.0 / np.sqrt(m_t))), freeze(np.ones(1))
     contrasts = level_contrasts(m)
-    codes = tuple(itertools.product(range(m - 1), repeat=k))
-    matrix = np.empty((m_t, len(codes)))
-    for i, code in enumerate(codes):
-        factors = _attribute_factors(n, m, subset, lambda j, c=code: contrasts[:, c[j]])
-        matrix[:, i] = _kron_chain(factors)
-    norms = np.einsum("ij,ij->j", matrix, matrix)
+    codes = tuple(itertools.product(range(m - 1), repeat=len(subset)))
+    matrix = np.column_stack([
+        _kron_chain(_attribute_factors(n, m, subset, lambda j, c=code: contrasts[:, c[j]]))
+        for code in codes
+    ])
     matrix.setflags(write=False)
-    norms.setflags(write=False)
-    return (codes, matrix, norms)
+    return codes, matrix, freeze(np.einsum("ij,ij->j", matrix, matrix))
 
 
 def subspace_basis(subset: Sequence[int], schema: AttributeSchema) -> SubspaceBasis:

@@ -239,6 +239,8 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"verification supports n >= 1, m >= 2 with m**n <= {VERIFY_CELL_LIMIT}"
         )
+    if args.trials < 1:
+        raise UsageError("trials must be at least 1")
     report = run_verification(
         args.n, args.m, seed=args.seed, trials=args.trials, perturb=args.self_test_perturb
     )

@@ -19,6 +19,8 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from .depersonalize import ReleaseAudit
 from .errors import IngestionError, SchemaError, ShapeError
 from .salience import SalienceReport
@@ -64,7 +66,14 @@ def table_from_dict(payload: dict) -> ContingencyTable:
         adjusted = payload["adjusted"]
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed table object: {exc}") from exc
-    return ContingencyTable(schema, counts, n_total, adjusted=bool(adjusted))
+    if not isinstance(adjusted, bool):
+        raise ShapeError(f"malformed table object: adjusted must be true or false, got {adjusted!r}")
+    try:
+        counts = np.asarray(counts, dtype=float)
+        n_total = float(n_total)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"malformed table object: counts and n_total must be numbers ({exc})") from exc
+    return ContingencyTable(schema, counts, n_total, adjusted=adjusted)
 
 
 def load_table(path) -> ContingencyTable:
@@ -79,7 +88,7 @@ def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IngestionError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -107,28 +116,31 @@ def read_microdata(path, schema: AttributeSchema):
     The header must contain exactly the schema's attribute names (any
     order).  Errors name the file row; the header is row 1.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: file is empty, expected a header row")
-        header = [h.strip() for h in header]
-        names = list(schema.names)
-        if sorted(header) != sorted(names):
-            raise IngestionError(
-                f"{path}: header {header} does not match schema attributes {names}"
-            )
-        positions = [header.index(name) for name in names]
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IngestionError(f"{path}: file is empty, expected a header row")
+            header = [h.strip() for h in header]
+            names = list(schema.names)
+            if sorted(header) != sorted(names):
                 raise IngestionError(
-                    f"{path}: row {row_number} has {len(row)} fields, expected {len(header)}",
-                    record_number=row_number,
+                    f"{path}: header {header} does not match schema attributes {names}"
                 )
-            yield row_number, tuple(row[p].strip() for p in positions)
+            positions = [header.index(name) for name in names]
+            for row_number, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise IngestionError(
+                        f"{path}: row {row_number} has {len(row)} fields, expected {len(header)}",
+                        record_number=row_number,
+                    )
+                yield row_number, tuple(row[p].strip() for p in positions)
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
 
 
 def report_to_dict(

@@ -11,8 +11,8 @@ salience measures are built from; coefficients themselves depend on the
 contrast choice in :mod:`psalience.basis` and are exposed for inspection
 and coefficient surgery only.
 
-Summation order is fixed (subset enumeration order, then column order) so
-results are reproducible run to run.
+Basis columns are tensor products, so the expansion is one mode-wise
+transform (Yates' algorithm): ``O(N * M**(N+1))`` time, ``O(M**N)`` floats.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, all_subsets, check_subset, subspace_basis
+from .basis import SubsetKey, all_subsets, check_subset, level_factor
 from .errors import ShapeError
 from .table import AttributeSchema, LogTable, freeze
 
@@ -54,73 +54,76 @@ class ProjectionResult:
         object.__setattr__(self, "chi", freeze(self.chi))
 
 
+def _axis_picks(subset: SubsetKey, n: int) -> tuple[slice, ...]:
+    """Level-factor indices of a subset's block: contrasts on its axes, else the constant."""
+    return tuple(slice(1, None) if n - 1 - axis in subset else slice(0, 1) for axis in range(n))
+
+
+def _modewise(values: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Apply ``factors[i]`` along axis ``i`` of the flat cell tensor ``values``;
+    each pass multiplies the leading axis and moves it to the back."""
+    x = values
+    for factor in factors:
+        x = np.dot(factor, x.reshape(factor.shape[1], -1)).T
+    return x.ravel()
+
+
 def fit_beta(log_table: LogTable) -> BetaVector:
     """Coefficients of the orthogonal expansion of ``log_table``.
 
-    Blockwise ``(column . T) / |column|^2`` over the generated columns;
-    ``beta0`` scales the unit-norm constant direction.
+    Blockwise ``(column . T) / |column|^2``, all blocks from one transform
+    by the inverse level factor; ``beta0`` scales the unit constant direction.
     """
     schema = log_table.schema
-    values = log_table.values
-    blocks: dict[SubsetKey, np.ndarray] = {}
-    beta0 = 0.0
-    for subset in all_subsets(schema.n_attributes):
-        basis = subspace_basis(subset, schema)
-        coef = (basis.matrix.T @ values) / basis.norms_sq
-        if subset:
-            blocks[subset] = freeze(coef)
-        else:
-            beta0 = float(coef[0])
-    return BetaVector(beta0, blocks, schema.n_attributes, schema.n_levels)
+    n, m = schema.n_attributes, schema.n_levels
+    coef = _modewise(log_table.values, [level_factor(m)[1]] * n).reshape((m,) * n)
+    blocks = {s: freeze(coef[_axis_picks(s, n)].ravel()) for s in all_subsets(n)[1:]}
+    return BetaVector(float(coef[(0,) * n]) * np.sqrt(schema.n_cells), blocks, n, m)
 
 
 def reconstruct(beta: BetaVector, schema: AttributeSchema) -> LogTable:
-    """Assemble the log table encoded by ``beta``, block by block."""
+    """Assemble the log table encoded by ``beta`` in one transform."""
     if (beta.n_attributes, beta.n_levels) != (schema.n_attributes, schema.n_levels):
         raise ShapeError(
             f"coefficients were fitted for a {beta.n_attributes}-attribute, "
             f"{beta.n_levels}-level table"
         )
-    values = np.full(schema.n_cells, beta.beta0 / np.sqrt(schema.n_cells))
-    for subset in all_subsets(schema.n_attributes):
-        if not subset:
-            continue
+    n, m = schema.n_attributes, schema.n_levels
+    coef = np.zeros((m,) * n)
+    coef[(0,) * n] = beta.beta0 / np.sqrt(schema.n_cells)
+    for subset in all_subsets(n)[1:]:
         block = np.asarray(beta.blocks[subset], dtype=float)
-        basis = subspace_basis(subset, schema)
-        if block.shape != (basis.dimension,):
+        target = coef[_axis_picks(subset, n)]
+        if block.shape != (target.size,):
             raise ShapeError(
                 f"block for subset {subset} has shape {block.shape}, "
-                f"expected ({basis.dimension},)"
+                f"expected ({target.size},)"
             )
-        values += basis.matrix @ block
-    return LogTable(schema, values)
+        target[...] = block.reshape(target.shape)
+    return LogTable(schema, _modewise(coef.ravel(), [level_factor(m)[0]] * n))
 
 
 def project_subset(log_table: LogTable, subset: Sequence[int]) -> ProjectionResult:
-    """Orthogonal projection of the log table onto one subset's subspace.
-
-    The squared magnitude is the coefficient-weighted sum
-    ``sum (column . T)^2 / |column|^2``, which equals ``|chi|^2``.
-    """
+    """Orthogonal projection of the log table onto one subset's subspace: only
+    its block, by contrast rows on its axes and mean rows elsewhere, mapped back."""
     schema = log_table.schema
     members = check_subset(subset, schema.n_attributes)
-    basis = subspace_basis(members, schema)
-    dots = basis.matrix.T @ log_table.values
-    coef = dots / basis.norms_sq
-    chi = basis.matrix @ coef
-    magnitude = float(np.sqrt(max(float(coef @ dots), 0.0)))
-    return ProjectionResult(members, chi, magnitude)
+    factor, solve = level_factor(schema.n_levels)
+    picks = _axis_picks(members, schema.n_attributes)
+    coef = _modewise(log_table.values, [solve[pick] for pick in picks])
+    chi = _modewise(coef, [factor[:, pick] for pick in picks])
+    return ProjectionResult(members, chi, float(np.linalg.norm(chi)))
 
 
-def orthogonal_complement_magnitude(log_table: LogTable) -> float:
-    """Norm of the log table's component orthogonal to the uniform vector.
-
-    Computed as ``|T - mean(T)|``; algebraically this equals
-    ``sqrt(|T|^2 - (sum T)^2 / M_T)``, the combined magnitude of every
-    non-constant block, but the difference form cancels badly near
-    uniformity.
-    """
-    values = log_table.values
+def centred_norm(values: np.ndarray) -> float:
+    """``|v - mean(v)|``, exactly 0.0 for a constant vector.  The equal
+    ``sqrt(|v|^2 - (sum v)^2 / len(v))`` cancels badly near uniformity."""
     if values.size and np.ptp(values) == 0.0:
         return 0.0
     return float(np.linalg.norm(values - values.mean()))
+
+
+def orthogonal_complement_magnitude(log_table: LogTable) -> float:
+    """Norm of the log table's component orthogonal to the uniform vector,
+    the combined magnitude of every non-constant block."""
+    return centred_norm(log_table.values)

@@ -18,6 +18,7 @@ common positive power.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +28,8 @@ import numpy as np
 
 from .basis import SubsetKey, check_subset, enumerate_subsets
 from .errors import ArgumentError, DomainError
-from .marginal import complement_attributes, conditional_subtable, geometric_mean_subtable
+from .fitting import centred_norm
+from .marginal import complement_attributes, geometric_mean_subtable
 from .table import ContingencyTable
 
 
@@ -41,12 +43,7 @@ class SalienceValue:
 
 
 def _salience_from_logs(logs: np.ndarray) -> SalienceValue:
-    if logs.size and np.ptp(logs) == 0.0:
-        # constant log vector: orthogonal component is exactly zero
-        return SalienceValue(0.0, 0.0, float(np.linalg.norm(logs)))
-    # subtract the mean before taking norms; the algebraically equal
-    # |T|^2 - (sum T)^2/M_T cancels catastrophically near uniformity
-    chi = float(np.linalg.norm(logs - logs.mean()))
+    chi = centred_norm(logs)
     norm = float(np.linalg.norm(logs))
     if norm == 0.0:
         return SalienceValue(0.0, 0.0, 0.0)
@@ -136,21 +133,13 @@ def psi_histogram(table: ContingencyTable, subset: Sequence[int]) -> list[tuple[
     members = check_subset(subset, schema.n_attributes)
     if not members:
         raise ArgumentError("subset must be non-empty")
-    others = complement_attributes(members, schema.n_attributes)
-    out = []
-    for combo in _conditioning_combos(len(others), schema.n_levels):
-        sub = conditional_subtable(table, members, combo)
-        out.append((combo, psi(sub.counts).psi))
-    return out
-
-
-def _conditioning_combos(length: int, m: int):
-    if length == 0:
-        yield ()
-        return
-    import itertools
-
-    yield from itertools.product(range(m), repeat=length)
+    n, m = schema.n_attributes, schema.n_levels
+    others = complement_attributes(members, n)
+    # conditioning axes first, so each row is one conditional subtable
+    rows = table.reshaped().transpose([n - 1 - a for a in others + members])
+    rows = rows.reshape(m ** len(others), m ** len(members))
+    combos = itertools.product(range(m), repeat=len(others))
+    return [(combo, psi(row).psi) for combo, row in zip(combos, rows)]
 
 
 def hypercube_psi(r: int, m_t: int) -> float:

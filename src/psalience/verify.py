@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import all_subsets, full_basis, gram_schmidt_oracle, subspace_basis
-from .errors import SizeGuardError
+from .basis import all_subsets, full_basis, gram_schmidt_oracle
+from .errors import ArgumentError, SizeGuardError
 from .fitting import fit_beta, project_subset, reconstruct
 from .marginal import gm_projection_identity, gm_projection_total_identity
 from .salience import hypercube_psi, psi
@@ -63,8 +63,7 @@ class VerificationReport:
         return out
 
 
-def _suite_orthogonality(schema, rng, perturb):
-    bases = full_basis(schema)
+def _suite_orthogonality(schema, bases, rng, perturb):
     blocks = []
     for basis in bases:
         blocks.append(basis.matrix / np.sqrt(basis.norms_sq))
@@ -96,14 +95,13 @@ def _suite_orthogonality(schema, rng, perturb):
     )
 
 
-def _suite_dimensions(schema):
+def _suite_dimensions(schema, bases):
     n, m = schema.n_attributes, schema.n_levels
     per_subset_ok = True
     total = 0
-    for subset in all_subsets(n):
-        dim = subspace_basis(subset, schema).dimension
-        total += dim
-        if dim != (m - 1) ** len(subset):
+    for basis in bases:
+        total += basis.dimension
+        if basis.dimension != (m - 1) ** len(basis.subset):
             per_subset_ok = False
     passed = per_subset_ok and total == m ** n
     return SuiteResult(
@@ -197,7 +195,7 @@ def _suite_spikes(schema, rng):
     )
 
 
-def _suite_gram_schmidt(schema):
+def _suite_gram_schmidt(schema, bases):
     m_t = schema.n_cells
     if m_t > _GS_SUITE_LIMIT:
         return SuiteResult(
@@ -210,8 +208,8 @@ def _suite_gram_schmidt(schema):
     # equal dimensions plus containment of the reference columns in the
     # generated span is subspace equality, without dense projectors
     worst = 0.0
-    for subset in all_subsets(schema.n_attributes):
-        basis = subspace_basis(subset, schema)
+    for basis in bases:
+        subset = basis.subset
         ref_matrix = np.column_stack(reference[subset])
         if ref_matrix.shape[1] != basis.dimension:
             return SuiteResult(
@@ -235,20 +233,24 @@ def run_verification(
 ) -> VerificationReport:
     """Run every suite for an ``n``-attribute, ``m``-level configuration.
 
-    Refuses configurations above ``CELL_LIMIT`` cells.  ``perturb=True``
-    injects a deliberate basis corruption so the orthogonality suite must
-    fail; use it to prove the checker is alive.
+    Refuses configurations above ``CELL_LIMIT`` cells, and fewer than one
+    trial, which would check nothing.  ``perturb=True`` injects a
+    deliberate basis corruption so the orthogonality suite must fail; use
+    it to prove the checker is alive.
     """
     if m ** n > CELL_LIMIT:
         raise SizeGuardError(f"{m ** n} cells exceeds the verification limit of {CELL_LIMIT}")
+    if trials < 1:
+        raise ArgumentError(f"need at least one trial, got {trials}")
     schema = generic_schema(n, m)
+    bases = full_basis(schema)
     rng = np.random.default_rng(seed)
     suites = (
-        _suite_orthogonality(schema, rng, perturb),
-        _suite_dimensions(schema),
+        _suite_orthogonality(schema, bases, rng, perturb),
+        _suite_dimensions(schema, bases),
         _suite_expansion(schema, rng, trials),
         _suite_gm_identity(schema, rng, max(1, trials // 4)),
         _suite_spikes(schema, rng),
-        _suite_gram_schmidt(schema),
+        _suite_gram_schmidt(schema, bases),
     )
     return VerificationReport(n, m, seed, trials, suites)

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import psalience as ps
 from psalience import fileio
@@ -267,6 +268,26 @@ def test_verify_size_guard():
     assert code == 2
 
 
+def test_verify_needs_at_least_one_trial(capsys):
+    assert main(["verify", "--n", "2", "--m", "2", "--trials", "0"]) == 2
+    assert "trials" in capsys.readouterr().err
+    with pytest.raises(ps.ArgumentError):
+        ps.run_verification(2, 2, trials=0)
+
+
+def test_verify_builds_each_subspace_once(monkeypatch):
+    built = []
+    original = ps.basis._subspace_arrays
+
+    def counting(n, m, subset):
+        built.append(subset)
+        return original(n, m, subset)
+
+    monkeypatch.setattr(ps.basis, "_subspace_arrays", counting)
+    assert ps.run_verification(3, 2, trials=1).passed
+    assert sorted(built) == sorted(ps.all_subsets(3))
+
+
 # ------------------------------------------------------------- round trip
 
 def test_table_json_round_trip_is_exact(tmp_path, rng):
@@ -295,6 +316,31 @@ def test_malformed_json_is_data_error(tmp_path):
     bad = tmp_path / "table.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["scan", "--table", str(bad), "--k", "1", "--out", str(tmp_path / "r.json")]) == 3
+
+
+def test_tabulate_invalid_utf8_is_data_error(tmp_path, capsys):
+    schema_path = write_schema(tmp_path / "schema.json")
+    csv_path = tmp_path / "micro.csv"
+    csv_path.write_bytes(b"region,band\nnorth,lo\n\xff\xfe,hi\n")
+    code = main(["tabulate", "--schema", schema_path, "--input", str(csv_path),
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 3
+    assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("counts", ["many", 2.0, 3.0, 4.0]),
+    ("n_total", "lots"),
+    ("adjusted", "false"),
+    ("adjusted", 1),
+])
+def test_malformed_table_field_is_data_error(tmp_path, rng, capsys, field, value):
+    payload = fileio.table_to_dict(random_adjusted_table(ps.generic_schema(2, 2), rng))
+    payload[field] = value
+    path = tmp_path / "table.json"
+    fileio.atomic_write_json(path, payload)
+    assert main(["scan", "--table", str(path), "--k", "1", "--out", str(tmp_path / "r.json")]) == 3
+    assert field in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,3 +139,54 @@ def test_scaling_moves_only_the_constant_component(rng):
                 rel_tol=1e-9,
                 abs_tol=1e-12,
             )
+
+
+@pytest.mark.parametrize("n,m", GRID)
+def test_blocks_match_generated_columns(n, m, rng):
+    schema = ps.generic_schema(n, m)
+    values = ps.log_transform(random_adjusted_table(schema, rng)).values
+    beta = ps.fit_beta(ps.LogTable(schema, values))
+    scale = np.linalg.norm(values)
+    constant = ps.subspace_basis((), schema).matrix[:, 0]
+    assert math.isclose(beta.beta0, constant @ values, rel_tol=1e-12)
+    for subset, block in beta.blocks.items():
+        basis = ps.subspace_basis(subset, schema)
+        expected = (basis.matrix.T @ values) / basis.norms_sq
+        # relative to the largest coefficient a table of this norm can give
+        assert np.all(np.abs(block - expected) <= 1e-12 * scale / np.sqrt(basis.norms_sq)), subset
+
+
+def test_expansion_never_builds_basis_columns(monkeypatch, rng):
+    def refuse(*args):
+        raise AssertionError("dense basis columns were built")
+
+    monkeypatch.setattr(ps.basis, "_subspace_arrays", refuse)
+    schema = ps.generic_schema(4, 3)
+    table = random_adjusted_table(schema, rng)
+    log_table = ps.log_transform(table)
+    ps.reconstruct(ps.fit_beta(log_table), schema)
+    ps.project_subset(log_table, (3, 1))
+    ps.interaction_limit(table, ps.LimitSpec("order_limit", k_dagger=2))
+    ps.selective_zero(table, ps.LimitSpec("selective", zero_subsets=((2, 0),)))
+
+
+def test_expansion_identities_at_ten_attributes(rng):
+    schema = ps.generic_schema(10, 3)
+    log_table = ps.log_transform(random_adjusted_table(schema, rng))
+    rebuilt = ps.reconstruct(ps.fit_beta(log_table), schema)
+    assert np.abs(rebuilt.values - log_table.values).max() < 1e-9
+    total = sum(ps.project_subset(log_table, s).magnitude ** 2 for s in ps.all_subsets(10))
+    norm_sq = float(log_table.values @ log_table.values)
+    assert abs(total - norm_sq) <= 1e-9 * norm_sq
+
+
+def test_expansion_memory_stays_near_table_size(rng):
+    schema = ps.generic_schema(8, 3)
+    log_table = ps.log_transform(random_adjusted_table(schema, rng))
+    tracemalloc.start()
+    try:
+        ps.reconstruct(ps.fit_beta(log_table), schema)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * log_table.values.nbytes, peak / log_table.values.nbytes

@@ -222,6 +222,13 @@ def test_histogram_conditioning_order_is_lexicographic(rng):
     assert combos == list(itertools.product(range(2), repeat=3))
 
 
+@pytest.mark.parametrize("subset", [(3,), (2, 0), (3, 1), (3, 2, 0)])
+def test_histogram_rows_are_conditional_subtables(rng, subset):
+    table = random_adjusted_table(ps.generic_schema(4, 3), rng)
+    for combo, value in ps.psi_histogram(table, subset):
+        assert value == ps.psi(ps.conditional_subtable(table, subset, combo).counts).psi
+
+
 # -------------------------------------------------- diagonal association
 
 def test_correlated_pair_reaches_its_closed_form():
