@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .depersonalize import LimitSpec, interaction_limit, selective_zero
-from .errors import IngestionError, SalienceError
+from .errors import SalienceError
 from .fileio import (
     atomic_write_json,
     audit_to_dict,
@@ -122,19 +122,7 @@ def _load_adjusted_table(path):
 
 def cmd_tabulate(args) -> int:
     schema = load_schema(args.schema)
-    rows = list(read_microdata(args.input, schema))
-    try:
-        raw = tabulate((labels for _, labels in rows), schema)
-    except IngestionError as exc:
-        if exc.record_number:
-            # report the CSV row (header is row 1), not the record position
-            file_row = rows[exc.record_number - 1][0]
-            raise IngestionError(
-                f"{args.input}: row {file_row}: {exc}",
-                record_number=file_row,
-                attribute=exc.attribute,
-            ) from exc
-        raise
+    raw = tabulate((labels for _, labels in read_microdata(args.input, schema)), schema)
     save_table(args.out, zero_adjust(raw))
     print(f"tabulated {int(raw.n_total)} records into {raw.schema.n_cells} cells -> {args.out}")
     return 0

@@ -1,10 +1,12 @@
 """File formats: JSON schemas/tables/reports and CSV microdata.
 
 Schema file:    {"attributes": [{"name": ..., "levels": [...]}, ...]}
+                with at most MAX_CELLS = 2**24 cells (M**N), checked on load.
 Table file:     {"schema": ..., "counts": [...], "n_total": ..., "adjusted": bool}
                 with counts in lexicographic cell order.
 Microdata CSV:  UTF-8, header row with the attribute names, one level
-                label per cell.
+                label per cell; read in O(distinct rows) memory, and
+                errors name the first offending file row.
 
 Written JSON round-trips exactly: floats are serialised with enough
 digits to reproduce the double-precision value bit for bit.  All writes
@@ -24,7 +26,11 @@ import numpy as np
 from .depersonalize import ReleaseAudit
 from .errors import IngestionError, SchemaError, ShapeError
 from .salience import SalienceReport
-from .table import AttributeSchema, ContingencyTable
+from .table import AttributeSchema, ContingencyTable, _record_rank
+
+# Largest M**N accepted, refused before any CSV is read or vector allocated
+# (128 MiB per float64 vector).
+MAX_CELLS = 2**24
 
 
 def schema_to_dict(schema: AttributeSchema) -> dict:
@@ -42,7 +48,13 @@ def schema_from_dict(payload: dict) -> AttributeSchema:
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed schema object: {exc}") from exc
-    return AttributeSchema(attributes)
+    schema = AttributeSchema(attributes)
+    if schema.n_cells > MAX_CELLS:
+        raise SchemaError(
+            f"schema has M**N = {schema.n_levels}**{schema.n_attributes} = {schema.n_cells} "
+            f"cells, above the limit of 2**24 = {MAX_CELLS}"
+        )
+    return schema
 
 
 def load_schema(path) -> AttributeSchema:
@@ -111,10 +123,14 @@ def atomic_write_json(path, payload) -> None:
 
 
 def read_microdata(path, schema: AttributeSchema):
-    """Yield level-label tuples from a CSV file, reordered to schema order.
+    """Yield ``(row_number, labels)`` per CSV record, labels in schema order.
 
     The header must contain exactly the schema's attribute names (any
-    order).  Errors name the file row; the header is row 1.
+    order).  Blank rows are skipped but counted; the header is row 1.  A
+    distinct raw row is checked, stripped and reordered the first time it
+    is seen, and its later copies yield that same tuple, so streaming this
+    into :func:`tabulate` takes O(distinct rows) memory.  Errors name the
+    first offending file row.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -130,15 +146,19 @@ def read_microdata(path, schema: AttributeSchema):
                     f"{path}: header {header} does not match schema attributes {names}"
                 )
             positions = [header.index(name) for name in names]
+            seen: dict[tuple, tuple] = {}
             for row_number, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != len(header):
-                    raise IngestionError(
-                        f"{path}: row {row_number} has {len(row)} fields, expected {len(header)}",
-                        record_number=row_number,
-                    )
-                yield row_number, tuple(row[p].strip() for p in positions)
+                key = tuple(row)
+                labels = seen.get(key)
+                if labels is None:
+                    # a row of the wrong length goes in as is: the check reports its field count
+                    labels = (tuple(row[p].strip() for p in positions)
+                              if len(row) == len(header) else key)
+                    _record_rank(labels, schema, f"{path}: row {row_number}", row_number)
+                    seen[key] = labels
+                yield row_number, labels
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
 

@@ -224,41 +224,58 @@ def lex_unrank(rank: int, schema: AttributeSchema) -> CellIndex:
     return tuple(reversed(digits))
 
 
+def _record_rank(labels: Sequence[str], schema: AttributeSchema, where: str, number: int) -> int:
+    """Flat cell position of one record's labels, given in schema order.
+
+    A wrong field count or an unknown label raises :class:`IngestionError`
+    whose message starts with ``where`` and whose record number is ``number``.
+    """
+    n, m = schema.n_attributes, schema.n_levels
+    if len(labels) != n:
+        raise IngestionError(
+            f"{where} has {len(labels)} fields, expected {n}", record_number=number
+        )
+    rank = 0
+    for position, label in enumerate(labels):
+        level = schema._level_maps[position].get(str(label))
+        if level is None:
+            name = schema.attributes[position][0]
+            raise IngestionError(
+                f"{where}: unknown level {label!r} for attribute {name!r}",
+                record_number=number,
+                attribute=name,
+            )
+        rank = rank * m + level
+    return rank
+
+
 def tabulate(records: Iterable[Sequence[str]], schema: AttributeSchema) -> ContingencyTable:
     """Count label tuples into an (unadjusted) contingency table.
 
-    Each record lists one level label per attribute, in schema order.
-    Raises :class:`IngestionError` naming the record and attribute for an
-    unknown label, and :class:`EmptyInputError` for an empty stream.
-    The result is order-independent.
+    Each record lists one level label per attribute, in schema order.  One
+    dict pass tallies each distinct record and checks it the first time it
+    is seen, so memory is O(distinct records) and an :class:`IngestionError`
+    names the first offending record (and the attribute of an unknown
+    label).  Raises :class:`EmptyInputError` for an empty stream.  The
+    result is order-independent.
     """
-    n, m = schema.n_attributes, schema.n_levels
-    maps = schema._level_maps
-    counts = np.zeros(schema.n_cells)
-    total = 0
-    for number, record in enumerate(iter(records), start=1):
-        labels = tuple(record)
-        if len(labels) != n:
-            raise IngestionError(
-                f"record {number} has {len(labels)} fields, expected {n}",
-                record_number=number,
-            )
-        rank = 0
-        for position, label in enumerate(labels):
-            level = maps[position].get(str(label))
-            if level is None:
-                name = schema.attributes[position][0]
-                raise IngestionError(
-                    f"record {number}: unknown level {label!r} for attribute {name!r}",
-                    record_number=number,
-                    attribute=name,
-                )
-            rank = rank * m + level
-        counts[rank] += 1.0
-        total += 1
-    if total == 0:
+    tally: dict[tuple, int] = {}
+    ranks = []  # one per tally key, in the same (first-seen) order
+    for number, record in enumerate(records, start=1):
+        key = tuple(record)
+        try:
+            count = tally.get(key)
+        except TypeError:  # an unhashable label is no level: the check below refuses it
+            count = None
+        if count is None:
+            ranks.append(_record_rank(key, schema, f"record {number}", number))
+            count = 0
+        tally[key] = count + 1
+    if not tally:
         raise EmptyInputError("no records to tabulate", record_number=0)
-    return ContingencyTable(schema, counts, float(total), adjusted=False)
+    multiplicities = list(tally.values())
+    counts = np.bincount(ranks, weights=multiplicities, minlength=schema.n_cells)
+    return ContingencyTable(schema, counts, float(sum(multiplicities)), adjusted=False)
 
 
 def zero_adjust(table: ContingencyTable) -> ContingencyTable:

@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import psalience as ps
 from psalience import fileio
@@ -82,6 +85,127 @@ def test_tabulate_header_reordering(tmp_path):
                  "--out", str(out)]) == 0
     table = fileio.load_table(out)
     assert table.n_total == 5.0
+
+
+def test_tabulate_reports_first_offending_row(tmp_path, capsys):
+    schema_path = write_schema(tmp_path / "schema.json")
+    # unknown label on file row 3, wrong field count on file row 5
+    csv_path = write_csv(tmp_path / "micro.csv", ["north,lo", "north,mid", "south,hi", "north"])
+    code = main(["tabulate", "--schema", schema_path, "--input", csv_path,
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "row 3" in err and "band" in err
+    assert "row 5" not in err
+
+
+def test_tabulate_blank_lines_skipped_but_counted(tmp_path, capsys):
+    schema_path = write_schema(tmp_path / "schema.json")
+    out = tmp_path / "t.json"
+    good = write_csv(tmp_path / "good.csv",
+                     ["north,lo", "", "south,hi", "", "", "north,lo", "south,lo", "north,hi"])
+    assert main(["tabulate", "--schema", schema_path, "--input", good, "--out", str(out)]) == 0
+    assert fileio.load_table(out).n_total == 5.0
+    # header, north,lo, blank, south,hi, blank, then the bad row is file row 6
+    bad = write_csv(tmp_path / "bad.csv", ["north,lo", "", "south,hi", "", "north,mid"])
+    assert main(["tabulate", "--schema", schema_path, "--input", bad, "--out", str(out)]) == 3
+    assert "row 6" in capsys.readouterr().err
+
+
+def test_tabulate_refuses_oversized_schema_before_reading(tmp_path, capsys):
+    names = [f"f{i}" for i in range(48)]
+    schema = {"attributes": [{"name": name, "levels": ["0", "1"]} for name in names]}
+    schema_path = tmp_path / "schema.json"
+    fileio.atomic_write_json(schema_path, schema)
+    csv_path = tmp_path / "micro.csv"
+    csv_path.write_text(",".join(names) + "\n" + ",".join(["0"] * 48) + "\n", encoding="utf-8")
+    out = tmp_path / "t.json"
+    code = main(["tabulate", "--schema", str(schema_path), "--input", str(csv_path),
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "M**N = 2**48" in err and "2**24" in err
+    assert not out.exists()
+
+
+def test_schema_cell_limit_is_inclusive():
+    def schema(n):
+        return {"attributes": [{"name": f"f{i}", "levels": ["a", "b"]} for i in range(n)]}
+
+    assert fileio.schema_from_dict(schema(24)).n_cells == fileio.MAX_CELLS == 2**24
+    with pytest.raises(ps.SchemaError):
+        fileio.schema_from_dict(schema(25))
+
+
+def test_tabulate_memory_is_bounded_by_distinct_rows(tmp_path):
+    """50 000 rows over 729 cells: ingestion must not hold the rows."""
+    names = [f"f{i}" for i in range(6)]
+    schema = {"attributes": [{"name": name, "levels": ["x", "y", "z"]} for name in names]}
+    schema_path = tmp_path / "schema.json"
+    fileio.atomic_write_json(schema_path, schema)
+    codes = np.random.default_rng(7).integers(0, 3, size=(50_000, 6))
+    letters = np.array(["x", "y", "z"])
+    lines = [",".join(row) for row in letters[codes].tolist()]
+    csv_path = tmp_path / "micro.csv"
+    csv_path.write_text(",".join(names) + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    del codes, lines
+    out = tmp_path / "t.json"
+    tracemalloc.start()
+    try:
+        code = main(["tabulate", "--schema", str(schema_path), "--input", str(csv_path),
+                     "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert fileio.load_table(out).n_total == 50_000.0
+    assert peak < 2 * 2**20, f"tabulate peak {peak / 2**20:.2f} MiB"
+
+
+# Labels with commas, quotes and inner spaces; CSV whitespace is stripped,
+# so a label never starts or ends with a space.
+LABELS = st.text(alphabet='ab," ', min_size=1, max_size=4).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def microdata(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 3))
+    levels = [draw(st.lists(LABELS, min_size=m, max_size=m, unique=True)) for _ in range(n)]
+    schema = ps.AttributeSchema(tuple((f"attr{p}", tuple(levels[p])) for p in range(n)))
+    records = draw(st.lists(st.tuples(*[st.sampled_from(levels[p]) for p in range(n)]),
+                            min_size=1, max_size=30))
+    order = draw(st.permutations(range(n)))
+    return schema, records, order
+
+
+def csv_field(draw, text):
+    pad = " " * draw(st.integers(0, 2)), " " * draw(st.integers(0, 2))
+    if ("," in text or '"' in text) or draw(st.booleans()):
+        return '"' + pad[0] + text.replace('"', '""') + pad[1] + '"'
+    return pad[0] + text + pad[1]
+
+
+@given(data=st.data(), case=microdata())
+def test_csv_ingestion_equals_tabulate(tmp_path_factory, data, case):
+    schema, records, order = case
+    lines = [",".join(csv_field(data.draw, schema.names[p]) for p in order)]
+    rows = []
+    for record in records:
+        while data.draw(st.booleans()):
+            lines.append("")  # blank line: skipped, but it takes a row number
+        lines.append(",".join(csv_field(data.draw, record[p]) for p in order))
+        rows.append(len(lines))
+    path = tmp_path_factory.mktemp("csv") / "micro.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    read = list(fileio.read_microdata(path, schema))
+    assert [row for row, _ in read] == rows
+    assert [labels for _, labels in read] == records
+    from_csv = ps.tabulate((labels for _, labels in read), schema)
+    direct = ps.tabulate(records, schema)
+    assert np.array_equal(from_csv.counts, direct.counts)
+    assert from_csv.n_total == direct.n_total == len(records)
 
 
 # ------------------------------------------------------------------ scan

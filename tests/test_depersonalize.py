@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import psalience as ps
 from psalience.depersonalize import _round_preserving_total
@@ -236,3 +238,13 @@ def test_round_preserving_total_corrects_excess():
     rounded = _round_preserving_total(values, 8)
     assert rounded.sum() == 8
     assert sorted(rounded.tolist()) == [1, 1, 2, 2, 2]
+
+
+@given(values=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=40).map(np.array))
+def test_round_preserving_total_never_negative_and_exact(values):
+    target = int(round(values.sum()))  # how releases call it: the rounded total
+    rounded = _round_preserving_total(values, target)
+    assert rounded.min() >= 0
+    assert rounded.sum() == target
+    assert np.array_equal(rounded, np.round(rounded))
+    assert np.abs(rounded - values).max() <= 1.0

@@ -133,6 +133,31 @@ def test_tabulate_unknown_label_names_record_and_attribute():
     assert "band" in str(info.value) and "'mid'" in str(info.value)
 
 
+def test_tabulate_one_shot_stream_reports_first_bad_record():
+    schema = ps.AttributeSchema((("region", ("north", "south")), ("band", ("lo", "hi"))))
+    records = iter([("north", "lo"), ("south", "hi"), ("north", "mid"), ("north", "lo"),
+                    ("east", "lo")])
+    with pytest.raises(IngestionError) as info:
+        ps.tabulate(records, schema)
+    assert info.value.record_number == 3
+    assert info.value.attribute == "band"
+
+
+def test_tabulate_counts_repeated_records_of_any_sequence_type(schema22):
+    records = (r for r in [["1", "0"], ("1", "0"), (1, 0), ["0", "1"]])
+    table = ps.tabulate(records, schema22)
+    assert table.counts[ps.lex_rank((1, 0), schema22)] == 3
+    assert table.counts[ps.lex_rank((0, 1), schema22)] == 1
+    assert table.n_total == 4
+
+
+def test_tabulate_unhashable_label_is_an_unknown_level(schema22):
+    with pytest.raises(IngestionError) as info:
+        ps.tabulate([("0", "1"), (["0"], "1")], schema22)
+    assert info.value.record_number == 2
+    assert info.value.attribute == "a1"
+
+
 def test_tabulate_empty_stream(schema22):
     with pytest.raises(EmptyInputError):
         ps.tabulate([], schema22)
