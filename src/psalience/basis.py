@@ -76,6 +76,20 @@ def all_subsets(n: int) -> list[SubsetKey]:
     return out
 
 
+def subset_index(subset: Sequence[int]) -> int:
+    """Position of a subset in a lattice vector over all ``2**N`` subsets."""
+    return sum(1 << a for a in subset)
+
+
+def subset_sums(values: np.ndarray) -> np.ndarray:
+    """``out[S]`` = sum of ``values[T]`` over ``T`` within ``S`` (Yates' zeta transform)."""
+    out = np.array(values, dtype=float)
+    for a in range(out.size.bit_length() - 1):
+        pairs = out.reshape(-1, 2, 1 << a)
+        pairs[:, 1] += pairs[:, 0]
+    return out
+
+
 @lru_cache(maxsize=None)
 def level_contrasts(m: int) -> np.ndarray:
     """An ``m x (m-1)`` matrix of mutually orthogonal zero-sum contrast columns.

@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="subset size, 1 <= k <= N-1")
     p.add_argument("--threshold", type=float, default=DEFAULT_AMBER,
                    help=f"amber warning boundary (default {DEFAULT_AMBER})")
-    p.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility (>= 1) but changes nothing: every "
+                   "subset's score comes from one transform plus O(N*2**N) sums")
     p.add_argument("--out", required=True, help="output report JSON file")
     p.set_defaults(func=cmd_scan)
 

@@ -14,6 +14,9 @@ is preserved exactly.  Audits always compare salience on the
 un-rescaled, un-rounded reconstruction, isolating the effect of the
 coefficient surgery itself; rounding necessarily perturbs the refitted
 coefficients a little, which is the price of an integer release.
+
+An audit reads salience before and after from two energy spectra, two
+transforms plus ``O(N * 2**N)`` lattice sums for every subset at once.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, all_subsets, check_subset
+from .basis import SubsetKey, all_subsets, check_subset, subset_index, subset_sums
 from .errors import ArgumentError, ShapeError, StateError
 from .fitting import BetaVector, fit_beta, reconstruct
-from .marginal import _gm_log_values
-from .salience import _salience_from_logs
-from .table import ContingencyTable, log_transform
+from .salience import subset_salience
+from .table import ContingencyTable, LogTable, log_transform
 
 PSI_DRIFT_TOL = 1e-9
 
@@ -98,15 +100,15 @@ def upward_closure(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[S
     keys = [check_subset(s, n_attributes) for s in seeds]
     if any(len(s) == 0 for s in keys):
         raise ArgumentError("cannot zero the constant term")
-    sets = [set(s) for s in keys]
-    closed = []
-    for subset in all_subsets(n_attributes):
-        if not subset:
-            continue
-        members = set(subset)
-        if any(seed <= members for seed in sets):
-            closed.append(subset)
-    return tuple(closed)
+    above = _above_any(keys, n_attributes)
+    return tuple(s for s in all_subsets(n_attributes)[1:] if above[subset_index(s)])
+
+
+def _above_any(keys: Sequence[SubsetKey], n_attributes: int) -> np.ndarray:
+    """Lattice mask of the subsets that contain at least one of ``keys``."""
+    marks = np.zeros(2 ** n_attributes)
+    marks[[subset_index(s) for s in keys]] = 1.0
+    return subset_sums(marks) > 0.0
 
 
 def _zero_blocks(beta: BetaVector, zeroed: Sequence[SubsetKey]) -> BetaVector:
@@ -163,15 +165,16 @@ def _apply_zeroing(table: ContingencyTable, zeroed: Sequence[SubsetKey], spec: L
 
 
 def _audit_log_values(logs_before, logs_after, schema, zeroed, total_drift, sizes=None):
-    zeroed_sets = [set(s) for s in zeroed]
+    psi_before = subset_salience(LogTable(schema, logs_before))[0]
+    psi_after = subset_salience(LogTable(schema, logs_after))[0]
+    above = _above_any(zeroed, schema.n_attributes)
     entries = []
     violations = []
-    for subset in all_subsets(schema.n_attributes):
-        if not subset or (sizes is not None and len(subset) not in sizes):
+    for subset in all_subsets(schema.n_attributes)[1:]:
+        if sizes is not None and len(subset) not in sizes:
             continue
-        before = _salience_from_logs(_gm_log_values(logs_before, schema, subset)).psi
-        after = _salience_from_logs(_gm_log_values(logs_after, schema, subset)).psi
-        contains = any(z <= set(subset) for z in zeroed_sets)
+        i = subset_index(subset)
+        before, after, contains = float(psi_before[i]), float(psi_after[i]), bool(above[i])
         entries.append(AuditEntry(subset, before, after, contains))
         if contains:
             if after > before + PSI_DRIFT_TOL:

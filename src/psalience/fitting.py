@@ -115,6 +115,19 @@ def project_subset(log_table: LogTable, subset: Sequence[int]) -> ProjectionResu
     return ProjectionResult(members, chi, float(np.linalg.norm(chi)))
 
 
+def subset_energies(log_table: LogTable) -> np.ndarray:
+    """Squared projection magnitude of every subset's block as a lattice vector
+    (see :func:`psalience.basis.subset_index`); exactly 0 off the constant for a constant table."""
+    n, m = log_table.schema.n_attributes, log_table.schema.n_levels
+    factor, solve = level_factor(m)
+    coef = _modewise(log_table.values, [solve] * n)
+    if np.ptp(log_table.values) == 0.0:
+        coef[1:] = 0.0
+    pool = np.zeros((2, m))  # per axis: the constant column's |col|^2, then the contrasts'
+    pool[0, 0], pool[1, 1:] = m, np.einsum("ij,ij->j", factor, factor)[1:]
+    return _modewise(coef * coef, [pool] * n)
+
+
 def centred_norm(values: np.ndarray) -> float:
     """``|v - mean(v)|``, exactly 0.0 for a constant vector.  The equal
     ``sqrt(|v|^2 - (sum v)^2 / len(v))`` cancels badly near uniformity."""

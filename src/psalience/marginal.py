@@ -24,7 +24,7 @@ import numpy as np
 from .basis import SubsetKey, check_subset
 from .errors import ArgumentError, DomainError
 from .fitting import orthogonal_complement_magnitude, project_subset
-from .table import AttributeSchema, ContingencyTable, LogTable, freeze, generic_schema, log_transform
+from .table import ContingencyTable, LogTable, freeze, generic_schema, log_transform
 
 
 @dataclass(frozen=True)
@@ -98,17 +98,6 @@ def conditional_subtable(
     return ConditionalSubtable(members, fixed, counts, ranks)
 
 
-def _gm_log_values(values: np.ndarray, schema: AttributeSchema, subset: SubsetKey) -> np.ndarray:
-    """Mean of the log values over the conditioning axes, flattened so the
-    leftmost subset attribute is most significant."""
-    n, m = schema.n_attributes, schema.n_levels
-    arr = values.reshape((m,) * n)
-    axes = tuple(n - 1 - a for a in complement_attributes(subset, n))
-    if axes:
-        arr = arr.mean(axis=axes)
-    return arr.ravel()
-
-
 def geometric_mean_subtable(table: ContingencyTable, subset: Sequence[int]) -> GeoMeanTable:
     """Geometric mean of the conditional subtables over all conditioning values.
 
@@ -117,8 +106,10 @@ def geometric_mean_subtable(table: ContingencyTable, subset: Sequence[int]) -> G
     """
     if not table.adjusted:
         raise DomainError("geometric-mean marginalisation needs an adjusted table")
-    members = check_subset(subset, table.schema.n_attributes)
-    logs = _gm_log_values(np.log(table.counts), table.schema, members)
+    n = table.schema.n_attributes
+    members = check_subset(subset, n)
+    axes = tuple(n - 1 - a for a in complement_attributes(members, n))
+    logs = np.log(table.reshaped()).mean(axis=axes).ravel()
     return GeoMeanTable(members, np.exp(logs), logs)
 
 

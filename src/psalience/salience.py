@@ -14,23 +14,26 @@ subsets by how inferable their values are from the rest.
 Entries are expected on the adjusted scale (everything at least 1) so all
 logs are non-negative; ratios are invariant to raising the entries to a
 common positive power.
+
+By the projection-transfer identity ``Psi(S)**2`` is the block energy of the
+non-empty subsets of ``S`` over that of all its subsets, so :func:`scan` costs
+one transform plus ``O(N * 2**N)``; its ``workers`` is accepted but changes nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, check_subset, enumerate_subsets
+from .basis import SubsetKey, check_subset, enumerate_subsets, subset_index, subset_sums
 from .errors import ArgumentError, DomainError
-from .fitting import centred_norm
+from .fitting import centred_norm, subset_energies
 from .marginal import complement_attributes, geometric_mean_subtable
-from .table import ContingencyTable
+from .table import ContingencyTable, LogTable, log_transform
 
 
 @dataclass(frozen=True)
@@ -40,14 +43,6 @@ class SalienceValue:
     psi: float
     chi_magnitude: float
     log_norm: float
-
-
-def _salience_from_logs(logs: np.ndarray) -> SalienceValue:
-    chi = centred_norm(logs)
-    norm = float(np.linalg.norm(logs))
-    if norm == 0.0:
-        return SalienceValue(0.0, 0.0, 0.0)
-    return SalienceValue(min(chi / norm, 1.0), chi, norm)
 
 
 def psi(values) -> SalienceValue:
@@ -61,7 +56,12 @@ def psi(values) -> SalienceValue:
         raise ArgumentError("salience of an empty vector is undefined")
     if not np.all(np.isfinite(array)) or array.min() < 1.0 - 1e-12:
         raise DomainError("salience needs finite entries >= 1 (adjusted scale)")
-    return _salience_from_logs(np.log(np.maximum(array, 1.0)))
+    logs = np.log(np.maximum(array, 1.0))
+    chi = centred_norm(logs)
+    norm = float(np.linalg.norm(logs))
+    if norm == 0.0:
+        return SalienceValue(0.0, 0.0, 0.0)
+    return SalienceValue(min(chi / norm, 1.0), chi, norm)
 
 
 def Psi(table: ContingencyTable, subset: Sequence[int]) -> SalienceValue:
@@ -70,6 +70,20 @@ def Psi(table: ContingencyTable, subset: Sequence[int]) -> SalienceValue:
     if not 1 <= len(members) <= table.schema.n_attributes:
         raise ArgumentError("subset must be non-empty")
     return psi(geometric_mean_subtable(table, members).counts)
+
+
+def subset_salience(log_table: LogTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(psi, chi_magnitude, log_norm)`` of every subset's geometric-mean table as lattice
+    vectors; the constant energy joins only the denominator, so near-uniform scores survive."""
+    n, m = log_table.schema.n_attributes, log_table.schema.n_levels
+    energies = subset_energies(log_table)
+    constant, energies[0] = energies[0], 0.0
+    sizes = sum((np.arange(energies.size) >> a) & 1 for a in range(n))
+    per_cell = float(m) ** (sizes - n)  # a size-k table's energy is the blocks' over M**(N-k)
+    chi = np.sqrt(subset_sums(energies) * per_cell)
+    norm = np.sqrt(chi * chi + constant * per_cell)
+    ratio = np.divide(chi, norm, out=np.zeros_like(chi), where=norm > 0.0)
+    return np.minimum(ratio, 1.0), chi, norm
 
 
 @dataclass(frozen=True)
@@ -94,21 +108,19 @@ class SalienceReport:
 
 
 def scan(table: ContingencyTable, k: int, workers: int | None = None) -> SalienceReport:
-    """Score every size-k subset of an adjusted table.
+    """Score every size-k subset of an adjusted table, in enumeration order.
 
-    Subsets are evaluated independently (optionally across ``workers``
-    threads) and reported in enumeration order, so the output does not
-    depend on the worker count.
+    All scores come from one energy spectrum (see the module docstring);
+    ``workers`` is kept for compatibility and changes nothing.
     """
     n = table.schema.n_attributes
     if not 1 <= k < n:
         raise ArgumentError(f"subset size {k} out of range [1, {n - 1}]")
+    if not table.adjusted:
+        raise DomainError("salience scans need an adjusted table")
     subsets = enumerate_subsets(n, k)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda s: Psi(table, s), subsets))
-    else:
-        values = [Psi(table, s) for s in subsets]
+    spectrum = subset_salience(log_transform(table))
+    values = [SalienceValue(*(float(a[subset_index(s)]) for a in spectrum)) for s in subsets]
     order = sorted(range(len(subsets)), key=lambda i: (-values[i].psi, i))
     ranks = [0] * len(subsets)
     for position, i in enumerate(order, start=1):

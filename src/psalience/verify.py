@@ -36,8 +36,12 @@ SPIKE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """One suite's verdict; ``checked`` counts the items it compared, and a
+    suite that compared none reports SKIP rather than PASS."""
+
     name: str
     passed: bool
+    checked: int
     detail: str
     data: dict = field(default_factory=dict)
 
@@ -57,9 +61,11 @@ class VerificationReport:
     def lines(self) -> list[str]:
         out = [f"verification: n={self.n} m={self.m} seed={self.seed} trials={self.trials}"]
         for suite in self.suites:
-            status = "PASS" if suite.passed else "FAIL"
+            status = "SKIP" if not suite.checked else "PASS" if suite.passed else "FAIL"
             out.append(f"  {suite.name:<22} {status}  {suite.detail}")
-        out.append("overall: " + ("PASS" if self.passed else "FAIL"))
+        skipped = sum(not s.checked for s in self.suites)
+        note = f" ({skipped} skipped)" if skipped else ""
+        out.append("overall: " + ("PASS" if self.passed else "FAIL") + note)
         return out
 
 
@@ -74,6 +80,7 @@ def _suite_orthogonality(schema, bases, rng, perturb):
     m_t = schema.n_cells
     worst = 0.0
     if m_t <= _FULL_GRAM_LIMIT:
+        checked = len(blocks) * (len(blocks) + 1) // 2
         stacked = np.hstack(blocks)
         gram = stacked.T @ stacked
         worst = float(np.abs(gram - np.eye(gram.shape[0])).max())
@@ -83,6 +90,7 @@ def _suite_orthogonality(schema, bases, rng, perturb):
         if len(pairs) > 400:
             chosen = rng.choice(len(pairs), size=400, replace=False)
             pairs = [pairs[i] for i in chosen]
+        checked = len(pairs)
         for i, j in pairs:
             gram = blocks[i].T @ blocks[j]
             if i == j:
@@ -90,7 +98,7 @@ def _suite_orthogonality(schema, bases, rng, perturb):
             worst = max(worst, float(np.abs(gram).max()))
     passed = worst < ORTHO_TOL
     return SuiteResult(
-        "orthogonality", passed, f"max normalised off-diagonal dot {worst:.3e}",
+        "orthogonality", passed, checked, f"max normalised off-diagonal dot {worst:.3e}",
         {"max_offdiagonal": worst},
     )
 
@@ -105,7 +113,7 @@ def _suite_dimensions(schema, bases):
             per_subset_ok = False
     passed = per_subset_ok and total == m ** n
     return SuiteResult(
-        "dimensions", passed,
+        "dimensions", passed, len(bases),
         f"total columns {total} (expected {m ** n})",
         {"total_columns": total},
     )
@@ -126,7 +134,7 @@ def _suite_expansion(schema, rng, trials):
         worst_parseval = max(worst_parseval, abs(total - norm_sq) / max(norm_sq, 1e-12))
     passed = worst_rt < IDENTITY_TOL and worst_parseval < IDENTITY_TOL
     return SuiteResult(
-        "expansion", passed,
+        "expansion", passed, trials,
         f"worst round-trip {worst_rt:.3e}, worst energy mismatch {worst_parseval:.3e}",
         {"round_trip": worst_rt, "parseval": worst_parseval},
     )
@@ -157,9 +165,12 @@ def _suite_gm_identity(schema, rng, trials):
         outers = [outers[i] for i in chosen]
     worst = 0.0
     worst_pair = None
+    checked = 0
     for _ in range(trials):
         table = random_adjusted_table(schema, rng)
-        for outer, inner in _identity_pairs(n, rng):
+        pairs = _identity_pairs(n, rng)
+        checked += len(pairs) + len(outers)
+        for outer, inner in pairs:
             lhs, rhs = gm_projection_identity(table, outer, inner)
             gap = abs(lhs - rhs) / max(lhs, rhs, 1e-12)
             if gap > worst:
@@ -171,8 +182,9 @@ def _suite_gm_identity(schema, rng, trials):
                 worst, worst_pair = gap, (outer, "total")
     passed = worst < IDENTITY_TOL
     where = f" at {worst_pair}" if (not passed and worst_pair) else ""
+    detail = f"worst relative gap {worst:.3e}{where}" if checked else "no proper subsets"
     return SuiteResult(
-        "gm-projection", passed, f"worst relative gap {worst:.3e}{where}",
+        "gm-projection", passed, checked, detail,
         {"worst_gap": worst},
     )
 
@@ -190,7 +202,7 @@ def _suite_spikes(schema, rng):
         worst = max(worst, abs(psi(values).psi - hypercube_psi(r, m_t)))
     passed = worst < SPIKE_TOL
     return SuiteResult(
-        "spike-salience", passed, f"worst closed-form gap {worst:.3e}",
+        "spike-salience", passed, len(radii), f"worst closed-form gap {worst:.3e}",
         {"worst_gap": worst, "radii_checked": len(radii)},
     )
 
@@ -199,7 +211,7 @@ def _suite_gram_schmidt(schema, bases):
     m_t = schema.n_cells
     if m_t > _GS_SUITE_LIMIT:
         return SuiteResult(
-            "gram-schmidt", True, f"skipped ({m_t} cells > {_GS_SUITE_LIMIT})",
+            "gram-schmidt", True, 0, f"skipped ({m_t} cells > {_GS_SUITE_LIMIT})",
             {"skipped": True},
         )
     reference: dict = {}
@@ -213,7 +225,7 @@ def _suite_gram_schmidt(schema, bases):
         ref_matrix = np.column_stack(reference[subset])
         if ref_matrix.shape[1] != basis.dimension:
             return SuiteResult(
-                "gram-schmidt", False,
+                "gram-schmidt", False, len(reference),
                 f"dimension mismatch at {subset}: {ref_matrix.shape[1]} vs {basis.dimension}",
                 {"subset": subset},
             )
@@ -223,7 +235,7 @@ def _suite_gram_schmidt(schema, bases):
         worst = max(worst, float(ratios.max()))
     passed = worst < ORTHO_TOL
     return SuiteResult(
-        "gram-schmidt", passed, f"worst span residual {worst:.3e}",
+        "gram-schmidt", passed, len(bases), f"worst span residual {worst:.3e}",
         {"worst_gap": worst},
     )
 

@@ -81,3 +81,14 @@ def residual_outside_span(vector, basis):
     """Component of ``vector`` left after projecting onto a SubspaceBasis."""
     coef = (basis.matrix.T @ vector) / basis.norms_sq
     return vector - basis.matrix @ coef
+
+
+def axis_mean_psi(log_values, n, m, subset):
+    """psi of a subset's log geometric-mean table, built by averaging the
+    log tensor over every other attribute's axis (attribute ``a`` is axis
+    ``n - 1 - a``).  Logs may be negative, as for releases below 1."""
+    tensor = np.asarray(log_values, dtype=float).reshape((m,) * n)
+    others = tuple(n - 1 - a for a in range(n) if a not in subset)
+    reduced = tensor.mean(axis=others) if others else tensor
+    norm = np.linalg.norm(reduced)
+    return 0.0 if norm == 0.0 else float(np.linalg.norm(reduced - reduced.mean()) / norm)

@@ -399,6 +399,27 @@ def test_verify_needs_at_least_one_trial(capsys):
         ps.run_verification(2, 2, trials=0)
 
 
+def suite_status(out, name):
+    line = next(line for line in out.splitlines() if line.split()[:1] == [name])
+    return line.split()[1]
+
+
+def test_verify_marks_a_suite_with_no_subset_pairs_as_skip(capsys):
+    # one attribute has no proper subsets, so gm-projection compares nothing
+    assert main(["verify", "--n", "1", "--m", "2", "--trials", "1"]) == 0
+    out = capsys.readouterr().out
+    assert suite_status(out, "gm-projection") == "SKIP"
+    assert suite_status(out, "expansion") == "PASS"
+
+
+def test_verify_marks_gram_schmidt_above_its_limit_as_skip(capsys):
+    # 7**3 = 343 cells exceeds the 256-cell Gram-Schmidt suite limit
+    assert main(["verify", "--n", "3", "--m", "7", "--trials", "1"]) == 0
+    out = capsys.readouterr().out
+    assert suite_status(out, "gram-schmidt") == "SKIP"
+    assert suite_status(out, "gm-projection") == "PASS"
+
+
 def test_verify_builds_each_subspace_once(monkeypatch):
     built = []
     original = ps.basis._subspace_arrays

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import axis_mean_psi
 
 import psalience as ps
 from psalience.depersonalize import _round_preserving_total
@@ -135,6 +136,21 @@ def test_upward_closure_is_closed():
                 assert set(other) in closed_sets
 
 
+def brute_force_closure(seeds, n):
+    return tuple(
+        s for s in ps.all_subsets(n)[1:] if any(set(seed) <= set(s) for seed in seeds)
+    )
+
+
+def test_upward_closure_matches_brute_force(rng):
+    for n in range(1, 7):
+        candidates = ps.all_subsets(n)[1:]
+        for _ in range(20):
+            picks = rng.choice(len(candidates), size=rng.integers(1, 4), replace=True)
+            seeds = [candidates[i] for i in picks]
+            assert ps.upward_closure(seeds, n) == brute_force_closure(seeds, n), seeds
+
+
 def test_selective_zero_applies_closure(rng, schema32):
     table = random_adjusted_table(schema32, rng)
     spec = ps.LimitSpec("selective", zero_subsets=((1, 0),), renormalize=False)
@@ -210,6 +226,53 @@ def test_audit_classifies_with_known_zero_set(rng):
     released, _ = ps.interaction_limit(table, order_spec(1, renormalize=False))
     report = ps.audit(table, released, zeroed_blocks=[s for s in ps.all_subsets(3) if len(s) > 1])
     assert report.violations == ()
+
+
+def test_audit_contains_zeroed_matches_brute_force(rng):
+    # zero sets that are not upward closed, and one holding the constant term
+    n = 5
+    schema = ps.generic_schema(n, 2)
+    table = random_adjusted_table(schema, rng)
+    released, _ = ps.interaction_limit(table, order_spec(2))
+    candidates = ps.all_subsets(n)
+    zero_sets = [
+        [candidates[i] for i in rng.choice(len(candidates) - 1, size=size, replace=False) + 1]
+        for size in (1, 2, 3, 5, 8)
+    ] + [[(), (3, 1)]]
+    for zeroed in zero_sets:
+        report = ps.audit(table, released, zeroed_blocks=zeroed)
+        assert [e.subset for e in report.entries] == candidates[1:]
+        for entry in report.entries:
+            expected = any(set(z) <= set(entry.subset) for z in zeroed)
+            assert entry.contains_zeroed == expected, (zeroed, entry)
+
+
+def test_audit_of_a_release_below_1_matches_axis_means():
+    schema = ps.generic_schema(3, 3)
+    table = random_adjusted_table(schema, np.random.default_rng(27))
+    released, _ = ps.interaction_limit(table, order_spec(2))
+    assert released.counts.min() < 1.0  # a renormalised release with a negative log
+    shrunk = ps.ContingencyTable(schema, table.counts * 0.05, table.n_total * 0.05)
+    for after in (released, shrunk):
+        for entry in ps.audit(table, after).entries:
+            for got, counts in ((entry.psi_before, table.counts), (entry.psi_after, after.counts)):
+                want = axis_mean_psi(np.log(counts), 3, 3, entry.subset)
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), entry
+
+
+def test_scan_and_releases_never_build_a_geometric_mean_table(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-subset geometric-mean path used")
+
+    monkeypatch.setattr(ps.salience, "Psi", refuse)
+    monkeypatch.setattr(ps.salience, "geometric_mean_subtable", refuse)
+    monkeypatch.setattr(ps.marginal, "geometric_mean_subtable", refuse)
+    table = random_adjusted_table(ps.generic_schema(4, 3), rng)
+    for k in (1, 2, 3):
+        assert len(ps.scan(table, k).entries) == math.comb(4, k)
+    released, _ = ps.interaction_limit(table, order_spec(2))
+    ps.selective_zero(table, ps.LimitSpec("selective", zero_subsets=((2, 1),)))
+    assert ps.audit(table, released).violations == ()
 
 
 def test_audit_requires_matching_schema(rng, schema32, schema33):

@@ -237,3 +237,49 @@ def test_correlated_pair_reaches_its_closed_form():
     value = ps.Psi(table, (2, 0)).psi
     assert math.isclose(value, math.sqrt(1 - 1 / 3), rel_tol=1e-12)
     assert ps.Psi(table, (3, 1)).psi < 1e-12
+
+
+# ------------------------------------------------- spectrum against Psi
+
+def assert_matches_Psi(entry, table, rel_tol):
+    reference = ps.Psi(table, entry.subset)
+    for got, want in zip(
+        (entry.salience.psi, entry.salience.chi_magnitude, entry.salience.log_norm),
+        (reference.psi, reference.chi_magnitude, reference.log_norm),
+    ):
+        assert math.isclose(got, want, rel_tol=rel_tol, abs_tol=rel_tol), (entry, reference)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (4, 4), (5, 2), (3, 5), (6, 3), (12, 2), (10, 3)])
+def test_scan_matches_geometric_mean_Psi_at_every_k(rng, n, m):
+    table = random_adjusted_table(ps.generic_schema(n, m), rng)
+    for k in range(1, n):
+        for entry in ps.scan(table, k).entries:
+            assert_matches_Psi(entry, table, 1e-12)
+
+
+@pytest.mark.parametrize("n, m", [(6, 3), (8, 3), (12, 2)])
+def test_scan_keeps_the_score_of_a_near_uniform_table(n, m):
+    # every score here is about 1e-7; a form that subtracts the constant
+    # energy from a total over all subsets cancels it away to 0.0
+    counts = np.full(m ** n, 5.0)
+    counts[7] *= 1 + 1e-6
+    table = adjusted(ps.generic_schema(n, m), counts)
+    for k in range(1, n):
+        for entry in ps.scan(table, k).entries:
+            reference = ps.Psi(table, entry.subset).psi
+            assert reference > 0.0
+            assert math.isclose(entry.salience.psi, reference, rel_tol=1e-5), entry
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (4, 3), (8, 3), (12, 2)])
+def test_scan_of_a_constant_table_is_exactly_zero_at_every_k(n, m):
+    table = adjusted(ps.generic_schema(n, m), np.full(m ** n, 3.7))
+    for k in range(1, n):
+        assert all(e.salience.psi == 0.0 for e in ps.scan(table, k).entries), k
+
+
+def test_scan_rejects_an_unadjusted_table(schema32):
+    raw = ps.ContingencyTable(schema32, np.full(8, 2.0), 16.0)
+    with pytest.raises(DomainError):
+        ps.scan(raw, 1)
