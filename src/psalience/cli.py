@@ -24,13 +24,13 @@ from .fileio import (
     audit_to_dict,
     load_schema,
     load_table,
-    read_microdata,
     report_to_dict,
     save_table,
+    tabulate_microdata,
 )
 from .marginal import complement_attributes, geometric_mean_subtable
 from .salience import Psi, psi_histogram, scan
-from .table import tabulate, zero_adjust
+from .table import zero_adjust
 from .verify import CELL_LIMIT as VERIFY_CELL_LIMIT
 from .verify import run_verification
 
@@ -124,7 +124,7 @@ def _load_adjusted_table(path):
 
 def cmd_tabulate(args) -> int:
     schema = load_schema(args.schema)
-    raw = tabulate((labels for _, labels in read_microdata(args.input, schema)), schema)
+    raw = tabulate_microdata(args.input, schema)
     save_table(args.out, zero_adjust(raw))
     print(f"tabulated {int(raw.n_total)} records into {raw.schema.n_cells} cells -> {args.out}")
     return 0

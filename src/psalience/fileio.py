@@ -5,8 +5,12 @@ Schema file:    {"attributes": [{"name": ..., "levels": [...]}, ...]}
 Table file:     {"schema": ..., "counts": [...], "n_total": ..., "adjusted": bool}
                 with counts in lexicographic cell order.
 Microdata CSV:  UTF-8, header row with the attribute names, one level
-                label per cell; read in O(distinct rows) memory, and
-                errors name the first offending file row.
+                label per cell.  tabulate_microdata counts the raw lines
+                in one C-level pass, then parses and checks each distinct
+                line once: O(distinct lines) memory.  Records that span
+                lines and every error go through the per-record
+                read_microdata, whose errors name the first offending
+                file row.
 
 Written JSON round-trips exactly: floats are serialised with enough
 digits to reproduce the double-precision value bit for bit.  All writes
@@ -19,6 +23,7 @@ import csv
 import json
 import os
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +31,7 @@ import numpy as np
 from .depersonalize import ReleaseAudit
 from .errors import IngestionError, SchemaError, ShapeError
 from .salience import SalienceReport
-from .table import AttributeSchema, ContingencyTable, _record_rank
+from .table import AttributeSchema, ContingencyTable, _record_rank, tabulate
 
 # Largest M**N accepted, refused before any CSV is read or vector allocated
 # (128 MiB per float64 vector).
@@ -122,6 +127,27 @@ def atomic_write_json(path, payload) -> None:
         raise
 
 
+def _header_positions(reader, path, schema: AttributeSchema) -> list[int]:
+    """Read the header row from ``reader``; return the column of each schema attribute."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: file is empty, expected a header row")
+    header = [h.strip() for h in header]
+    names = list(schema.names)
+    if sorted(header) != sorted(names):
+        raise IngestionError(f"{path}: header {header} does not match schema attributes {names}")
+    return [header.index(name) for name in names]
+
+
+def _row_labels(row: list[str], positions: list[int]) -> tuple:
+    """Stripped labels in schema order; a row of the wrong length goes in as is,
+    so the record check reports its field count."""
+    if len(row) != len(positions):
+        return tuple(row)
+    return tuple(row[p].strip() for p in positions)
+
+
 def read_microdata(path, schema: AttributeSchema):
     """Yield ``(row_number, labels)`` per CSV record, labels in schema order.
 
@@ -129,23 +155,16 @@ def read_microdata(path, schema: AttributeSchema):
     order).  Blank rows are skipped but counted; the header is row 1.  A
     distinct raw row is checked, stripped and reordered the first time it
     is seen, and its later copies yield that same tuple, so streaming this
-    into :func:`tabulate` takes O(distinct rows) memory.  Errors name the
-    first offending file row.
+    into :func:`tabulate` takes O(distinct rows) memory.  Errors, malformed
+    CSV included, name the first offending file row.  This is the reference
+    and error path of :func:`tabulate_microdata`.
     """
+    row_number = 0  # the last row read in full; the header is row 1
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IngestionError(f"{path}: file is empty, expected a header row")
-            header = [h.strip() for h in header]
-            names = list(schema.names)
-            if sorted(header) != sorted(names):
-                raise IngestionError(
-                    f"{path}: header {header} does not match schema attributes {names}"
-                )
-            positions = [header.index(name) for name in names]
+            positions = _header_positions(reader, path, schema)
+            row_number = 1
             seen: dict[tuple, tuple] = {}
             for row_number, row in enumerate(reader, start=2):
                 if not row:
@@ -153,14 +172,46 @@ def read_microdata(path, schema: AttributeSchema):
                 key = tuple(row)
                 labels = seen.get(key)
                 if labels is None:
-                    # a row of the wrong length goes in as is: the check reports its field count
-                    labels = (tuple(row[p].strip() for p in positions)
-                              if len(row) == len(header) else key)
+                    labels = _row_labels(row, positions)
                     _record_rank(labels, schema, f"{path}: row {row_number}", row_number)
                     seen[key] = labels
                 yield row_number, labels
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise IngestionError(
+            f"{path}: row {row_number + 1} is not valid CSV ({exc})", record_number=row_number + 1
+        ) from exc
+
+
+def tabulate_microdata(path, schema: AttributeSchema) -> ContingencyTable:
+    """Unadjusted table of a microdata CSV, equal to :func:`tabulate` over
+    :func:`read_microdata`.
+
+    One C-level ``Counter`` pass tallies the physical lines after the header;
+    each distinct line is parsed as one strict CSV line and checked once, and
+    one ``np.bincount`` sums the tallies per cell, so memory is O(distinct
+    lines).  If any line is not one complete valid record (the first line of a
+    multi-line quoted record never is), or the file is not UTF-8 or has no
+    records, the file goes through the record path instead, which reads such
+    records or raises its row-numbered error.
+    """
+    ranks, tallies = [], []
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            positions = _header_positions(csv.reader(fh), path, schema)
+            lines = Counter(fh)
+        for line, tally in lines.items():
+            row = next(csv.reader((line,), strict=True), [])
+            if row:
+                ranks.append(_record_rank(_row_labels(row, positions), schema, str(path), 0))
+                tallies.append(tally)
+    except (csv.Error, UnicodeDecodeError, IngestionError):
+        ranks = []
+    if not ranks:
+        return tabulate((labels for _, labels in read_microdata(path, schema)), schema)
+    counts = np.bincount(ranks, weights=tallies, minlength=schema.n_cells)
+    return ContingencyTable(schema, counts, float(sum(tallies)), adjusted=False)
 
 
 def report_to_dict(

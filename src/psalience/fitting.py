@@ -125,7 +125,7 @@ def subset_energies(log_table: LogTable) -> np.ndarray:
         coef[1:] = 0.0
     pool = np.zeros((2, m))  # per axis: the constant column's |col|^2, then the contrasts'
     pool[0, 0], pool[1, 1:] = m, np.einsum("ij,ij->j", factor, factor)[1:]
-    return _modewise(coef * coef, [pool] * n)
+    return _modewise(np.square(coef, out=coef), [pool] * n)
 
 
 def centred_norm(values: np.ndarray) -> float:

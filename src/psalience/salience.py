@@ -74,16 +74,27 @@ def Psi(table: ContingencyTable, subset: Sequence[int]) -> SalienceValue:
 
 def subset_salience(log_table: LogTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(psi, chi_magnitude, log_norm)`` of every subset's geometric-mean table as lattice
-    vectors; the constant energy joins only the denominator, so near-uniform scores survive."""
+    vectors; the constant energy joins only the denominator, so near-uniform scores survive.
+    The arithmetic runs in place: at most three ``2**N`` vectors beyond the spectrum's transform."""
     n, m = log_table.schema.n_attributes, log_table.schema.n_levels
     energies = subset_energies(log_table)
     constant, energies[0] = energies[0], 0.0
-    sizes = sum((np.arange(energies.size) >> a) & 1 for a in range(n))
-    per_cell = float(m) ** (sizes - n)  # a size-k table's energy is the blocks' over M**(N-k)
-    chi = np.sqrt(subset_sums(energies) * per_cell)
-    norm = np.sqrt(chi * chi + constant * per_cell)
-    ratio = np.divide(chi, norm, out=np.zeros_like(chi), where=norm > 0.0)
-    return np.minimum(ratio, 1.0), chi, norm
+    sizes = np.zeros(energies.size, dtype=np.uint8)
+    for a in range(n):
+        sizes.reshape(-1, 2, 1 << a)[:, 1] += 1
+    # a size-k table's energy is the blocks' over M**(N-k)
+    per_cell = (float(m) ** (np.arange(n + 1) - n))[sizes]
+    chi = subset_sums(energies)
+    del energies
+    chi *= per_cell
+    np.sqrt(chi, out=chi)
+    ratio = np.multiply(chi, chi)
+    norm = np.multiply(per_cell, constant, out=per_cell)
+    norm += ratio
+    np.sqrt(norm, out=norm)
+    # where norm is 0 so is chi * chi, so those entries already read 0
+    np.divide(chi, norm, out=ratio, where=norm > 0.0)
+    return np.minimum(ratio, 1.0, out=ratio), chi, norm
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import psalience as ps
-from psalience import fileio
+from psalience import cli, fileio
 from psalience.cli import main
 from psalience.synthetic import correlated_pair_table, planted_interaction_table, random_adjusted_table
 
@@ -206,6 +206,117 @@ def test_csv_ingestion_equals_tabulate(tmp_path_factory, data, case):
     direct = ps.tabulate(records, schema)
     assert np.array_equal(from_csv.counts, direct.counts)
     assert from_csv.n_total == direct.n_total == len(records)
+
+
+# Labels as above plus inner newlines, which make a record span lines.
+MULTILINE_LABELS = st.text(alphabet='ab,"\n ', min_size=1, max_size=4).filter(lambda s: s == s.strip())
+
+
+def quoted_field(draw, text):
+    if "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return csv_field(draw, text)
+
+
+@st.composite
+def messy_microdata(draw):
+    """A CSV and its schema; at most one flawed line, so both outcomes are common."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 3))
+    levels = [draw(st.lists(MULTILINE_LABELS, min_size=m, max_size=m, unique=True))
+              for _ in range(n)]
+    schema = ps.AttributeSchema(tuple((f"attr{p}", tuple(levels[p])) for p in range(n)))
+    order = draw(st.permutations(range(n)))
+    record = st.tuples(*[st.sampled_from(levels[p]) for p in order])  # labels in file order
+    lines = [",".join(csv_field(draw, schema.names[p]) for p in order)]
+    for fields in draw(st.lists(record, max_size=20)):
+        lines.extend([""] * draw(st.integers(0, 2)))  # blank lines: skipped, but numbered
+        lines.append(",".join(quoted_field(draw, f) for f in fields))
+    if draw(st.booleans()):
+        flaw = draw(st.sampled_from(["unknown label", "extra field", "missing field",
+                                     "whitespace"]))
+        fields = list(draw(record))
+        if flaw == "unknown label":
+            fields[draw(st.integers(0, n - 1))] = "zz"
+        elif flaw == "extra field":
+            fields.append(fields[0])
+        elif flaw == "missing field":
+            fields.pop()
+        line = " " * draw(st.integers(1, 2)) if flaw == "whitespace" else ",".join(
+            quoted_field(draw, f) for f in fields)
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final newline
+    return schema, "".join(line + end for line, end in zip(lines, ends))
+
+
+def ingestion_outcome(tabulate_file):
+    try:
+        table = tabulate_file()
+    except ps.IngestionError as exc:
+        return "error", str(exc)
+    return table.counts.tolist(), table.n_total
+
+
+@given(case=messy_microdata())
+def test_tabulate_microdata_agrees_with_record_path(tmp_path_factory, case):
+    schema, text = case
+    path = tmp_path_factory.mktemp("csv") / "micro.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = ingestion_outcome(lambda: fileio.tabulate_microdata(path, schema))
+    records = ingestion_outcome(
+        lambda: ps.tabulate((labels for _, labels in fileio.read_microdata(path, schema)), schema))
+    assert fast == records
+
+
+def test_tabulate_clean_csv_never_walks_records(tmp_path, monkeypatch):
+    schema = fileio.schema_from_dict(SCHEMA)
+    schema_path = write_schema(tmp_path / "schema.json")
+    csv_path = tmp_path / "micro.csv"
+    csv_path.write_bytes(b'band,region\r\n lo ,"north"\r\n\r\nhi,south\nlo,north\n'
+                         b'hi,north\n"lo",south\n"hi", north')
+    records = ps.tabulate((labels for _, labels in fileio.read_microdata(csv_path, schema)), schema)
+    fileio.save_table(tmp_path / "records.json", ps.zero_adjust(records))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a clean CSV went through the record path")
+
+    monkeypatch.setattr(fileio, "read_microdata", refuse)
+    monkeypatch.setattr(cli, "read_microdata", refuse, raising=False)  # no CLI-side binding either
+    assert main(["tabulate", "--schema", schema_path, "--input", str(csv_path),
+                 "--out", str(tmp_path / "fast.json")]) == 0
+    assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "records.json").read_bytes()
+    assert fileio.load_table(tmp_path / "fast.json").n_total == 6.0
+
+
+@pytest.mark.parametrize("levels, records, text", [
+    ((("north\nside", "south"), ("lo", 'h"i')),
+     [("north\nside", "lo"), ("south", 'h"i'), ("north\nside", "lo"), ("south", "lo")],
+     'place,band\n"north\nside",lo\nsouth,"h""i"\n"north\nside",lo\nsouth,lo\n'),
+    # each line of the record "a\nb" also reads as a valid record on its own
+    ((("a", 'b"', "a\nb"),), [("a\nb",), ("a",)], 'place\n"a\nb"\na\n'),
+])
+def test_tabulate_microdata_reads_multiline_quoted_labels(tmp_path, levels, records, text):
+    schema = ps.AttributeSchema(tuple(zip(("place", "band"), levels)))
+    csv_path = tmp_path / "micro.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    table = fileio.tabulate_microdata(csv_path, schema)
+    expected = ps.tabulate(records, schema)
+    assert np.array_equal(table.counts, expected.counts)
+    assert table.n_total == expected.n_total == len(records)
+
+
+def test_tabulate_overlong_field_is_data_error(tmp_path, capsys):
+    schema_path = write_schema(tmp_path / "schema.json")
+    csv_path = tmp_path / "micro.csv"
+    # a quoted field above csv.field_size_limit() (131072 characters) on file row 3
+    csv_path.write_text('region,band\nnorth,lo\nnorth,"' + "x" * 200_000 + '"\n', encoding="utf-8")
+    code = main(["tabulate", "--schema", schema_path, "--input", str(csv_path),
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "row 3" in err and "field limit" in err
 
 
 # ------------------------------------------------------------------ scan

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import psalience as ps
 from psalience.errors import ArgumentError, DomainError
+from psalience.salience import subset_salience
 from psalience.synthetic import (
     correlated_pair_table,
     planted_interaction_table,
@@ -283,3 +285,16 @@ def test_scan_rejects_an_unadjusted_table(schema32):
     raw = ps.ContingencyTable(schema32, np.full(8, 2.0), 16.0)
     with pytest.raises(DomainError):
         ps.scan(raw, 1)
+
+
+def test_subset_salience_peak_memory_is_a_few_tables(rng):
+    # at M=2 every 2**N lattice vector is as large as the table itself
+    log_table = ps.log_transform(random_adjusted_table(ps.generic_schema(18, 2), rng))
+    tracemalloc.start()
+    try:
+        psi, chi, norm = subset_salience(log_table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * log_table.values.nbytes, f"peak {peak / log_table.values.nbytes:.2f} tables"
+    assert psi.shape == chi.shape == norm.shape == (2**18,)
