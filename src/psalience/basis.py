@@ -81,6 +81,24 @@ def subset_index(subset: Sequence[int]) -> int:
     return sum(1 << a for a in subset)
 
 
+def subset_sizes(n: int) -> np.ndarray:
+    """``out[S]`` = number of attributes in ``S``, as a ``uint8`` lattice vector."""
+    sizes = np.zeros(2 ** n, dtype=np.uint8)
+    for a in range(n):
+        sizes.reshape(-1, 2, 1 << a)[:, 1] += 1
+    return sizes
+
+
+def marked_subsets(mask: np.ndarray) -> tuple[np.ndarray, tuple[SubsetKey, ...]]:
+    """Lattice indices and keys of the subsets a boolean lattice vector marks,
+    in :func:`all_subsets` order: by size, then by descending lattice index."""
+    n = mask.size.bit_length() - 1
+    ranked = np.lexsort((-np.arange(mask.size), subset_sizes(n)))
+    keep = np.flatnonzero(mask[ranked])
+    subsets = all_subsets(n)
+    return ranked[keep], tuple(map(subsets.__getitem__, keep.tolist()))
+
+
 def subset_sums(values: np.ndarray) -> np.ndarray:
     """``out[S]`` = sum of ``values[T]`` over ``T`` within ``S`` (Yates' zeta transform)."""
     out = np.array(values, dtype=float)

@@ -12,11 +12,12 @@ constant shift of the log table that only moves the constant coefficient)
 and rounded to integers with a largest-remainder correction so the total
 is preserved exactly.  Audits always compare salience on the
 un-rescaled, un-rounded reconstruction, isolating the effect of the
-coefficient surgery itself; rounding necessarily perturbs the refitted
+zeroing itself; rounding necessarily perturbs the refitted
 coefficients a little, which is the price of an integer release.
 
-An audit reads salience before and after from two energy spectra, two
-transforms plus ``O(N * 2**N)`` lattice sums for every subset at once.
+A zero set is a boolean lattice vector over all ``2**N`` subsets.  A release
+and its audit cost four transforms plus ``O(N * 2**N)`` lattice operations;
+Python objects are built only for the returned subset keys and audit entries.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, all_subsets, check_subset, subset_index, subset_sums
+from .basis import SubsetKey, check_subset, marked_subsets, subset_index, subset_sizes, subset_sums
 from .errors import ArgumentError, ShapeError, StateError
-from .fitting import BetaVector, fit_beta, reconstruct
+from .fitting import _zero_blocks
 from .salience import subset_salience
 from .table import ContingencyTable, LogTable, log_transform
 
@@ -97,25 +98,17 @@ def upward_closure(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[S
     Removing a block while keeping a superset block would leave structure
     that implies the removed one, so the zero set is always closed upward.
     """
-    keys = [check_subset(s, n_attributes) for s in seeds]
+    return marked_subsets(_zero_set(seeds, n_attributes)[1])[1]
+
+
+def _zero_set(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[tuple[SubsetKey, ...], np.ndarray]:
+    """Checked keys of a zero set, never the constant term, and the lattice mask of its upward closure."""
+    keys = tuple(check_subset(s, n_attributes) for s in seeds)
     if any(len(s) == 0 for s in keys):
         raise ArgumentError("cannot zero the constant term")
-    above = _above_any(keys, n_attributes)
-    return tuple(s for s in all_subsets(n_attributes)[1:] if above[subset_index(s)])
-
-
-def _above_any(keys: Sequence[SubsetKey], n_attributes: int) -> np.ndarray:
-    """Lattice mask of the subsets that contain at least one of ``keys``."""
     marks = np.zeros(2 ** n_attributes)
     marks[[subset_index(s) for s in keys]] = 1.0
-    return subset_sums(marks) > 0.0
-
-
-def _zero_blocks(beta: BetaVector, zeroed: Sequence[SubsetKey]) -> BetaVector:
-    blocks = dict(beta.blocks)
-    for subset in zeroed:
-        blocks[subset] = np.zeros_like(blocks[subset])
-    return BetaVector(beta.beta0, blocks, beta.n_attributes, beta.n_levels)
+    return keys, subset_sums(marks) > 0.0
 
 
 def _round_preserving_total(values: np.ndarray, target: int) -> np.ndarray:
@@ -134,11 +127,11 @@ def _round_preserving_total(values: np.ndarray, target: int) -> np.ndarray:
     return base
 
 
-def _apply_zeroing(table: ContingencyTable, zeroed: Sequence[SubsetKey], spec: LimitSpec):
+def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSpec):
+    """``zero_mask`` is closed upward, so it also marks the subsets containing a zeroed block."""
     if not table.adjusted:
         raise StateError("de-personalisation needs an adjusted table")
-    log_table = log_transform(table)
-    limited = reconstruct(_zero_blocks(fit_beta(log_table), zeroed), table.schema)
+    limited = _zero_blocks(log_transform(table), zero_mask)
     counts = np.exp(limited.values)
     if spec.renormalize:
         counts = counts * (table.n_total / counts.sum())
@@ -155,33 +148,30 @@ def _apply_zeroing(table: ContingencyTable, zeroed: Sequence[SubsetKey], spec: L
         adjusted=bool(counts.min() >= 1.0 - 1e-9),
     )
     audit_result = _audit_log_values(
-        np.log(table.counts),
-        limited.values,
-        table.schema,
-        zeroed,
+        LogTable(table.schema, np.log(table.counts)),
+        limited,
+        marked_subsets(zero_mask)[1],
+        zero_mask,
         total_drift=float(counts.sum() - table.n_total),
     )
     return released, audit_result
 
 
-def _audit_log_values(logs_before, logs_after, schema, zeroed, total_drift, sizes=None):
-    psi_before = subset_salience(LogTable(schema, logs_before))[0]
-    psi_after = subset_salience(LogTable(schema, logs_after))[0]
-    above = _above_any(zeroed, schema.n_attributes)
-    entries = []
-    violations = []
-    for subset in all_subsets(schema.n_attributes)[1:]:
-        if sizes is not None and len(subset) not in sizes:
-            continue
-        i = subset_index(subset)
-        before, after, contains = float(psi_before[i]), float(psi_after[i]), bool(above[i])
-        entries.append(AuditEntry(subset, before, after, contains))
-        if contains:
-            if after > before + PSI_DRIFT_TOL:
-                violations.append(subset)
-        elif abs(after - before) > PSI_DRIFT_TOL:
-            violations.append(subset)
-    return ReleaseAudit(tuple(entries), tuple(zeroed), total_drift, tuple(violations))
+def _audit_log_values(logs_before: LogTable, logs_after: LogTable, zeroed, above, total_drift, k=None):
+    """``above`` marks subsets containing a zeroed block; ``None`` (zero set unknown) flags only increases."""
+    psi_before = subset_salience(logs_before)[0]
+    psi_after = subset_salience(logs_after)[0]
+    broken = psi_after > psi_before + PSI_DRIFT_TOL
+    if above is None:
+        above = np.zeros(psi_before.size, dtype=bool)
+    else:
+        broken = np.where(above, broken, np.abs(psi_after - psi_before) > PSI_DRIFT_TOL)
+    sizes = subset_sizes(logs_before.schema.n_attributes)
+    index, subsets = marked_subsets(sizes > 0 if k is None else sizes == k)
+    before, after, contains = (a[index].tolist() for a in (psi_before, psi_after, above))
+    entries = tuple(map(AuditEntry, subsets, before, after, contains))
+    violations = tuple(s for s, bad in zip(subsets, broken[index].tolist()) if bad)
+    return ReleaseAudit(entries, tuple(zeroed), total_drift, violations)
 
 
 def interaction_limit(table: ContingencyTable, spec: LimitSpec) -> tuple[ContingencyTable, ReleaseAudit]:
@@ -196,16 +186,14 @@ def interaction_limit(table: ContingencyTable, spec: LimitSpec) -> tuple[Conting
     k_dagger = int(spec.k_dagger)
     if not 1 <= k_dagger <= n:
         raise ArgumentError(f"k_dagger {k_dagger} out of range [1, {n}]")
-    zeroed = tuple(s for s in all_subsets(n) if len(s) > k_dagger)
-    return _apply_zeroing(table, zeroed, spec)
+    return _apply_zeroing(table, subset_sizes(n) > k_dagger, spec)
 
 
 def selective_zero(table: ContingencyTable, spec: LimitSpec) -> tuple[ContingencyTable, ReleaseAudit]:
     """Zero the upward closure of the requested subsets and rebuild."""
     if spec.mode != "selective":
         raise ArgumentError("selective_zero needs a selective spec")
-    zeroed = upward_closure(spec.zero_subsets, table.schema.n_attributes)
-    return _apply_zeroing(table, zeroed, spec)
+    return _apply_zeroing(table, _zero_set(spec.zero_subsets, table.schema.n_attributes)[1], spec)
 
 
 def audit(
@@ -221,28 +209,19 @@ def audit(
     so releases whose entries dipped below 1 can still be audited.  When
     the zeroed blocks are known, unchanged-versus-decreased contracts are
     classified per subset; otherwise only salience increases are flagged.
+    A zero set holding the constant term ``()`` is refused.
     """
     if original.schema != released.schema:
         raise ShapeError("audit needs two tables over the same schema")
     n = original.schema.n_attributes
-    sizes = None
-    if k is not None:
-        if not 1 <= k <= n:
-            raise ArgumentError(f"subset size {k} out of range [1, {n}]")
-        sizes = {k}
-    zeroed = tuple(check_subset(s, n) for s in zeroed_blocks) if zeroed_blocks else ()
-    report = _audit_log_values(
-        np.log(np.maximum(original.counts, np.finfo(float).tiny)),
-        np.log(np.maximum(released.counts, np.finfo(float).tiny)),
-        original.schema,
+    if k is not None and not 1 <= k <= n:
+        raise ArgumentError(f"subset size {k} out of range [1, {n}]")
+    zeroed, above = _zero_set(zeroed_blocks, n) if zeroed_blocks else ((), None)
+    return _audit_log_values(
+        LogTable(original.schema, np.log(np.maximum(original.counts, np.finfo(float).tiny))),
+        LogTable(original.schema, np.log(np.maximum(released.counts, np.finfo(float).tiny))),
         zeroed,
+        above,
         total_drift=float(released.counts.sum() - original.n_total),
-        sizes=sizes,
+        k=k,
     )
-    if not zeroed:
-        # without the zero set only increases are contract breaches
-        increases = tuple(
-            e.subset for e in report.entries if e.psi_after > e.psi_before + PSI_DRIFT_TOL
-        )
-        report = ReleaseAudit(report.entries, (), report.total_drift, increases)
-    return report

@@ -8,8 +8,7 @@ fitted coefficient vector returns the original table.
 
 Projection magnitudes onto the subset subspaces are the quantities the
 salience measures are built from; coefficients themselves depend on the
-contrast choice in :mod:`psalience.basis` and are exposed for inspection
-and coefficient surgery only.
+contrast choice in :mod:`psalience.basis` and are exposed for inspection only.
 
 Basis columns are tensor products, so the expansion is one mode-wise
 transform (Yates' algorithm): ``O(N * M**(N+1))`` time, ``O(M**N)`` floats.
@@ -30,7 +29,7 @@ from .table import AttributeSchema, LogTable, freeze
 @dataclass(frozen=True)
 class BetaVector:
     """Expansion coefficients: scalar ``beta0`` for the constant direction
-    plus one length-``(M-1)**k`` block per non-empty subset."""
+    plus one length-``(M-1)**k`` block per non-empty subset, for inspection."""
 
     beta0: float
     blocks: Mapping[SubsetKey, np.ndarray]
@@ -101,6 +100,18 @@ def reconstruct(beta: BetaVector, schema: AttributeSchema) -> LogTable:
             )
         target[...] = block.reshape(target.shape)
     return LogTable(schema, _modewise(coef.ravel(), [level_factor(m)[0]] * n))
+
+
+def _zero_blocks(log_table: LogTable, mask: np.ndarray) -> LogTable:
+    """``log_table`` without the blocks of the subsets ``mask`` marks on the subset lattice."""
+    n, m = log_table.schema.n_attributes, log_table.schema.n_levels
+    coef = _modewise(log_table.values, [level_factor(m)[1]] * n)
+    # a coefficient belongs to the subset of the axes where it takes a contrast
+    support = np.zeros(coef.size, dtype=np.uint32)
+    for a in range(n):
+        support.reshape(-1, m, m ** a)[:, 1:] += 1 << a
+    coef[mask[support]] = 0.0
+    return LogTable(log_table.schema, _modewise(coef, [level_factor(m)[0]] * n))
 
 
 def project_subset(log_table: LogTable, subset: Sequence[int]) -> ProjectionResult:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, check_subset, enumerate_subsets, subset_index, subset_sums
+from .basis import SubsetKey, check_subset, marked_subsets, subset_sizes, subset_sums
 from .errors import ArgumentError, DomainError
 from .fitting import centred_norm, subset_energies
 from .marginal import complement_attributes, geometric_mean_subtable
@@ -79,11 +79,8 @@ def subset_salience(log_table: LogTable) -> tuple[np.ndarray, np.ndarray, np.nda
     n, m = log_table.schema.n_attributes, log_table.schema.n_levels
     energies = subset_energies(log_table)
     constant, energies[0] = energies[0], 0.0
-    sizes = np.zeros(energies.size, dtype=np.uint8)
-    for a in range(n):
-        sizes.reshape(-1, 2, 1 << a)[:, 1] += 1
     # a size-k table's energy is the blocks' over M**(N-k)
-    per_cell = (float(m) ** (np.arange(n + 1) - n))[sizes]
+    per_cell = (float(m) ** (np.arange(n + 1) - n))[subset_sizes(n)]
     chi = subset_sums(energies)
     del energies
     chi *= per_cell
@@ -129,18 +126,12 @@ def scan(table: ContingencyTable, k: int, workers: int | None = None) -> Salienc
         raise ArgumentError(f"subset size {k} out of range [1, {n - 1}]")
     if not table.adjusted:
         raise DomainError("salience scans need an adjusted table")
-    subsets = enumerate_subsets(n, k)
-    spectrum = subset_salience(log_transform(table))
-    values = [SalienceValue(*(float(a[subset_index(s)]) for a in spectrum)) for s in subsets]
-    order = sorted(range(len(subsets)), key=lambda i: (-values[i].psi, i))
-    ranks = [0] * len(subsets)
-    for position, i in enumerate(order, start=1):
-        ranks[i] = position
-    entries = tuple(
-        ScanEntry(subset, value, rank)
-        for subset, value, rank in zip(subsets, values, ranks)
-    )
-    return SalienceReport(k=k, entries=entries)
+    index, subsets = marked_subsets(subset_sizes(n) == k)
+    psi_k, chi, norm = (a[index] for a in subset_salience(log_transform(table)))
+    ranks = np.empty(index.size, dtype=int)
+    ranks[np.argsort(-psi_k, kind="stable")] = np.arange(1, index.size + 1)
+    values = map(SalienceValue, psi_k.tolist(), chi.tolist(), norm.tolist())
+    return SalienceReport(k=k, entries=tuple(map(ScanEntry, subsets, values, ranks.tolist())))
 
 
 def psi_histogram(table: ContingencyTable, subset: Sequence[int]) -> list[tuple[tuple[int, ...], float]]:

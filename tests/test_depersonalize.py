@@ -229,7 +229,7 @@ def test_audit_classifies_with_known_zero_set(rng):
 
 
 def test_audit_contains_zeroed_matches_brute_force(rng):
-    # zero sets that are not upward closed, and one holding the constant term
+    # zero sets that are not upward closed; one holding the constant term is refused
     n = 5
     schema = ps.generic_schema(n, 2)
     table = random_adjusted_table(schema, rng)
@@ -238,7 +238,9 @@ def test_audit_contains_zeroed_matches_brute_force(rng):
     zero_sets = [
         [candidates[i] for i in rng.choice(len(candidates) - 1, size=size, replace=False) + 1]
         for size in (1, 2, 3, 5, 8)
-    ] + [[(), (3, 1)]]
+    ]
+    with pytest.raises(ArgumentError):
+        ps.audit(table, released, zeroed_blocks=[(), (3, 1)])
     for zeroed in zero_sets:
         report = ps.audit(table, released, zeroed_blocks=zeroed)
         assert [e.subset for e in report.entries] == candidates[1:]
@@ -273,6 +275,46 @@ def test_scan_and_releases_never_build_a_geometric_mean_table(monkeypatch, rng):
     released, _ = ps.interaction_limit(table, order_spec(2))
     ps.selective_zero(table, ps.LimitSpec("selective", zero_subsets=((2, 1),)))
     assert ps.audit(table, released).violations == ()
+
+
+def test_releases_never_fit_or_reconstruct(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-subset coefficient path used")
+
+    for module in (ps, ps.fitting, ps.depersonalize):
+        for name in ("fit_beta", "reconstruct"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(ps.fitting, "_axis_picks", refuse)
+    table = random_adjusted_table(ps.generic_schema(4, 3), rng)
+    released, _ = ps.interaction_limit(table, order_spec(2))
+    ps.selective_zero(table, ps.LimitSpec("selective", zero_subsets=((2, 1),), round_counts=True))
+    ps.audit(table, released, zeroed_blocks=[(3, 2, 1)])
+
+
+def oracle_release(table, zeroed):
+    """Unrenormalised release through the public coefficient dict."""
+    beta = ps.fit_beta(ps.log_transform(table))
+    zeroed = set(zeroed)
+    blocks = {s: np.zeros_like(b) if s in zeroed else b for s, b in beta.blocks.items()}
+    limited = ps.BetaVector(beta.beta0, blocks, beta.n_attributes, beta.n_levels)
+    return np.exp(ps.reconstruct(limited, table.schema).values)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (4, 3), (5, 2), (6, 3), (8, 3), (7, 4), (10, 2), (12, 2)])
+def test_releases_match_the_coefficient_dict_oracle(n, m):
+    schema = ps.generic_schema(n, m)
+    table = random_adjusted_table(schema, np.random.default_rng(100 * n + m))
+    releases = [
+        (ps.interaction_limit(table, order_spec(k, renormalize=False)),
+         tuple(s for s in ps.all_subsets(n) if len(s) > k))
+        for k in range(1, n + 1)
+    ]
+    seeds = ((n - 1,), (1, 0)) if n > 2 else ((1, 0),)
+    spec = ps.LimitSpec("selective", zero_subsets=seeds, renormalize=False)
+    releases.append((ps.selective_zero(table, spec), brute_force_closure(seeds, n)))
+    for (released, audit), zeroed in releases:
+        assert audit.zeroed_blocks == zeroed
+        np.testing.assert_allclose(released.counts, oracle_release(table, zeroed), rtol=1e-14, atol=0)
 
 
 def test_audit_requires_matching_schema(rng, schema32, schema33):
