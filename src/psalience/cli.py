@@ -16,6 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .depersonalize import LimitSpec, interaction_limit, selective_zero
 from .errors import SalienceError
@@ -29,7 +31,7 @@ from .fileio import (
     tabulate_microdata,
 )
 from .marginal import complement_attributes, geometric_mean_subtable
-from .salience import Psi, psi_histogram, scan
+from .salience import psi, psi_histogram, scan
 from .table import zero_adjust
 from .verify import CELL_LIMIT as VERIFY_CELL_LIMIT
 from .verify import run_verification
@@ -156,20 +158,14 @@ def cmd_analyze(args) -> int:
     table = _load_adjusted_table(args.table)
     schema = table.schema
     subset = _parse_subset(args.subset, schema.n_attributes)
-    overall = Psi(table, subset)
     gm = geometric_mean_subtable(table, subset)
+    overall = psi(gm.counts)
     histogram = psi_histogram(table, subset)
-
-    closest_i, max_i = 0, 0
-    for i, (_, value) in enumerate(histogram):
-        if abs(value - overall.psi) < abs(histogram[closest_i][1] - overall.psi):
-            closest_i = i
-        if value > histogram[max_i][1]:
-            max_i = i
+    values = np.array([value for _, value in histogram])
 
     def _entry(i):
         conditioning, value = histogram[i]
-        return {"index": i, "conditioning": list(conditioning), "psi": float(value)}
+        return {"index": i, "conditioning": list(conditioning), "psi": value}
 
     others = complement_attributes(subset, schema.n_attributes)
     payload = {
@@ -177,17 +173,14 @@ def cmd_analyze(args) -> int:
         "subset": list(subset),
         "attributes": [schema.attribute_name(i) for i in subset],
         "conditioning_attributes": [schema.attribute_name(i) for i in others],
-        "Psi": float(overall.psi),
-        "geo_mean": {
-            "counts": [float(c) for c in gm.counts],
-            "log_values": [float(v) for v in gm.log_values],
-        },
+        "Psi": overall.psi,
+        "geo_mean": {"counts": gm.counts.tolist(), "log_values": gm.log_values.tolist()},
         "histogram": [
-            {"conditioning": list(conditioning), "psi": float(value)}
-            for conditioning, value in histogram
+            {"conditioning": list(conditioning), "psi": value} for conditioning, value in histogram
         ],
-        "closest_to_gm": _entry(closest_i),
-        "max_psi": _entry(max_i),
+        # argmin and argmax keep the first of tied indices
+        "closest_to_gm": _entry(int(np.argmin(np.abs(values - overall.psi)))),
+        "max_psi": _entry(int(np.argmax(values))),
     }
     atomic_write_json(args.out, payload)
     print(f"analyze subset {list(subset)}: Psi={overall.psi:.4f}, "

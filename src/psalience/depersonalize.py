@@ -34,6 +34,7 @@ from .salience import subset_salience
 from .table import ContingencyTable, LogTable, log_transform
 
 PSI_DRIFT_TOL = 1e-9
+ROUND_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,17 +114,16 @@ def _zero_set(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[tuple[
 
 def _round_preserving_total(values: np.ndarray, target: int) -> np.ndarray:
     """Round half to even, then nudge the entries nearest their rounding
-    boundary until the sum hits ``target`` exactly."""
+    boundary until the sum hits ``target`` exactly.  Fractions are compared on
+    a grid of ``ROUND_TIE_TOL`` times the largest entry, and entries tied on it
+    are nudged in cell order, so last-ulp noise cannot pick which ones move."""
     base = np.rint(values)
     deficit = int(round(target - base.sum()))
     if deficit:
-        fractions = values - base
-        if deficit > 0:
-            order = np.argsort(-fractions, kind="stable")
-            base[order[:deficit]] += 1.0
-        else:
-            order = np.argsort(fractions, kind="stable")
-            base[order[:-deficit]] -= 1.0
+        step = ROUND_TIE_TOL * max(1.0, float(np.abs(values).max()))
+        # +1 goes to the largest fractions, -1 to the smallest
+        keys = np.round((values - base) / step) * -np.sign(deficit)
+        base[np.argsort(keys, kind="stable")[:abs(deficit)]] += np.sign(deficit)
     return base
 
 

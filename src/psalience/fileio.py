@@ -12,9 +12,10 @@ Microdata CSV:  UTF-8, header row with the attribute names, one level
                 read_microdata, whose errors name the first offending
                 file row.
 
-Written JSON round-trips exactly: floats are serialised with enough
-digits to reproduce the double-precision value bit for bit.  All writes
-go through a temporary file in the target directory followed by a rename.
+Written JSON is compact (no indentation, no spaces) and round-trips
+exactly: floats are serialised with enough digits to reproduce the
+double-precision value bit for bit.  All writes go through a temporary
+file in the target directory followed by a rename.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def load_schema(path) -> AttributeSchema:
 def table_to_dict(table: ContingencyTable) -> dict:
     return {
         "schema": schema_to_dict(table.schema),
-        "counts": [float(c) for c in table.counts],
+        "counts": table.counts.tolist(),
         "n_total": float(table.n_total),
         "adjusted": bool(table.adjusted),
     }
@@ -116,8 +117,8 @@ def atomic_write_json(path, payload) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            # one dumps call runs the C encoder; json.dump with indent runs the Python one
+            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
         os.replace(tmp_name, path)
     except BaseException:
         try:

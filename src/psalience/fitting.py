@@ -139,15 +139,20 @@ def subset_energies(log_table: LogTable) -> np.ndarray:
     return _modewise(np.square(coef, out=coef), [pool] * n)
 
 
-def centred_norm(values: np.ndarray) -> float:
-    """``|v - mean(v)|``, exactly 0.0 for a constant vector.  The equal
-    ``sqrt(|v|^2 - (sum v)^2 / len(v))`` cancels badly near uniformity."""
-    if values.size and np.ptp(values) == 0.0:
-        return 0.0
-    return float(np.linalg.norm(values - values.mean()))
+def row_norms(values: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis by one BLAS dot per row, so a row's
+    norm has the bits ``np.linalg.norm`` gives that row alone."""
+    return np.sqrt(np.matmul(values[..., np.newaxis, :], values[..., np.newaxis])[..., 0, 0])
+
+
+def centred_norm(values: np.ndarray) -> np.ndarray:
+    """``|v - mean(v)|`` along the last axis, exactly 0.0 for a constant row.  The
+    equal ``sqrt(|v|^2 - (sum v)^2 / len(v))`` cancels badly near uniformity."""
+    norm = row_norms(values - values.mean(axis=-1, keepdims=True))
+    return np.where(np.ptp(values, axis=-1) == 0.0, 0.0, norm)
 
 
 def orthogonal_complement_magnitude(log_table: LogTable) -> float:
     """Norm of the log table's component orthogonal to the uniform vector,
     the combined magnitude of every non-constant block."""
-    return centred_norm(log_table.values)
+    return float(centred_norm(log_table.values))

@@ -409,6 +409,38 @@ def test_analyze_identifies_spiked_slice(tmp_path):
     assert math.isclose(payload["max_psi"]["psi"], math.sqrt(1 - 1 / 9), rel_tol=1e-12)
 
 
+def twice_spiked_table():
+    # two conditional subtables of (2, 0) carry the same spike, so their psi tie exactly
+    schema = ps.generic_schema(3, 3)
+    counts = np.ones(27)
+    for middle in (0, 2):
+        counts[ps.lex_rank((1, middle, 1), schema)] = 40.0
+    return ps.ContingencyTable(schema, counts, float(counts.sum()), adjusted=True)
+
+
+@pytest.mark.parametrize("table, subset", [
+    (ps.ContingencyTable(ps.generic_schema(4, 3), np.full(81, 2.0), 162.0, adjusted=True), "3,1"),
+    (twice_spiked_table(), "2,0"),
+    (random_adjusted_table(ps.generic_schema(4, 3), np.random.default_rng(4)), "3,1"),
+    (random_adjusted_table(ps.generic_schema(5, 2), np.random.default_rng(5)), "4"),
+])
+def test_analyze_picks_match_a_first_index_loop(tmp_path, table, subset):
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--table", save_table(tmp_path, table), "--subset", subset,
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    values = [entry["psi"] for entry in payload["histogram"]]
+    closest_i, max_i = 0, 0
+    for i, value in enumerate(values):
+        if abs(value - payload["Psi"]) < abs(values[closest_i] - payload["Psi"]):
+            closest_i = i
+        if value > values[max_i]:
+            max_i = i
+    for key, i in (("closest_to_gm", closest_i), ("max_psi", max_i)):
+        assert payload[key] == {"index": i, "conditioning": payload["histogram"][i]["conditioning"],
+                                "psi": values[i]}
+
+
 def test_analyze_bad_subset_is_usage_error(tmp_path, rng):
     table = random_adjusted_table(ps.generic_schema(3, 2), rng)
     path = save_table(tmp_path, table)
@@ -559,6 +591,19 @@ def test_table_json_round_trip_is_exact(tmp_path, rng):
     assert loaded.n_total == stressed.n_total
     assert loaded.schema == stressed.schema
     assert loaded.adjusted == stressed.adjusted
+
+
+def test_table_json_round_trip_is_bit_exact_at_4096_cells(tmp_path):
+    schema = ps.generic_schema(12, 2)
+    counts = np.exp(np.random.default_rng(12).uniform(0.0, 12.0, schema.n_cells))
+    table = ps.ContingencyTable(schema, counts, float(counts.sum()), adjusted=True)
+    path = tmp_path / "table.json"
+    fileio.save_table(path, table)
+    loaded = fileio.load_table(path)
+    assert loaded.counts.tobytes() == table.counts.tobytes()
+    assert loaded.n_total == table.n_total
+    assert path.read_text().count("\n") == 1  # compact: one line
+    assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -345,6 +345,21 @@ def test_round_preserving_total_corrects_excess():
     assert sorted(rounded.tolist()) == [1, 1, 2, 2, 2]
 
 
+@pytest.mark.parametrize("fraction, nudges", [(0.46, 3), (0.54, -3)])
+def test_round_preserving_total_ignores_last_ulp_noise(fraction, nudges):
+    values = np.concatenate([np.full(8, 2.0 + fraction), [7.25, 1.0], np.full(5, 3.0 + fraction)])
+    target = int(np.rint(values).sum()) + nudges
+    rounded = _round_preserving_total(values, target)
+    # tied cells are nudged lowest index first
+    expected = np.rint(values)
+    expected[:abs(nudges)] += np.sign(nudges)
+    assert np.array_equal(rounded, expected)
+    noisy = values.copy()
+    for i, toward in ((1, np.inf), (4, -np.inf), (6, np.inf), (11, np.inf), (14, -np.inf)):
+        noisy[i] = np.nextafter(values[i], toward)
+    assert np.array_equal(_round_preserving_total(noisy, target), rounded)
+
+
 @given(values=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=40).map(np.array))
 def test_round_preserving_total_never_negative_and_exact(values):
     target = int(round(values.sum()))  # how releases call it: the rounded total

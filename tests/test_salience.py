@@ -231,6 +231,41 @@ def test_histogram_rows_are_conditional_subtables(rng, subset):
         assert value == ps.psi(ps.conditional_subtable(table, subset, combo).counts).psi
 
 
+def test_histogram_scores_every_row_without_calling_psi(rng, monkeypatch):
+    table = random_adjusted_table(ps.generic_schema(5, 3), rng)
+    expected = ps.psi_histogram(table, (3, 1))
+
+    def refuse(values):
+        raise AssertionError("psi_histogram scored a row through psi")
+
+    monkeypatch.setattr(ps.salience, "psi", refuse)
+    assert ps.psi_histogram(table, (3, 1)) == expected
+
+
+@pytest.mark.parametrize("subset", [(3, 1), (7,), (7, 6), (5, 2, 0)])
+def test_histogram_of_constant_and_near_uniform_rows(rng, subset):
+    schema = ps.generic_schema(8, 3)
+    counts = rng.uniform(1.0, 30.0, schema.n_cells)
+    combos = list(itertools.product(range(3), repeat=8 - len(subset)))
+    layout = adjusted(schema, counts)  # a copy, read only for its cell ranks
+    for i, combo in enumerate(combos):
+        cells = ps.conditional_subtable(layout, subset, combo).cell_ranks
+        if i % 3 == 0:
+            counts[cells] = 4.2
+        elif i % 3 == 1:
+            counts[cells] = 5.0
+            counts[cells[i % cells.size]] *= 1 + 1e-6
+    table = adjusted(schema, counts)
+    histogram = ps.psi_histogram(table, subset)
+    assert [combo for combo, _ in histogram] == combos
+    for i, (combo, value) in enumerate(histogram):
+        assert value == ps.psi(ps.conditional_subtable(table, subset, combo).counts).psi
+        if i % 3 == 0:
+            assert value == 0.0
+        else:
+            assert value > 0.0
+
+
 # -------------------------------------------------- diagonal association
 
 def test_correlated_pair_reaches_its_closed_form():
