@@ -250,12 +250,12 @@ def _subspace_arrays(n: int, m: int, subset: SubsetKey):
     if not subset:
         m_t = m ** n
         return ((),), freeze(np.full((m_t, 1), 1.0 / np.sqrt(m_t))), freeze(np.ones(1))
-    contrasts = level_contrasts(m)
     codes = tuple(itertools.product(range(m - 1), repeat=len(subset)))
-    matrix = np.column_stack([
-        _kron_chain(_attribute_factors(n, m, subset, lambda j, c=code: contrasts[:, c[j]]))
-        for code in codes
-    ])
+    # column order of a Kronecker product of matrices is radix order of the codes
+    matrix = _kron_chain(
+        level_contrasts(m) if attribute in subset else np.ones((m, 1))
+        for attribute in range(n - 1, -1, -1)
+    )
     matrix.setflags(write=False)
     return codes, matrix, freeze(np.einsum("ij,ij->j", matrix, matrix))
 
@@ -283,7 +283,7 @@ def reduced_basis(k: int, m: int) -> list[SubspaceBasis]:
     return full_basis(generic_schema(k, m))
 
 
-def gram_schmidt_oracle(schema: AttributeSchema, cell_limit: int = GRAM_SCHMIDT_CELL_LIMIT) -> list[BasisColumn]:
+def gram_schmidt_oracle(schema: AttributeSchema) -> list[BasisColumn]:
     """Sequential Gram-Schmidt over the raw indicator columns.
 
     Processes the constant column and then every subset's raw columns in
@@ -291,12 +291,12 @@ def gram_schmidt_oracle(schema: AttributeSchema, cell_limit: int = GRAM_SCHMIDT_
     candidate against everything accepted so far and dropping dependent
     candidates.  This is the reference construction the tensor-product
     generator is tested against; it materialises the full basis, so it is
-    refused beyond ``cell_limit`` cells.
+    refused beyond ``GRAM_SCHMIDT_CELL_LIMIT`` cells.
     """
     m_t = schema.n_cells
-    if m_t > cell_limit:
+    if m_t > GRAM_SCHMIDT_CELL_LIMIT:
         raise SizeGuardError(
-            f"{m_t} cells exceeds the Gram-Schmidt oracle limit of {cell_limit}"
+            f"{m_t} cells exceeds the Gram-Schmidt oracle limit of {GRAM_SCHMIDT_CELL_LIMIT}"
         )
     n, m = schema.n_attributes, schema.n_levels
     accepted = np.empty((m_t, m_t))

@@ -32,7 +32,7 @@ from .fileio import (
 )
 from .marginal import complement_attributes, geometric_mean_subtable
 from .salience import psi, psi_histogram, scan
-from .table import zero_adjust
+from .table import values_close, zero_adjust
 from .verify import CELL_LIMIT as VERIFY_CELL_LIMIT
 from .verify import run_verification
 
@@ -154,6 +154,12 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _first_close(values: np.ndarray, extreme: float) -> int:
+    """First index whose value equals ``extreme`` under the package tolerance, so
+    last-ulp noise cannot choose among subtables that tie in exact arithmetic."""
+    return next(i for i, value in enumerate(values.tolist()) if values_close(value, extreme))
+
+
 def cmd_analyze(args) -> int:
     table = _load_adjusted_table(args.table)
     schema = table.schema
@@ -162,6 +168,7 @@ def cmd_analyze(args) -> int:
     overall = psi(gm.counts)
     histogram = psi_histogram(table, subset)
     values = np.array([value for _, value in histogram])
+    distances = np.abs(values - overall.psi)
 
     def _entry(i):
         conditioning, value = histogram[i]
@@ -178,9 +185,8 @@ def cmd_analyze(args) -> int:
         "histogram": [
             {"conditioning": list(conditioning), "psi": value} for conditioning, value in histogram
         ],
-        # argmin and argmax keep the first of tied indices
-        "closest_to_gm": _entry(int(np.argmin(np.abs(values - overall.psi)))),
-        "max_psi": _entry(int(np.argmax(values))),
+        "closest_to_gm": _entry(_first_close(distances, distances.min())),
+        "max_psi": _entry(_first_close(values, values.max())),
     }
     atomic_write_json(args.out, payload)
     print(f"analyze subset {list(subset)}: Psi={overall.psi:.4f}, "

@@ -31,7 +31,7 @@ from .basis import SubsetKey, check_subset, marked_subsets, subset_index, subset
 from .errors import ArgumentError, ShapeError, StateError
 from .fitting import _zero_blocks
 from .salience import subset_salience
-from .table import ContingencyTable, LogTable, log_transform
+from .table import ADJUSTED_MIN, ContingencyTable, LogTable, log_transform
 
 PSI_DRIFT_TOL = 1e-9
 ROUND_TIE_TOL = 1e-9
@@ -131,7 +131,8 @@ def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSp
     """``zero_mask`` is closed upward, so it also marks the subsets containing a zeroed block."""
     if not table.adjusted:
         raise StateError("de-personalisation needs an adjusted table")
-    limited = _zero_blocks(log_transform(table), zero_mask)
+    logs = log_transform(table)
+    limited = _zero_blocks(logs, zero_mask)
     counts = np.exp(limited.values)
     if spec.renormalize:
         counts = counts * (table.n_total / counts.sum())
@@ -145,10 +146,10 @@ def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSp
         table.schema,
         counts,
         n_total,
-        adjusted=bool(counts.min() >= 1.0 - 1e-9),
+        adjusted=bool(counts.min() >= ADJUSTED_MIN),
     )
     audit_result = _audit_log_values(
-        LogTable(table.schema, np.log(table.counts)),
+        logs,
         limited,
         marked_subsets(zero_mask)[1],
         zero_mask,

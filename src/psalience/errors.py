@@ -55,7 +55,8 @@ class StateError(SalienceError, RuntimeError):
 
 
 class DomainError(SalienceError, ValueError):
-    """Values outside the domain of the log transform (entries below 1)."""
+    """Values outside the domain of the log transform (entries below 1, or a
+    table not flagged adjusted)."""
 
 
 class ShapeError(SalienceError, ValueError):

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import SubsetKey, check_subset
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError
 from .fitting import orthogonal_complement_magnitude, project_subset
 from .table import ContingencyTable, LogTable, freeze, generic_schema, log_transform
 
@@ -102,14 +102,13 @@ def geometric_mean_subtable(table: ContingencyTable, subset: Sequence[int]) -> G
     """Geometric mean of the conditional subtables over all conditioning values.
 
     Computed as ``exp(mean(log counts))`` to stay stable for large
-    populations; requires an adjusted table so the logs are non-negative.
+    populations; the logs come from :func:`log_transform`, so the table
+    must be adjusted.
     """
-    if not table.adjusted:
-        raise DomainError("geometric-mean marginalisation needs an adjusted table")
     n = table.schema.n_attributes
     members = check_subset(subset, n)
     axes = tuple(n - 1 - a for a in complement_attributes(members, n))
-    logs = np.log(table.reshaped()).mean(axis=axes).ravel()
+    logs = log_transform(table).reshaped().mean(axis=axes).ravel()
     return GeoMeanTable(members, np.exp(logs), logs)
 
 
@@ -150,8 +149,6 @@ def gm_projection_identity(
         raise ArgumentError("outer and inner subsets must be non-empty")
     if not set(inner_key) <= set(outer_key):
         raise ArgumentError(f"inner subset {inner_key} must be contained in outer {outer_key}")
-    if not table.adjusted:
-        raise DomainError("projection-transfer checks need an adjusted table")
 
     lhs = project_subset(log_transform(table), inner_key).magnitude
 
@@ -177,8 +174,6 @@ def gm_projection_total_identity(
     outer_key = check_subset(outer, n)
     if not outer_key:
         raise ArgumentError("outer subset must be non-empty")
-    if not table.adjusted:
-        raise DomainError("projection-transfer checks need an adjusted table")
 
     log_table = log_transform(table)
     total = 0.0

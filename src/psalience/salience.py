@@ -36,7 +36,7 @@ from .basis import SubsetKey, check_subset, marked_subsets, subset_sizes, subset
 from .errors import ArgumentError, DomainError
 from .fitting import centred_norm, row_norms, subset_energies
 from .marginal import complement_attributes, geometric_mean_subtable
-from .table import ContingencyTable, LogTable, log_transform
+from .table import ADJUSTED_MIN, ContingencyTable, LogTable, log_transform
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def psi(values) -> SalienceValue:
     array = np.asarray(values, dtype=float).ravel()
     if array.size == 0:
         raise ArgumentError("salience of an empty vector is undefined")
-    if not np.all(np.isfinite(array)) or array.min() < 1.0 - 1e-12:
+    if not np.all(np.isfinite(array)) or array.min() < ADJUSTED_MIN:
         raise DomainError("salience needs finite entries >= 1 (adjusted scale)")
     scores = _row_salience(np.log(np.maximum(array, 1.0))[np.newaxis])
     return SalienceValue(*(float(a[0]) for a in scores))
@@ -129,8 +129,6 @@ def scan(table: ContingencyTable, k: int, workers: int | None = None) -> Salienc
     n = table.schema.n_attributes
     if not 1 <= k < n:
         raise ArgumentError(f"subset size {k} out of range [1, {n - 1}]")
-    if not table.adjusted:
-        raise DomainError("salience scans need an adjusted table")
     index, subsets = marked_subsets(subset_sizes(n) == k)
     psi_k, chi, norm = (a[index] for a in subset_salience(log_transform(table)))
     ranks = np.empty(index.size, dtype=int)
@@ -146,8 +144,6 @@ def psi_histogram(table: ContingencyTable, subset: Sequence[int]) -> list[tuple[
     lexicographic conditioning order, largest conditioning attribute most
     significant.  Each value equals ``psi`` of that conditional subtable.
     """
-    if not table.adjusted:
-        raise DomainError("per-subtable salience needs an adjusted table")
     schema = table.schema
     members = check_subset(subset, schema.n_attributes)
     if not members:

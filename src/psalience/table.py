@@ -16,6 +16,11 @@ Conventions used throughout the package:
   would cancel; no base option is exposed.
 * Numeric equality is judged at relative tolerance ``1e-9`` against the
   larger magnitude with an absolute floor of ``1e-12``.
+* The adjusted scale (every entry at least 1) is decided here alone: a
+  table flagged ``adjusted`` holds no entry below :data:`ADJUSTED_MIN`,
+  ``1`` under the relative tolerance, and :func:`log_transform`, which
+  refuses any other table, is the one log of a table's counts.  It clamps
+  entries to 1, so every log is finite and non-negative.
 
 All types here are immutable after construction and all operations are
 pure functions, so values can be shared freely between workers.
@@ -43,6 +48,8 @@ from .errors import (
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+ADJUSTED_MIN = 1.0 - REL_TOL
+"""Smallest entry an adjusted table may hold: 1 under the package tolerance."""
 
 CellIndex = tuple[int, ...]
 """Digit tuple ``(i_{N-1}, ..., i_0)`` identifying one cell."""
@@ -160,7 +167,7 @@ class ContingencyTable:
             raise ShapeError(
                 f"counts sum to {counts.sum()!r}, declared total is {self.n_total!r}"
             )
-        if self.adjusted and counts.min() < 1.0 - 1e-9:
+        if self.adjusted and counts.min() < ADJUSTED_MIN:
             raise ShapeError("adjusted table has an entry below 1")
 
     def reshaped(self) -> np.ndarray:
@@ -297,13 +304,12 @@ def zero_adjust(table: ContingencyTable) -> ContingencyTable:
 
 
 def log_transform(table: ContingencyTable) -> LogTable:
-    """Elementwise natural log of the counts.
+    """Elementwise natural log of an adjusted table's counts, each clamped to 1.
 
-    Every entry must be at least 1 (the adjusted scale), so the logs are
-    finite and non-negative.
+    Construction already held every entry of an adjusted table to
+    :data:`ADJUSTED_MIN`, so the clamp moves an entry by at most that
+    tolerance and the logs are finite and non-negative.
     """
-    if table.counts.min() < 1.0 - 1e-12:
-        raise DomainError(
-            "log transform needs every entry >= 1; zero-adjust the table first"
-        )
+    if not table.adjusted:
+        raise DomainError("log transform needs an adjusted table; zero-adjust the table first")
     return LogTable(table.schema, np.log(np.maximum(table.counts, 1.0)))

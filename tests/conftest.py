@@ -31,3 +31,13 @@ def schema33():
     from psalience import generic_schema
 
     return generic_schema(3, 3)
+
+
+@pytest.fixture
+def floor_table():
+    """An adjusted table with one cell a little under 1, inside the adjusted tolerance."""
+    from psalience import ContingencyTable, generic_schema
+
+    counts = np.random.default_rng(8).uniform(1.0, 9.0, 27)
+    counts[5] = 1.0 - 1e-10
+    return ContingencyTable(generic_schema(3, 3), counts, float(counts.sum()), adjusted=True)

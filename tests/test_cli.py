@@ -441,6 +441,31 @@ def test_analyze_picks_match_a_first_index_loop(tmp_path, table, subset):
                                 "psi": values[i]}
 
 
+def test_analyze_ties_within_tolerance_keep_the_first_index(tmp_path, monkeypatch):
+    table = twice_spiked_table()
+    centre = ps.Psi(table, (2,)).psi
+    low, high = 0.5 * centre, centre + 0.5
+    # each later value sits one ulp above the earlier one, as an equivalent rewrite might leave it
+    values = [0.0, low, np.nextafter(low, 2.0), 0.0, high, 0.0, np.nextafter(high, 2.0), 0.0, 0.0]
+    real = ps.psi_histogram(table, (2,))
+    monkeypatch.setattr(cli, "psi_histogram",
+                        lambda t, s: [(c, v) for (c, _), v in zip(real, values)])
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--table", save_table(tmp_path, table), "--subset", "2",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["closest_to_gm"]["index"] == 1
+    assert payload["max_psi"]["index"] == 4
+
+
+def test_commands_accept_a_table_inside_the_adjusted_tolerance(tmp_path, floor_table):
+    path = save_table(tmp_path, floor_table)
+    for command, option in (("scan", ["--k", "2"]), ("analyze", ["--subset", "2,0"]),
+                            ("depersonalize", ["--max-order", "1"])):
+        assert main([command, "--table", path, *option,
+                     "--out", str(tmp_path / f"{command}.json")]) == 0, command
+
+
 def test_analyze_bad_subset_is_usage_error(tmp_path, rng):
     table = random_adjusted_table(ps.generic_schema(3, 2), rng)
     path = save_table(tmp_path, table)

@@ -242,6 +242,25 @@ def test_log_transform_rejects_zero_entries(schema22):
         ps.log_transform(table)
 
 
+def test_log_transform_needs_the_adjusted_flag(schema22):
+    table = ps.ContingencyTable(schema22, [2, 1, 1, 1], 5)
+    with pytest.raises(DomainError):
+        ps.log_transform(table)
+
+
+def test_a_table_inside_the_adjusted_tolerance_reaches_every_consumer(floor_table):
+    clamped = ps.ContingencyTable(
+        floor_table.schema, np.maximum(floor_table.counts, 1.0), floor_table.n_total, adjusted=True
+    )
+    assert np.array_equal(ps.log_transform(floor_table).values, ps.log_transform(clamped).values)
+    assert ps.scan(floor_table, 2) == ps.scan(clamped, 2)
+    assert ps.psi_histogram(floor_table, (2, 0)) == ps.psi_histogram(clamped, (2, 0))
+    assert ps.Psi(floor_table, (2, 0)) == ps.Psi(clamped, (2, 0))
+    released, audit = ps.interaction_limit(floor_table, ps.LimitSpec("order_limit", k_dagger=1))
+    assert released.adjusted
+    assert audit.violations == ()
+
+
 # ------------------------------------------------------ table invariants
 
 def test_table_shape_validation(schema22):
