@@ -19,22 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .depersonalize import LimitSpec, interaction_limit, selective_zero
 from .errors import SalienceError
-from .fileio import (
-    atomic_write_json,
-    audit_to_dict,
-    load_schema,
-    load_table,
-    report_to_dict,
-    save_table,
-    tabulate_microdata,
-)
-from .marginal import complement_attributes, geometric_mean_subtable
-from .salience import psi, psi_histogram, scan
-from .table import values_close, zero_adjust
-from .verify import CELL_LIMIT as VERIFY_CELL_LIMIT
-from .verify import run_verification
+
+# Each command imports the modules it runs inside its own body, so a process
+# loads only those: --version and tabulate never import the analysis modules,
+# and only verify imports verify and synthetic.
 
 DEFAULT_AMBER = 0.5
 DEFAULT_RED = 0.8
@@ -118,6 +107,8 @@ def _parse_subset(text: str, n: int):
 
 
 def _load_adjusted_table(path):
+    from .fileio import load_table
+
     table = load_table(path)
     if not table.adjusted:
         raise SalienceError(f"{path}: table is not adjusted; run tabulate (or zero-adjust) first")
@@ -125,6 +116,9 @@ def _load_adjusted_table(path):
 
 
 def cmd_tabulate(args) -> int:
+    from .fileio import load_schema, save_table, tabulate_microdata
+    from .table import zero_adjust
+
     schema = load_schema(args.schema)
     raw = tabulate_microdata(args.input, schema)
     save_table(args.out, zero_adjust(raw))
@@ -133,6 +127,9 @@ def cmd_tabulate(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .fileio import atomic_write_json, report_to_dict
+    from .salience import scan
+
     table = _load_adjusted_table(args.table)
     n = table.schema.n_attributes
     if not 1 <= args.k <= n - 1:
@@ -157,10 +154,16 @@ def cmd_scan(args) -> int:
 def _first_close(values: np.ndarray, extreme: float) -> int:
     """First index whose value equals ``extreme`` under the package tolerance, so
     last-ulp noise cannot choose among subtables that tie in exact arithmetic."""
+    from .table import values_close
+
     return next(i for i, value in enumerate(values.tolist()) if values_close(value, extreme))
 
 
 def cmd_analyze(args) -> int:
+    from .fileio import atomic_write_json
+    from .marginal import complement_attributes, geometric_mean_subtable
+    from .salience import psi, psi_histogram
+
     table = _load_adjusted_table(args.table)
     schema = table.schema
     subset = _parse_subset(args.subset, schema.n_attributes)
@@ -195,6 +198,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_depersonalize(args) -> int:
+    from .depersonalize import LimitSpec, interaction_limit, selective_zero
+    from .fileio import atomic_write_json, audit_to_dict, save_table
+
     table = _load_adjusted_table(args.table)
     n = table.schema.n_attributes
     if (args.max_order is None) == (args.zero is None):
@@ -224,9 +230,11 @@ def cmd_depersonalize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n < 1 or args.m < 2 or args.m ** args.n > VERIFY_CELL_LIMIT:
+    from .verify import CELL_LIMIT, run_verification
+
+    if args.n < 1 or args.m < 2 or args.m ** args.n > CELL_LIMIT:
         raise UsageError(
-            f"verification supports n >= 1, m >= 2 with m**n <= {VERIFY_CELL_LIMIT}"
+            f"verification supports n >= 1, m >= 2 with m**n <= {CELL_LIMIT}"
         )
     if args.trials < 1:
         raise UsageError("trials must be at least 1")

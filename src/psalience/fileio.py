@@ -26,13 +26,16 @@ import os
 import tempfile
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .depersonalize import ReleaseAudit
 from .errors import IngestionError, SchemaError, ShapeError
-from .salience import SalienceReport
 from .table import AttributeSchema, ContingencyTable, _record_rank, tabulate
+
+if TYPE_CHECKING:  # annotations only: tabulate and load_table need neither module
+    from .depersonalize import ReleaseAudit
+    from .salience import SalienceReport
 
 # Largest M**N accepted, refused before any CSV is read or vector allocated
 # (128 MiB per float64 vector).
@@ -111,21 +114,27 @@ def _load_json(path) -> dict:
 
 
 def atomic_write_json(path, payload) -> None:
-    """Serialise to a sibling temp file, then rename over the target."""
+    """Serialise to a sibling temp file, then rename over the target.
+
+    An ``OSError`` names ``path``, never the temporary file the caller did not ask for.
+    """
     path = Path(path)
     directory = path.parent if str(path.parent) else Path(".")
-    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            # one dumps call runs the C encoder; json.dump with indent runs the Python one
-            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        os.replace(tmp_name, path)
-    except BaseException:
+        fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                # one dumps call runs the C encoder; json.dump with indent runs the Python one
+                fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _header_positions(reader, path, schema: AttributeSchema) -> list[int]:

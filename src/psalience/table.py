@@ -163,10 +163,9 @@ class ContingencyTable:
             raise ShapeError("counts must be finite and non-negative")
         if self.n_total <= 0:
             raise ShapeError("population total must be positive")
-        if not values_close(float(counts.sum()), self.n_total):
-            raise ShapeError(
-                f"counts sum to {counts.sum()!r}, declared total is {self.n_total!r}"
-            )
+        total = float(counts.sum())
+        if not values_close(total, self.n_total):
+            raise ShapeError(f"counts sum to {total!r}, declared total is {self.n_total!r}")
         if self.adjusted and counts.min() < ADJUSTED_MIN:
             raise ShapeError("adjusted table has an entry below 1")
 

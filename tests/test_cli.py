@@ -448,7 +448,7 @@ def test_analyze_ties_within_tolerance_keep_the_first_index(tmp_path, monkeypatc
     # each later value sits one ulp above the earlier one, as an equivalent rewrite might leave it
     values = [0.0, low, np.nextafter(low, 2.0), 0.0, high, 0.0, np.nextafter(high, 2.0), 0.0, 0.0]
     real = ps.psi_histogram(table, (2,))
-    monkeypatch.setattr(cli, "psi_histogram",
+    monkeypatch.setattr(ps.salience, "psi_histogram",
                         lambda t, s: [(c, v) for (c, _), v in zip(real, values)])
     out = tmp_path / "analysis.json"
     assert main(["analyze", "--table", save_table(tmp_path, table), "--subset", "2",
@@ -636,6 +636,27 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     fileio.atomic_write_json(target, {"x": 1})
     assert json.loads(target.read_text()) == {"x": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "taken"])
+def test_write_errors_name_the_requested_path(tmp_path, rng, capsys, target):
+    (tmp_path / "taken").mkdir()
+    path = save_table(tmp_path, random_adjusted_table(ps.generic_schema(3, 2), rng))
+    out = tmp_path / target
+    assert main(["scan", "--table", path, "--k", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.rstrip()
+    assert err.endswith(repr(str(out))) and err.count(str(tmp_path)) == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.json", "taken"]
+
+
+def test_total_mismatch_prints_plain_floats(tmp_path, rng, capsys):
+    payload = fileio.table_to_dict(random_adjusted_table(ps.generic_schema(2, 2), rng))
+    payload["counts"][0], payload["n_total"] = 1e308, 400000.0
+    path = tmp_path / "table.json"
+    fileio.atomic_write_json(path, payload)
+    assert main(["scan", "--table", str(path), "--k", "1", "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert "counts sum to 1e+308, declared total is 400000.0" in err and "np.float64" not in err, err
 
 
 def test_malformed_json_is_data_error(tmp_path):
