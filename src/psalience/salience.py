@@ -75,7 +75,7 @@ def _row_salience(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def Psi(table: ContingencyTable, subset: Sequence[int]) -> SalienceValue:
     """Subset-level salience: ``psi`` of the subset's geometric-mean table."""
     members = check_subset(subset, table.schema.n_attributes)
-    if not 1 <= len(members) <= table.schema.n_attributes:
+    if not members:
         raise ArgumentError("subset must be non-empty")
     return psi(geometric_mean_subtable(table, members).counts)
 

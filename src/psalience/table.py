@@ -120,9 +120,6 @@ class AttributeSchema:
         """Name of attribute ``attribute`` (numbered N-1 .. 0)."""
         return self.attributes[self.n_attributes - 1 - attribute][0]
 
-    def levels_of(self, attribute: int) -> tuple[str, ...]:
-        return self.attributes[self.n_attributes - 1 - attribute][1]
-
     @cached_property
     def _level_maps(self) -> tuple[dict, ...]:
         # one label -> level-index map per schema position

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import all_subsets, full_basis, gram_schmidt_oracle
-from .errors import ArgumentError, SizeGuardError
+from .basis import all_subsets, enumerate_subsets, full_basis, gram_schmidt_oracle
+from .errors import ArgumentError
 from .fitting import fit_beta, project_subset, reconstruct
 from .marginal import gm_projection_identity, gm_projection_total_identity
 from .salience import hypercube_psi, psi
@@ -140,25 +140,15 @@ def _suite_expansion(schema, rng, trials):
     )
 
 
-def _identity_pairs(n, rng):
-    pairs = []
-    for k0 in range(1, n):
-        for outer in itertools.combinations(range(n - 1, -1, -1), k0):
-            for size in range(1, k0 + 1):
-                for inner in itertools.combinations(outer, size):
-                    pairs.append((outer, inner))
-    if n > _EXHAUSTIVE_PAIR_LIMIT and len(pairs) > 200:
-        chosen = rng.choice(len(pairs), size=200, replace=False)
-        pairs = [pairs[i] for i in chosen]
-    return pairs
-
-
 def _suite_gm_identity(schema, rng, trials):
     n = schema.n_attributes
-    outers = [
-        outer
-        for k0 in range(1, n)
-        for outer in itertools.combinations(range(n - 1, -1, -1), k0)
+    outers = [outer for k0 in range(1, n) for outer in enumerate_subsets(n, k0)]
+    # every (outer, inner) pair, enumerated once; large n samples 200 per trial
+    all_pairs = [
+        (outer, inner)
+        for outer in outers
+        for size in range(1, len(outer) + 1)
+        for inner in itertools.combinations(outer, size)
     ]
     if n > _EXHAUSTIVE_PAIR_LIMIT and len(outers) > 40:
         chosen = rng.choice(len(outers), size=40, replace=False)
@@ -168,7 +158,9 @@ def _suite_gm_identity(schema, rng, trials):
     checked = 0
     for _ in range(trials):
         table = random_adjusted_table(schema, rng)
-        pairs = _identity_pairs(n, rng)
+        pairs = all_pairs
+        if n > _EXHAUSTIVE_PAIR_LIMIT and len(pairs) > 200:
+            pairs = [pairs[i] for i in rng.choice(len(pairs), size=200, replace=False)]
         checked += len(pairs) + len(outers)
         for outer, inner in pairs:
             lhs, rhs = gm_projection_identity(table, outer, inner)
@@ -245,15 +237,23 @@ def run_verification(
 ) -> VerificationReport:
     """Run every suite for an ``n``-attribute, ``m``-level configuration.
 
-    Refuses configurations above ``CELL_LIMIT`` cells, and fewer than one
-    trial, which would check nothing.  ``perturb=True`` injects a
-    deliberate basis corruption so the orthogonality suite must fail; use
-    it to prove the checker is alive.
+    Refuses, with :class:`ArgumentError`, fewer than one attribute, fewer
+    than two levels, more than ``CELL_LIMIT`` cells, a negative seed, and
+    fewer than one trial, which would check nothing.  ``perturb=True``
+    injects a deliberate basis corruption so the orthogonality suite must
+    fail; use it to prove the checker is alive.
     """
-    if m ** n > CELL_LIMIT:
-        raise SizeGuardError(f"{m ** n} cells exceeds the verification limit of {CELL_LIMIT}")
+    # with m >= 2, n >= CELL_LIMIT.bit_length() already exceeds the limit, so
+    # m ** n is formed only for small n
+    if n < 1 or m < 2 or n >= CELL_LIMIT.bit_length() or m ** n > CELL_LIMIT:
+        raise ArgumentError(
+            f"n={n}, m={m} out of range: verification needs n >= 1, m >= 2 "
+            f"and m**n <= {CELL_LIMIT} cells"
+        )
+    if seed < 0:
+        raise ArgumentError(f"seed must be at least 0, got {seed}")
     if trials < 1:
-        raise ArgumentError(f"need at least one trial, got {trials}")
+        raise ArgumentError(f"trials must be at least 1, got {trials}")
     schema = generic_schema(n, m)
     bases = full_basis(schema)
     rng = np.random.default_rng(seed)

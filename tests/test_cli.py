@@ -524,6 +524,21 @@ def test_depersonalize_needs_exactly_one_mode(tmp_path, rng):
                  "--out", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize("command, option, message", [
+    ("depersonalize", ["--max-order", "0"], "k_dagger 0 out of range [1, 3]"),
+    ("depersonalize", ["--max-order", "4"], "k_dagger 4 out of range [1, 3]"),
+    ("depersonalize", ["--zero", "0,1"], "subset (0, 1) must be strictly decreasing"),
+    ("depersonalize", ["--zero", "5"], "attribute index 5 out of range [0, 3)"),
+    ("analyze", ["--subset", "1,1"], "subset (1, 1) must be strictly decreasing"),
+])
+def test_library_argument_errors_exit_as_usage_errors(tmp_path, rng, capsys, command, option, message):
+    path = save_table(tmp_path, random_adjusted_table(ps.generic_schema(3, 2), rng))
+    out = tmp_path / "out.json"
+    assert main([command, "--table", path, *option, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_depersonalize_round_counts(tmp_path, rng):
     schema = ps.generic_schema(3, 2)
     table = random_adjusted_table(schema, rng, n_total=463)
@@ -565,6 +580,33 @@ def test_verify_needs_at_least_one_trial(capsys):
     assert "trials" in capsys.readouterr().err
     with pytest.raises(ps.ArgumentError):
         ps.run_verification(2, 2, trials=0)
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--n", "0", "--m", "2"], "n=0, m=2 out of range"),
+    (["--n", "2", "--m", "1"], "n=2, m=1 out of range"),
+    (["--n", "2", "--m", "2", "--seed", "-1"], "seed must be at least 0, got -1"),
+])
+def test_verify_argument_errors_are_usage_errors(capsys, option, message):
+    assert main(["verify", *option]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (2, 1), (13, 2)])
+def test_run_verification_range_errors_are_argument_errors(n, m):
+    with pytest.raises(ps.ArgumentError, match=f"n={n}, m={m}"):
+        ps.run_verification(n, m, trials=1)
+
+
+def test_verify_refuses_a_huge_n_without_forming_the_cell_count():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ps.ArgumentError):
+            ps.run_verification(10**8, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def suite_status(out, name):

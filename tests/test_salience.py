@@ -188,6 +188,19 @@ def test_scan_tie_break_is_deterministic(schema33):
     assert [e.rank for e in first.entries] == [e.rank for e in second.entries] == [1, 2, 3]
 
 
+def test_scan_builds_subset_keys_only_for_its_size(rng, monkeypatch):
+    table = random_adjusted_table(ps.generic_schema(6, 2), rng)
+    expected = ps.scan(table, 2)
+
+    def refuse(n):
+        raise AssertionError("scan must not build every subset key")
+
+    monkeypatch.setattr(ps.basis, "all_subsets", refuse)
+    report = ps.scan(table, 2)
+    assert report == expected
+    assert [e.subset for e in report.entries] == ps.enumerate_subsets(6, 2)
+
+
 # ------------------------------------------------------------ histograms
 
 def test_histogram_uniform_all_zero(schema33):
