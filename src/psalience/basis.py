@@ -30,7 +30,6 @@ quantity downstream depends only on the subspaces.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -95,20 +94,16 @@ def marked_subsets(mask: np.ndarray) -> tuple[np.ndarray, tuple[SubsetKey, ...]]
     in :func:`all_subsets` order: by size, then by descending lattice index."""
     n = mask.size.bit_length() - 1
     sizes = subset_sizes(n)
-    ranked = np.lexsort((-np.arange(mask.size), sizes))
-    keep = np.flatnonzero(mask[ranked])
-    index = ranked[keep]
-    # keys are enumerated only for the sizes the mask marks; ``keep`` is sorted,
-    # so each size is one run of it, and size k starts at ``start`` in all_subsets
-    bounds = np.searchsorted(sizes[index], np.arange(n + 2)).tolist()
+    index: list[np.ndarray] = []
     keys: list[SubsetKey] = []
-    start = 0
     for k in range(n + 1):
-        if bounds[k] < bounds[k + 1]:
-            subsets = enumerate_subsets(n, k)
-            keys.extend(map(subsets.__getitem__, (keep[bounds[k]:bounds[k + 1]] - start).tolist()))
-        start += math.comb(n, k)
-    return index, tuple(keys)
+        # descending lattice indices of size k are in enumerate_subsets(n, k) order
+        ranked = np.flatnonzero(sizes == k)[::-1]
+        marks = mask[ranked]
+        index.append(ranked[marks])
+        if marks.any():
+            keys.extend(itertools.compress(enumerate_subsets(n, k), marks.tolist()))
+    return np.concatenate(index), tuple(keys)
 
 
 def subset_sums(values: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ Python objects are built only for the returned subset keys and audit entries.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -82,9 +83,9 @@ class AuditEntry:
 class ReleaseAudit:
     """Per-subset salience before and after a release.
 
-    ``violations`` lists subsets that broke their contract: salience grew
-    for a subset containing a zeroed block, or moved at all for one that
-    did not.
+    ``zeroed_blocks`` lists the audited subsets whose block is zeroed, in
+    enumeration order; ``violations`` those whose salience grew despite a
+    zeroed block, or moved at all without one.
     """
 
     entries: tuple[AuditEntry, ...]
@@ -99,17 +100,17 @@ def upward_closure(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[S
     Removing a block while keeping a superset block would leave structure
     that implies the removed one, so the zero set is always closed upward.
     """
-    return marked_subsets(_zero_set(seeds, n_attributes)[1])[1]
+    return marked_subsets(_zero_set(seeds, n_attributes))[1]
 
 
-def _zero_set(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[tuple[SubsetKey, ...], np.ndarray]:
-    """Checked keys of a zero set, never the constant term, and the lattice mask of its upward closure."""
-    keys = tuple(check_subset(s, n_attributes) for s in seeds)
+def _zero_set(seeds: Sequence[Sequence[int]], n_attributes: int) -> np.ndarray:
+    """Lattice mask of the upward closure of checked seeds, never the constant term."""
+    keys = [check_subset(s, n_attributes) for s in seeds]
     if any(len(s) == 0 for s in keys):
         raise ArgumentError("cannot zero the constant term")
     marks = np.zeros(2 ** n_attributes)
     marks[[subset_index(s) for s in keys]] = 1.0
-    return keys, subset_sums(marks) > 0.0
+    return subset_sums(marks) > 0.0
 
 
 def _round_preserving_total(values: np.ndarray, target: int) -> np.ndarray:
@@ -151,14 +152,13 @@ def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSp
     audit_result = _audit_log_values(
         logs,
         limited,
-        marked_subsets(zero_mask)[1],
         zero_mask,
         total_drift=float(counts.sum() - table.n_total),
     )
     return released, audit_result
 
 
-def _audit_log_values(logs_before: LogTable, logs_after: LogTable, zeroed, above, total_drift, k=None):
+def _audit_log_values(logs_before: LogTable, logs_after: LogTable, above, total_drift, k=None):
     """``above`` marks subsets containing a zeroed block; ``None`` (zero set unknown) flags only increases."""
     psi_before = subset_salience(logs_before)[0]
     psi_after = subset_salience(logs_after)[0]
@@ -171,8 +171,9 @@ def _audit_log_values(logs_before: LogTable, logs_after: LogTable, zeroed, above
     index, subsets = marked_subsets(sizes > 0 if k is None else sizes == k)
     before, after, contains = (a[index].tolist() for a in (psi_before, psi_after, above))
     entries = tuple(map(AuditEntry, subsets, before, after, contains))
-    violations = tuple(s for s, bad in zip(subsets, broken[index].tolist()) if bad)
-    return ReleaseAudit(entries, tuple(zeroed), total_drift, violations)
+    zeroed_blocks = tuple(itertools.compress(subsets, contains))
+    violations = tuple(itertools.compress(subsets, broken[index].tolist()))
+    return ReleaseAudit(entries, zeroed_blocks, total_drift, violations)
 
 
 def interaction_limit(table: ContingencyTable, spec: LimitSpec) -> tuple[ContingencyTable, ReleaseAudit]:
@@ -186,7 +187,7 @@ def interaction_limit(table: ContingencyTable, spec: LimitSpec) -> tuple[Conting
     n = table.schema.n_attributes
     k_dagger = int(spec.k_dagger)
     if not 1 <= k_dagger <= n:
-        raise ArgumentError(f"k_dagger {k_dagger} out of range [1, {n}]")
+        raise ArgumentError(f"maximum interaction order k_dagger {k_dagger} out of range [1, {n}]")
     return _apply_zeroing(table, subset_sizes(n) > k_dagger, spec)
 
 
@@ -194,7 +195,7 @@ def selective_zero(table: ContingencyTable, spec: LimitSpec) -> tuple[Contingenc
     """Zero the upward closure of the requested subsets and rebuild."""
     if spec.mode != "selective":
         raise ArgumentError("selective_zero needs a selective spec")
-    return _apply_zeroing(table, _zero_set(spec.zero_subsets, table.schema.n_attributes)[1], spec)
+    return _apply_zeroing(table, _zero_set(spec.zero_subsets, table.schema.n_attributes), spec)
 
 
 def audit(
@@ -210,18 +211,18 @@ def audit(
     so releases whose entries dipped below 1 can still be audited.  When
     the zeroed blocks are known, unchanged-versus-decreased contracts are
     classified per subset; otherwise only salience increases are flagged.
-    A zero set holding the constant term ``()`` is refused.
+    The report's ``zeroed_blocks`` lists the audited subsets in the upward
+    closure of ``zeroed_blocks``.  A zero set holding ``()`` is refused.
     """
     if original.schema != released.schema:
         raise ShapeError("audit needs two tables over the same schema")
     n = original.schema.n_attributes
     if k is not None and not 1 <= k <= n:
         raise ArgumentError(f"subset size {k} out of range [1, {n}]")
-    zeroed, above = _zero_set(zeroed_blocks, n) if zeroed_blocks else ((), None)
+    above = _zero_set(zeroed_blocks, n) if zeroed_blocks else None
     return _audit_log_values(
         LogTable(original.schema, np.log(np.maximum(original.counts, np.finfo(float).tiny))),
         LogTable(original.schema, np.log(np.maximum(released.counts, np.finfo(float).tiny))),
-        zeroed,
         above,
         total_drift=float(released.counts.sum() - original.n_total),
         k=k,

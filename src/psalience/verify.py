@@ -27,7 +27,6 @@ from .table import generic_schema, log_transform
 CELL_LIMIT = 4096
 _FULL_GRAM_LIMIT = 1024    # dense all-columns gram matrix above this streams blocks
 _GS_SUITE_LIMIT = 256      # the literal Gram-Schmidt reference is cubic; cap it
-_EXHAUSTIVE_PAIR_LIMIT = 5  # above this many attributes, sample subset pairs
 
 ORTHO_TOL = 1e-9
 IDENTITY_TOL = 1e-9
@@ -85,11 +84,14 @@ def _suite_orthogonality(schema, bases, rng, perturb):
         gram = stacked.T @ stacked
         worst = float(np.abs(gram - np.eye(gram.shape[0])).max())
     else:
-        # stream block pairs to avoid a cells-squared allocation
+        # stream block pairs to avoid a cells-squared allocation; every block is
+        # also checked against itself and the constant term, which a sample can miss
         pairs = list(itertools.combinations_with_replacement(range(len(blocks)), 2))
         if len(pairs) > 400:
             chosen = rng.choice(len(pairs), size=400, replace=False)
-            pairs = [pairs[i] for i in chosen]
+            pairs = sorted({pairs[i] for i in chosen}
+                           | {(0, i) for i in range(len(blocks))}
+                           | {(i, i) for i in range(len(blocks))})
         checked = len(pairs)
         for i, j in pairs:
             gram = blocks[i].T @ blocks[j]
@@ -150,7 +152,7 @@ def _suite_gm_identity(schema, rng, trials):
         for size in range(1, len(outer) + 1)
         for inner in itertools.combinations(outer, size)
     ]
-    if n > _EXHAUSTIVE_PAIR_LIMIT and len(outers) > 40:
+    if len(outers) > 40:
         chosen = rng.choice(len(outers), size=40, replace=False)
         outers = [outers[i] for i in chosen]
     worst = 0.0
@@ -159,7 +161,7 @@ def _suite_gm_identity(schema, rng, trials):
     for _ in range(trials):
         table = random_adjusted_table(schema, rng)
         pairs = all_pairs
-        if n > _EXHAUSTIVE_PAIR_LIMIT and len(pairs) > 200:
+        if len(pairs) > 200:
             pairs = [pairs[i] for i in rng.choice(len(pairs), size=200, replace=False)]
         checked += len(pairs) + len(outers)
         for outer, inner in pairs:

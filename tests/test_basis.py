@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import psalience as ps
+from psalience.basis import marked_subsets, subset_index, subset_sizes
 from psalience.errors import ArgumentError, SizeGuardError
 
 from oracles import (
@@ -42,6 +43,20 @@ def test_all_subsets_counts_and_order():
     assert len(subsets) == 8
     sizes = [len(s) for s in subsets]
     assert sizes == sorted(sizes)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_marked_subsets_matches_a_brute_force_filter(n):
+    rng = np.random.default_rng(n)
+    sizes = subset_sizes(n)
+    masks = [np.zeros(2 ** n, dtype=bool), np.ones(2 ** n, dtype=bool)]
+    masks += [sizes == k for k in range(n + 1)]
+    masks += [rng.random(2 ** n) < p for p in (0.1, 0.5, 0.9)]
+    for mask in masks:
+        want = [s for s in ps.all_subsets(n) if mask[subset_index(s)]]
+        index, keys = marked_subsets(mask)
+        assert keys == tuple(want)
+        assert index.tolist() == [subset_index(s) for s in want]
 
 
 def test_subset_validation(schema32):

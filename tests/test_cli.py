@@ -539,6 +539,13 @@ def test_library_argument_errors_exit_as_usage_errors(tmp_path, rng, capsys, com
     assert not out.exists()
 
 
+def test_max_order_errors_name_the_maximum_interaction_order(tmp_path, rng, capsys):
+    path = save_table(tmp_path, random_adjusted_table(ps.generic_schema(3, 2), rng))
+    assert main(["depersonalize", "--table", path, "--max-order", "0",
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert "maximum interaction order" in capsys.readouterr().err
+
+
 def test_depersonalize_round_counts(tmp_path, rng):
     schema = ps.generic_schema(3, 2)
     table = random_adjusted_table(schema, rng, n_total=463)
@@ -568,6 +575,15 @@ def test_verify_reports_basis_column_count():
 def test_verify_perturbation_self_test(capsys):
     assert main(["verify", "--n", "3", "--m", "2", "--self-test-perturb"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_perturbation_fails_when_block_pairs_are_sampled():
+    # 2187 cells: above the dense gram limit, so orthogonality streams block pairs
+    perturbed = ps.run_verification(7, 3, trials=1, perturb=True)
+    orthogonality = next(s for s in perturbed.suites if s.name == "orthogonality")
+    assert not perturbed.passed
+    assert orthogonality.data["max_offdiagonal"] > 1e-6
+    assert ps.run_verification(7, 3, trials=1).passed
 
 
 def test_verify_size_guard():

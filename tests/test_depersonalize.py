@@ -249,6 +249,32 @@ def test_audit_contains_zeroed_matches_brute_force(rng):
             assert entry.contains_zeroed == expected, (zeroed, entry)
 
 
+def test_audit_reports_the_closure_of_its_zero_set(rng):
+    table = random_adjusted_table(ps.generic_schema(5, 2), rng)
+    released, _ = ps.interaction_limit(table, order_spec(2))
+    report = ps.audit(table, released, zeroed_blocks=[(3, 1), (3, 1)])
+    assert report.zeroed_blocks == ps.upward_closure([(3, 1)], 5)
+    assert report.zeroed_blocks == tuple(e.subset for e in report.entries if e.contains_zeroed)
+    assert ps.audit(table, released, k=2, zeroed_blocks=[(3, 1), (3, 1)]).zeroed_blocks == ((3, 1),)
+    assert ps.audit(table, released).zeroed_blocks == ()
+
+
+def test_a_release_walks_the_subset_lattice_once(monkeypatch, rng):
+    walk = ps.depersonalize.marked_subsets
+    calls = []
+
+    def counted(mask):
+        calls.append(mask.size)
+        return walk(mask)
+
+    monkeypatch.setattr(ps.depersonalize, "marked_subsets", counted)
+    table = random_adjusted_table(ps.generic_schema(4, 3), rng)
+    ps.interaction_limit(table, order_spec(2))
+    assert calls == [16]
+    ps.selective_zero(table, ps.LimitSpec("selective", zero_subsets=((2, 1),)))
+    assert calls == [16, 16]
+
+
 def test_audit_of_a_release_below_1_matches_axis_means():
     schema = ps.generic_schema(3, 3)
     table = random_adjusted_table(schema, np.random.default_rng(27))
