@@ -30,14 +30,13 @@ quantity downstream depends only on the subspaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ArgumentError, SizeGuardError
-from .table import AttributeSchema, freeze, generic_schema
+from .table import AttributeSchema, Frozen, freeze, generic_schema
 
 SubsetKey = tuple[int, ...]
 """Attribute indices in strictly decreasing order; ``()`` is the constant term."""
@@ -181,8 +180,7 @@ def _check_levels(levels: Sequence[int], k: int, m: int) -> tuple[int, ...]:
     return codes
 
 
-@dataclass(frozen=True)
-class BasisColumn:
+class BasisColumn(Frozen):
     """One generated column: its subset, the code it was generated from,
     and the full-length entry vector.
 
@@ -191,12 +189,12 @@ class BasisColumn:
     requested level vector.
     """
 
-    subset: SubsetKey
-    level_code: tuple[int, ...]
-    entries: np.ndarray
+    __slots__ = ("subset", "level_code", "entries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", freeze(self.entries))
+    def __init__(self, subset: SubsetKey, level_code: tuple[int, ...], entries):
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "level_code", level_code)
+        object.__setattr__(self, "entries", freeze(entries))
 
     @property
     def norm_sq(self) -> float:
@@ -227,8 +225,7 @@ def ortho_column(subset: Sequence[int], levels: Sequence[int], schema: Attribute
     return BasisColumn(members, codes, entries)
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(NamedTuple):
     """Orthogonal, unnormalised columns spanning one subset's subspace.
 
     ``matrix`` is ``M**N x (M-1)**k`` with squared column norms in

@@ -23,8 +23,7 @@ Python objects are built only for the returned subset keys and audit entries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,43 +31,48 @@ from .basis import SubsetKey, check_subset, marked_subsets, subset_index, subset
 from .errors import ArgumentError, ShapeError, StateError
 from .fitting import _zero_blocks
 from .salience import subset_salience
-from .table import ADJUSTED_MIN, ContingencyTable, LogTable, log_transform
+from .table import ADJUSTED_MIN, ContingencyTable, Frozen, LogTable, log_transform
 
 PSI_DRIFT_TOL = 1e-9
 ROUND_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LimitSpec:
+class LimitSpec(Frozen):
     """What to zero and how to post-process the released counts.
 
     ``order_limit`` zeroes every block of size above ``k_dagger``;
     ``selective`` zeroes the upward closure of ``zero_subsets``.
     """
 
-    mode: str
-    k_dagger: int | None = None
-    zero_subsets: tuple[SubsetKey, ...] | None = None
-    renormalize: bool = True
-    round_counts: bool = False
+    __slots__ = ("mode", "k_dagger", "zero_subsets", "renormalize", "round_counts")
 
-    def __post_init__(self):
-        if self.mode == "order_limit":
-            if self.k_dagger is None:
+    def __init__(
+        self,
+        mode: str,
+        k_dagger: int | None = None,
+        zero_subsets: Sequence[Sequence[int]] | None = None,
+        renormalize: bool = True,
+        round_counts: bool = False,
+    ):
+        if mode == "order_limit":
+            if k_dagger is None:
                 raise ArgumentError("order_limit needs k_dagger")
-        elif self.mode == "selective":
-            if not self.zero_subsets:
+        elif mode == "selective":
+            if not zero_subsets:
                 raise ArgumentError("selective mode needs at least one subset to zero")
-            normal = tuple(tuple(int(i) for i in s) for s in self.zero_subsets)
-            if any(len(s) == 0 for s in normal):
+            zero_subsets = tuple(tuple(int(i) for i in s) for s in zero_subsets)
+            if any(len(s) == 0 for s in zero_subsets):
                 raise ArgumentError("cannot zero the constant term")
-            object.__setattr__(self, "zero_subsets", normal)
         else:
-            raise ArgumentError(f"unknown mode {self.mode!r}")
+            raise ArgumentError(f"unknown mode {mode!r}")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "k_dagger", k_dagger)
+        object.__setattr__(self, "zero_subsets", zero_subsets)
+        object.__setattr__(self, "renormalize", renormalize)
+        object.__setattr__(self, "round_counts", round_counts)
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     subset: SubsetKey
     psi_before: float
     psi_after: float
@@ -79,19 +83,28 @@ class AuditEntry:
         return self.psi_after - self.psi_before
 
 
-@dataclass(frozen=True)
-class ReleaseAudit:
+class ReleaseAudit(Frozen):
     """Per-subset salience before and after a release.
 
     ``zeroed_blocks`` lists the audited subsets whose block is zeroed, in
     enumeration order; ``violations`` those whose salience grew despite a
-    zeroed block, or moved at all without one.
+    zeroed block, or moved at all without one.  Not a tuple, so a release's
+    ``(table, audit)`` pair is never mistaken for an audit.
     """
 
-    entries: tuple[AuditEntry, ...]
-    zeroed_blocks: tuple[SubsetKey, ...]
-    total_drift: float
-    violations: tuple[SubsetKey, ...] = field(default=())
+    __slots__ = ("entries", "zeroed_blocks", "total_drift", "violations")
+
+    def __init__(
+        self,
+        entries: tuple[AuditEntry, ...],
+        zeroed_blocks: tuple[SubsetKey, ...],
+        total_drift: float,
+        violations: tuple[SubsetKey, ...] = (),
+    ):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "zeroed_blocks", zeroed_blocks)
+        object.__setattr__(self, "total_drift", total_drift)
+        object.__setattr__(self, "violations", violations)
 
 
 def upward_closure(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[SubsetKey, ...]:

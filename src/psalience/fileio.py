@@ -4,13 +4,14 @@ Schema file:    {"attributes": [{"name": ..., "levels": [...]}, ...]}
                 with at most MAX_CELLS = 2**24 cells (M**N), checked on load.
 Table file:     {"schema": ..., "counts": [...], "n_total": ..., "adjusted": bool}
                 with counts in lexicographic cell order.
-Microdata CSV:  UTF-8, header row with the attribute names, one level
-                label per cell.  tabulate_microdata counts the raw lines
-                in one C-level pass, then parses and checks each distinct
-                line once: O(distinct lines) memory.  Records that span
-                lines and every error go through the per-record
-                read_microdata, whose errors name the first offending
-                file row.
+Microdata CSV:  UTF-8 (a leading byte-order mark is dropped), header row
+                with the attribute names, one level label per cell.
+                tabulate_microdata counts the raw lines in one C-level
+                pass, then parses the distinct lines in batches of
+                BATCH_LINES and ranks each batch column by column:
+                O(distinct lines) memory.  Records that span lines and
+                every error go through the per-record read_microdata,
+                whose errors name the first offending file row.
 
 Written JSON is compact (no indentation, no spaces) and round-trips
 exactly: floats are serialised with enough digits to reproduce the
@@ -21,6 +22,7 @@ file in the target directory followed by a rename.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import tempfile
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import IngestionError, SchemaError, ShapeError
+from .errors import EmptyInputError, IngestionError, SchemaError, ShapeError
 from .table import AttributeSchema, ContingencyTable, _record_rank, tabulate
 
 if TYPE_CHECKING:  # annotations only: tabulate and load_table need neither module
@@ -40,6 +42,9 @@ if TYPE_CHECKING:  # annotations only: tabulate and load_table need neither modu
 # Largest M**N accepted, refused before any CSV is read or vector allocated
 # (128 MiB per float64 vector).
 MAX_CELLS = 2**24
+# Distinct CSV lines parsed and ranked together: large enough that the per-batch
+# calls vanish, small enough that a batch's parsed rows stay a few MiB.
+BATCH_LINES = 4096
 
 
 def schema_to_dict(schema: AttributeSchema) -> dict:
@@ -166,12 +171,13 @@ def read_microdata(path, schema: AttributeSchema):
     distinct raw row is checked, stripped and reordered the first time it
     is seen, and its later copies yield that same tuple, so streaming this
     into :func:`tabulate` takes O(distinct rows) memory.  Errors, malformed
-    CSV included, name the first offending file row.  This is the reference
+    CSV included, name the first offending file row; a file without records
+    raises :class:`EmptyInputError` naming the file.  This is the reference
     and error path of :func:`tabulate_microdata`.
     """
     row_number = 0  # the last row read in full; the header is row 1
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             positions = _header_positions(reader, path, schema)
             row_number = 1
@@ -186,6 +192,8 @@ def read_microdata(path, schema: AttributeSchema):
                     _record_rank(labels, schema, f"{path}: row {row_number}", row_number)
                     seen[key] = labels
                 yield row_number, labels
+        if not seen:
+            raise EmptyInputError(f"{path}: no records after the header row", record_number=0)
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     except csv.Error as exc:
@@ -198,30 +206,74 @@ def tabulate_microdata(path, schema: AttributeSchema) -> ContingencyTable:
     """Unadjusted table of a microdata CSV, equal to :func:`tabulate` over
     :func:`read_microdata`.
 
-    One C-level ``Counter`` pass tallies the physical lines after the header;
-    each distinct line is parsed as one strict CSV line and checked once, and
-    one ``np.bincount`` sums the tallies per cell, so memory is O(distinct
-    lines).  If any line is not one complete valid record (the first line of a
-    multi-line quoted record never is), or the file is not UTF-8 or has no
-    records, the file goes through the record path instead, which reads such
-    records or raises its row-numbered error.
+    One C-level ``Counter`` pass tallies the physical lines after the header,
+    so memory is O(distinct lines).  The distinct lines are parsed as strict
+    CSV in batches of :data:`BATCH_LINES`; each batch's cell ranks come from
+    one label -> level lookup per attribute column, and one ``np.bincount``
+    sums the tallies per cell.  If any line is not one complete valid record
+    (the first line of a multi-line quoted record never is), or the file is
+    not UTF-8, or has no records, the file goes through the record path
+    instead, which reads such records or raises its error.
     """
-    ranks, tallies = [], []
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            positions = _header_positions(csv.reader(fh), path, schema)
-            lines = Counter(fh)
-        for line, tally in lines.items():
-            row = next(csv.reader((line,), strict=True), [])
-            if row:
-                ranks.append(_record_rank(_row_labels(row, positions), schema, str(path), 0))
-                tallies.append(tally)
+        table = _tabulate_lines(path, schema)
     except (csv.Error, UnicodeDecodeError, IngestionError):
-        ranks = []
+        table = None
+    if table is None:
+        table = tabulate((labels for _, labels in read_microdata(path, schema)), schema)
+    return table
+
+
+def _tabulate_lines(path, schema: AttributeSchema) -> ContingencyTable | None:
+    """The batched path of :func:`tabulate_microdata`: ``None`` when a record
+    spans lines, has the wrong field count or an unknown label, or when the
+    file has no records; the record path then decides."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        positions = _header_positions(csv.reader(fh), path, schema)
+        lines = Counter(fh)
+    ranks, tallies = [], []
+    distinct = iter(lines.items())
+    while batch := list(itertools.islice(distinct, BATCH_LINES)):
+        ranked = _rank_batch(batch, positions, schema)
+        if ranked is None:
+            return None
+        ranks.append(ranked[0])
+        tallies.append(ranked[1])
+    del lines, distinct  # drop the distinct lines first, so the arrays below do not add to their peak
     if not ranks:
-        return tabulate((labels for _, labels in read_microdata(path, schema)), schema)
-    counts = np.bincount(ranks, weights=tallies, minlength=schema.n_cells)
-    return ContingencyTable(schema, counts, float(sum(tallies)), adjusted=False)
+        return None
+    weights = np.concatenate(tallies)
+    counts = np.bincount(np.concatenate(ranks), weights=weights, minlength=schema.n_cells)
+    return ContingencyTable(schema, counts, float(weights.sum()), adjusted=False)
+
+
+def _rank_batch(batch, positions: list[int], schema: AttributeSchema):
+    """Cell ranks and tallies of a batch of ``(line, tally)`` pairs, blank lines
+    dropped; ``None`` when some line is not one complete record in the schema,
+    or every line is blank (at most three distinct lines are, so only a file
+    without records has such a batch)."""
+    text, tallies = zip(*batch)
+    rows = list(csv.reader(text, strict=True))
+    if len(rows) != len(text):
+        return None  # a quoted record spanned lines
+    if not all(rows):  # drop blank lines
+        kept = [(row, tally) for row, tally in zip(rows, tallies) if row]
+        if not kept:
+            return None
+        rows, tallies = zip(*kept)
+    if set(map(len, rows)) - {schema.n_attributes}:
+        return None
+    columns = tuple(zip(*rows))
+    rank = np.zeros(len(rows), dtype=np.int64)
+    for position, levels in zip(positions, schema._level_maps):
+        column = columns[position]
+        # a column holds few distinct raw labels: strip and look each up once
+        lookup = {label: levels.get(label.strip()) for label in set(column)}
+        if None in lookup.values():
+            return None
+        rank *= schema.n_levels
+        rank += np.fromiter(map(lookup.__getitem__, column), dtype=np.int64, count=len(column))
+    return rank, np.array(tallies, dtype=float)
 
 
 def report_to_dict(

@@ -16,18 +16,16 @@ transform (Yates' algorithm): ``O(N * M**(N+1))`` time, ``O(M**N)`` floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .basis import SubsetKey, all_subsets, check_subset, level_factor
 from .errors import ShapeError
-from .table import AttributeSchema, LogTable, freeze
+from .table import AttributeSchema, Frozen, LogTable, freeze
 
 
-@dataclass(frozen=True)
-class BetaVector:
+class BetaVector(NamedTuple):
     """Expansion coefficients: scalar ``beta0`` for the constant direction
     plus one length-``(M-1)**k`` block per non-empty subset, for inspection."""
 
@@ -41,16 +39,15 @@ class BetaVector:
         return 1 + sum(block.size for block in self.blocks.values())
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(Frozen):
     """Projection of a log table onto one subset's subspace."""
 
-    subset: SubsetKey
-    chi: np.ndarray
-    magnitude: float
+    __slots__ = ("subset", "chi", "magnitude")
 
-    def __post_init__(self):
-        object.__setattr__(self, "chi", freeze(self.chi))
+    def __init__(self, subset: SubsetKey, chi, magnitude: float):
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "chi", freeze(chi))
+        object.__setattr__(self, "magnitude", magnitude)
 
 
 def _axis_picks(subset: SubsetKey, n: int) -> tuple[slice, ...]:

@@ -16,7 +16,6 @@ independent code paths.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,11 +23,10 @@ import numpy as np
 from .basis import SubsetKey, check_subset
 from .errors import ArgumentError
 from .fitting import orthogonal_complement_magnitude, project_subset
-from .table import ContingencyTable, LogTable, freeze, generic_schema, log_transform
+from .table import ContingencyTable, Frozen, LogTable, freeze, generic_schema, log_transform
 
 
-@dataclass(frozen=True)
-class ConditionalSubtable:
+class ConditionalSubtable(Frozen):
     """Counts of the cells whose conditioning digits are fixed.
 
     Entries are ordered lexicographically by the subset digits with the
@@ -36,29 +34,26 @@ class ConditionalSubtable:
     ``cell_ranks`` records where each entry sits in the full table.
     """
 
-    subset: SubsetKey
-    conditioning_values: tuple[int, ...]
-    counts: np.ndarray
-    cell_ranks: np.ndarray
+    __slots__ = ("subset", "conditioning_values", "counts", "cell_ranks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", freeze(self.counts))
-        ranks = np.array(self.cell_ranks, dtype=int, copy=True)
+    def __init__(self, subset: SubsetKey, conditioning_values: tuple[int, ...], counts, cell_ranks):
+        ranks = np.array(cell_ranks, dtype=int, copy=True)
         ranks.setflags(write=False)
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "conditioning_values", conditioning_values)
+        object.__setattr__(self, "counts", freeze(counts))
         object.__setattr__(self, "cell_ranks", ranks)
 
 
-@dataclass(frozen=True)
-class GeoMeanTable:
+class GeoMeanTable(Frozen):
     """Entrywise geometric mean over all conditioning combinations."""
 
-    subset: SubsetKey
-    counts: np.ndarray
-    log_values: np.ndarray
+    __slots__ = ("subset", "counts", "log_values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", freeze(self.counts))
-        object.__setattr__(self, "log_values", freeze(self.log_values))
+    def __init__(self, subset: SubsetKey, counts, log_values):
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "counts", freeze(counts))
+        object.__setattr__(self, "log_values", freeze(log_values))
 
 
 def complement_attributes(subset: SubsetKey, n_attributes: int) -> SubsetKey:

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from .marginal import complement_attributes, geometric_mean_subtable
 from .table import ADJUSTED_MIN, ContingencyTable, LogTable, log_transform
 
 
-@dataclass(frozen=True)
-class SalienceValue:
+class SalienceValue(NamedTuple):
     """A salience ratio with its numerator and denominator."""
 
     psi: float
@@ -102,15 +100,13 @@ def subset_salience(log_table: LogTable) -> tuple[np.ndarray, np.ndarray, np.nda
     return np.minimum(ratio, 1.0, out=ratio), chi, norm
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     subset: SubsetKey
     salience: SalienceValue
     rank: int
 
 
-@dataclass(frozen=True)
-class SalienceReport:
+class SalienceReport(NamedTuple):
     """Per-subset scores of one scan, in enumeration order, with ranks.
 
     Ranks are 1-based, descending in Psi; ties keep enumeration order.

@@ -23,13 +23,14 @@ Conventions used throughout the package:
   entries to 1, so every log is finite and non-negative.
 
 All types here are immutable after construction and all operations are
-pure functions, so values can be shared freely between workers.
+pure functions, so values can be shared freely between workers.  Records
+that validate their fields derive from :class:`Frozen`; plain records are
+``typing.NamedTuple`` classes.  Neither generates code when its module is
+imported, which every CLI command would pay for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,22 +68,60 @@ def freeze(array) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class AttributeSchema:
+class Frozen:
+    """Base of the records that validate their fields.
+
+    A subclass lists its fields in ``__slots__`` and sets each once in its
+    ``__init__`` through ``object.__setattr__``; afterwards assigning or
+    deleting any attribute raises ``AttributeError``.  Equality, hash, repr
+    and pickling go over the fields in ``__slots__`` order, which is also the
+    order of the ``__init__`` parameters.  A slot whose name starts with an
+    underscore caches something derived from the fields and is no field.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class AttributeSchema(Frozen):
     """Names and ordered level labels of the attributes.
 
     ``attributes`` is an ordered sequence of ``(name, levels)`` pairs; the
     first entry is attribute ``N-1`` and the last is attribute ``0``.
     """
 
-    attributes: tuple[tuple[str, tuple[str, ...]], ...]
+    __slots__ = ("attributes", "_maps")
 
-    def __post_init__(self):
+    def __init__(self, attributes: Iterable[tuple[str, Iterable[str]]]):
         normal = tuple(
             (str(name), tuple(str(level) for level in levels))
-            for name, levels in self.attributes
+            for name, levels in attributes
         )
         object.__setattr__(self, "attributes", normal)
+        object.__setattr__(self, "_maps", None)
         if not normal:
             raise SchemaError("schema must declare at least one attribute")
         names = [name for name, _ in normal]
@@ -120,10 +159,13 @@ class AttributeSchema:
         """Name of attribute ``attribute`` (numbered N-1 .. 0)."""
         return self.attributes[self.n_attributes - 1 - attribute][0]
 
-    @cached_property
+    @property
     def _level_maps(self) -> tuple[dict, ...]:
-        # one label -> level-index map per schema position
-        return tuple({label: i for i, label in enumerate(levels)} for _, levels in self.attributes)
+        """One label -> level-index map per schema position, built on first use."""
+        if self._maps is None:
+            maps = tuple({label: i for i, label in enumerate(levels)} for _, levels in self.attributes)
+            object.__setattr__(self, "_maps", maps)
+        return self._maps
 
 
 def generic_schema(n: int, m: int) -> AttributeSchema:
@@ -135,35 +177,34 @@ def generic_schema(n: int, m: int) -> AttributeSchema:
     )
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(Frozen):
     """Flat count vector in lexicographic cell order plus its population total.
 
     ``adjusted`` records whether the zero-adjustment map has been applied;
     adjusted tables have every entry at 1 or above.
     """
 
-    schema: AttributeSchema
-    counts: np.ndarray
-    n_total: float
-    adjusted: bool = False
+    __slots__ = ("schema", "counts", "n_total", "adjusted")
 
-    def __post_init__(self):
-        counts = freeze(self.counts)
+    def __init__(self, schema: AttributeSchema, counts, n_total: float, adjusted: bool = False):
+        counts = freeze(counts)
+        n_total = float(n_total)
+        object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n_total", float(self.n_total))
-        if counts.ndim != 1 or counts.size != self.schema.n_cells:
+        object.__setattr__(self, "n_total", n_total)
+        object.__setattr__(self, "adjusted", adjusted)
+        if counts.ndim != 1 or counts.size != schema.n_cells:
             raise ShapeError(
-                f"expected {self.schema.n_cells} counts, got shape {counts.shape}"
+                f"expected {schema.n_cells} counts, got shape {counts.shape}"
             )
         if not np.all(np.isfinite(counts)) or np.any(counts < 0):
             raise ShapeError("counts must be finite and non-negative")
-        if self.n_total <= 0:
+        if n_total <= 0:
             raise ShapeError("population total must be positive")
         total = float(counts.sum())
-        if not values_close(total, self.n_total):
-            raise ShapeError(f"counts sum to {total!r}, declared total is {self.n_total!r}")
-        if self.adjusted and counts.min() < ADJUSTED_MIN:
+        if not values_close(total, n_total):
+            raise ShapeError(f"counts sum to {total!r}, declared total is {n_total!r}")
+        if adjusted and counts.min() < ADJUSTED_MIN:
             raise ShapeError("adjusted table has an entry below 1")
 
     def reshaped(self) -> np.ndarray:
@@ -172,19 +213,18 @@ class ContingencyTable:
         return self.counts.reshape((m,) * n)
 
 
-@dataclass(frozen=True)
-class LogTable:
+class LogTable(Frozen):
     """Elementwise natural log of an adjusted table's counts."""
 
-    schema: AttributeSchema
-    values: np.ndarray
+    __slots__ = ("schema", "values")
 
-    def __post_init__(self):
-        values = freeze(self.values)
+    def __init__(self, schema: AttributeSchema, values):
+        values = freeze(values)
+        object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size != self.schema.n_cells:
+        if values.ndim != 1 or values.size != schema.n_cells:
             raise ShapeError(
-                f"expected {self.schema.n_cells} log values, got shape {values.shape}"
+                f"expected {schema.n_cells} log values, got shape {values.shape}"
             )
         if not np.all(np.isfinite(values)):
             raise ShapeError("log table entries must be finite")

@@ -12,7 +12,7 @@ failures rather than rubber-stamping.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ IDENTITY_TOL = 1e-9
 SPIKE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     """One suite's verdict; ``checked`` counts the items it compared, and a
     suite that compared none reports SKIP rather than PASS."""
 
@@ -42,11 +41,10 @@ class SuiteResult:
     passed: bool
     checked: int
     detail: str
-    data: dict = field(default_factory=dict)
+    data: dict
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     m: int
     seed: int

@@ -61,11 +61,12 @@ def test_tabulate_unknown_label_names_row_and_attribute(tmp_path, capsys):
 
 def test_tabulate_empty_csv_body(tmp_path, capsys):
     schema_path = write_schema(tmp_path / "schema.json")
-    csv_path = write_csv(tmp_path / "micro.csv", [])
-    code = main(["tabulate", "--schema", schema_path, "--input", csv_path,
-                 "--out", str(tmp_path / "t.json")])
-    assert code == 3
-    assert "no records" in capsys.readouterr().err
+    for body in ([], ["", ""]):  # header only; blank lines only
+        csv_path = write_csv(tmp_path / "micro.csv", body)
+        code = main(["tabulate", "--schema", schema_path, "--input", csv_path,
+                     "--out", str(tmp_path / "t.json")])
+        assert code == 3
+        assert f"{csv_path}: no records after the header row" in capsys.readouterr().err
 
 
 def test_tabulate_missing_file(tmp_path):
@@ -73,6 +74,20 @@ def test_tabulate_missing_file(tmp_path):
     code = main(["tabulate", "--schema", schema_path, "--input", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "t.json")])
     assert code == 3
+
+
+def test_tabulate_accepts_a_utf8_byte_order_mark(tmp_path):
+    schema_path = write_schema(tmp_path / "schema.json")
+    text = "band,region\nlo,north\nhi,south\nlo,south\nhi,north\nlo,north\n"
+    outputs = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        csv_path = tmp_path / f"{name}.csv"
+        csv_path.write_text(text, encoding=encoding)
+        outputs.append(tmp_path / f"{name}.json")
+        assert main(["tabulate", "--schema", schema_path, "--input", str(csv_path),
+                     "--out", str(outputs[-1])]) == 0
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_tabulate_header_reordering(tmp_path):
@@ -245,7 +260,7 @@ def messy_microdata(draw):
         line = " " * draw(st.integers(1, 2)) if flaw == "whitespace" else ",".join(
             quoted_field(draw, f) for f in fields)
         lines.insert(draw(st.integers(1, len(lines))), line)
-    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     if draw(st.booleans()):
         ends[-1] = ""  # no final newline
     return schema, "".join(line + end for line, end in zip(lines, ends))
@@ -305,6 +320,47 @@ def test_tabulate_microdata_reads_multiline_quoted_labels(tmp_path, levels, reco
     expected = ps.tabulate(records, schema)
     assert np.array_equal(table.counts, expected.counts)
     assert table.n_total == expected.n_total == len(records)
+
+
+@pytest.mark.parametrize("text, clean", [
+    # four batches of at most two distinct lines, two of them with a blank line
+    ('place,band\na,x\nb,x\n\na,y\nb,y\na,x\n\r\nb,z\n', True),
+    # the record "a\nb" opens on the last line of the first batch
+    ('place,band\na,x\n"a\nb",y\nb,y\n"a\nb",y\n', False),
+])
+def test_batches_equal_the_record_path(tmp_path, monkeypatch, text, clean):
+    schema = ps.AttributeSchema((("place", ("a", "b", "a\nb")), ("band", ("x", "y", "z"))))
+    csv_path = tmp_path / "micro.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    records = ps.tabulate((labels for _, labels in fileio.read_microdata(csv_path, schema)), schema)
+    monkeypatch.setattr(fileio, "BATCH_LINES", 2)
+    if clean:
+        monkeypatch.setattr(fileio, "read_microdata", None)  # the batches alone must count it
+    table = fileio.tabulate_microdata(csv_path, schema)
+    assert np.array_equal(table.counts, records.counts)
+    assert table.n_total == records.n_total
+
+
+def test_tabulate_peak_memory_with_many_distinct_lines(tmp_path):
+    """60 000 rows, 37 606 of them distinct, over 3**10 cells: batching keeps
+    one batch of parsed rows beside the distinct lines, never all of them."""
+    names = [f"f{i}" for i in range(10)]
+    schema = fileio.schema_from_dict(
+        {"attributes": [{"name": name, "levels": ["x", "y", "z"]} for name in names]})
+    codes = np.random.default_rng(11).integers(0, 3, size=(60_000, 10))
+    lines = [",".join(row) for row in np.array(["x", "y", "z"])[codes].tolist()]
+    assert len(set(lines)) == 37_606
+    csv_path = tmp_path / "micro.csv"
+    csv_path.write_text(",".join(names) + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    del codes, lines
+    tracemalloc.start()
+    try:
+        table = fileio.tabulate_microdata(csv_path, schema)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.n_total == 60_000.0
+    assert peak <= 6.2 * 2**20, f"tabulate peak {peak / 2**20:.2f} MiB"
 
 
 def test_tabulate_overlong_field_is_data_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Start-up: ``import psalience`` loads no submodule, and each CLI command
-loads only the modules it runs.  Every check runs in a fresh interpreter,
-because this one has long since imported the whole package."""
+loads only the modules it runs, and never ``dataclasses``, whose classes
+generate code at import.  Every check runs in a fresh interpreter, because
+this one has long since imported the whole package."""
 
 import json
 import os
@@ -17,7 +18,7 @@ from psalience import fileio
 from psalience.synthetic import random_adjusted_table
 
 SRC = str(Path(ps.__file__).resolve().parents[1])
-LOADED = "sorted(m for m in sys.modules if m.startswith('psalience.'))"
+LOADED = "sorted(m for m in sys.modules if m.startswith('psalience.') or m == 'dataclasses')"
 
 
 def fresh(code: str):
@@ -97,6 +98,7 @@ def command_modules(argv, directory):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_each_command_loads_only_what_it_runs(inputs, command):
     loaded = command_modules(COMMANDS[command], inputs)
+    assert "dataclasses" not in loaded
     if command == "version":
         assert loaded == BASE
     elif command == "tabulate":

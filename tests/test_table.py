@@ -1,4 +1,6 @@
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -278,3 +280,66 @@ def test_counts_are_read_only(schema22):
     table = ps.ContingencyTable(schema22, [1, 1, 1, 1], 4, adjusted=True)
     with pytest.raises(ValueError):
         table.counts[0] = 9.0
+
+
+# ---------------------------------------------------------- record types
+
+def _records():
+    """One instance of every record type the package returns or accepts."""
+    schema = ps.generic_schema(3, 2)
+    table = ps.ContingencyTable(schema, [2, 3, 4, 5, 6, 7, 8, 9], 44, adjusted=True)
+    report = ps.scan(table, 1)
+    audit = ps.interaction_limit(table, ps.LimitSpec("order_limit", k_dagger=1))[1]
+    verification = ps.run_verification(2, 2, trials=1)
+    return {
+        "AttributeSchema": schema,
+        "ContingencyTable": table,
+        "LogTable": ps.log_transform(table),
+        "BasisColumn": ps.ortho_column((1,), (0,), schema),
+        "SubspaceBasis": ps.subspace_basis((1,), schema),
+        "BetaVector": ps.fit_beta(ps.log_transform(table)),
+        "ProjectionResult": ps.project_subset(ps.log_transform(table), (1,)),
+        "ConditionalSubtable": ps.conditional_subtable(table, (1,), (0, 1)),
+        "GeoMeanTable": ps.geometric_mean_subtable(table, (1,)),
+        "SalienceValue": ps.psi([1.0, 2.0]),
+        "ScanEntry": report.entries[0],
+        "SalienceReport": report,
+        "LimitSpec": ps.LimitSpec("selective", zero_subsets=[(1, 0)]),
+        "AuditEntry": audit.entries[0],
+        "ReleaseAudit": audit,
+        "SuiteResult": verification.suites[0],
+        "VerificationReport": verification,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_record_fields_cannot_be_assigned_or_deleted(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    field = next(iter(type(record).__slots__ or record._fields))
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.unknown_field = None
+
+
+def test_schema_equality_and_hash_survive_json(schema33):
+    from psalience import fileio
+
+    loaded = fileio.schema_from_dict(json.loads(json.dumps(fileio.schema_to_dict(schema33))))
+    assert loaded == schema33 and hash(loaded) == hash(schema33)
+    assert loaded._level_maps  # a filled cache is no field
+    assert loaded == schema33 and hash(loaded) == hash(schema33)
+    assert loaded != ps.generic_schema(3, 2)
+    assert repr(loaded) == f"AttributeSchema(attributes={schema33.attributes!r})"
+
+
+def test_records_survive_pickling(schema22):
+    table = ps.ContingencyTable(schema22, [1, 2, 3, 4], 10, adjusted=True)
+    copy = pickle.loads(pickle.dumps(table))
+    assert copy.schema == schema22 and copy.adjusted and copy.n_total == 10.0
+    assert np.array_equal(copy.counts, table.counts) and not copy.counts.flags.writeable
+    spec = ps.LimitSpec("order_limit", k_dagger=2, round_counts=True)
+    assert pickle.loads(pickle.dumps(spec)) == spec
