@@ -137,20 +137,15 @@ def level_factor(m: int) -> tuple[np.ndarray, np.ndarray]:
     return freeze(factor), freeze(factor.T / np.einsum("ij,ij->j", factor, factor)[:, None])
 
 
-def _kron_chain(factors) -> np.ndarray:
-    return reduce(np.kron, factors)
-
-
-def _attribute_factors(n: int, m: int, subset: SubsetKey, per_member) -> list[np.ndarray]:
-    """Kron factors ordered attribute ``n-1`` first; ones off the subset."""
-    ones = np.ones(m)
-    factors = []
-    for attribute in range(n - 1, -1, -1):
-        if attribute in subset:
-            factors.append(per_member(subset.index(attribute)))
-        else:
-            factors.append(ones)
-    return factors
+def _subset_kron(n: int, m: int, subset: SubsetKey, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product over attributes ``n-1`` down to ``0`` of ``factors[j]``
+    (``m`` rows) on the subset's ``j``-th attribute and a column of ones
+    elsewhere: ``m**n`` rows, one column per combination of factor columns."""
+    ones = np.ones((m, 1))
+    return reduce(np.kron, [
+        factors[subset.index(attribute)] if attribute in subset else ones
+        for attribute in range(n - 1, -1, -1)
+    ])
 
 
 def raw_column(subset: Sequence[int], levels: Sequence[int], schema: AttributeSchema) -> np.ndarray:
@@ -161,13 +156,7 @@ def raw_column(subset: Sequence[int], levels: Sequence[int], schema: AttributeSc
     n, m = schema.n_attributes, schema.n_levels
     members = check_subset(subset, n)
     codes = _check_levels(levels, len(members), m)
-
-    def factor(j):
-        e = np.zeros(m)
-        e[codes[j]] = 1.0
-        return e
-
-    return _kron_chain(_attribute_factors(n, m, members, factor))
+    return _subset_kron(n, m, members, [np.eye(m)[:, [c]] for c in codes]).ravel()
 
 
 def _check_levels(levels: Sequence[int], k: int, m: int) -> tuple[int, ...]:
@@ -192,9 +181,7 @@ class BasisColumn(Frozen):
     __slots__ = ("subset", "level_code", "entries")
 
     def __init__(self, subset: SubsetKey, level_code: tuple[int, ...], entries):
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "level_code", level_code)
-        object.__setattr__(self, "entries", freeze(entries))
+        super().__init__(subset, level_code, freeze(entries))
 
     @property
     def norm_sq(self) -> float:
@@ -215,14 +202,8 @@ def ortho_column(subset: Sequence[int], levels: Sequence[int], schema: Attribute
     if not members:
         raise ArgumentError("ortho_column needs a non-empty subset")
     codes = _check_levels(levels, len(members), m)
-
-    def factor(j):
-        e = np.full(m, -1.0 / m)
-        e[codes[j]] += 1.0
-        return e
-
-    entries = _kron_chain(_attribute_factors(n, m, members, factor))
-    return BasisColumn(members, codes, entries)
+    entries = _subset_kron(n, m, members, [np.eye(m)[:, [c]] - 1.0 / m for c in codes])
+    return BasisColumn(members, codes, entries.ravel())
 
 
 class SubspaceBasis(NamedTuple):
@@ -256,10 +237,7 @@ def _subspace_arrays(n: int, m: int, subset: SubsetKey):
         return ((),), freeze(np.full((m_t, 1), 1.0 / np.sqrt(m_t))), freeze(np.ones(1))
     codes = tuple(itertools.product(range(m - 1), repeat=len(subset)))
     # column order of a Kronecker product of matrices is radix order of the codes
-    matrix = _kron_chain(
-        level_contrasts(m) if attribute in subset else np.ones((m, 1))
-        for attribute in range(n - 1, -1, -1)
-    )
+    matrix = _subset_kron(n, m, subset, [level_contrasts(m)] * len(subset))
     matrix.setflags(write=False)
     return codes, matrix, freeze(np.einsum("ij,ij->j", matrix, matrix))
 

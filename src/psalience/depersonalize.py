@@ -57,7 +57,11 @@ class LimitSpec(Frozen):
         if mode == "order_limit":
             if k_dagger is None:
                 raise ArgumentError("order_limit needs k_dagger")
+            if zero_subsets is not None:
+                raise ArgumentError("order_limit zeroes by order and takes no zero_subsets")
         elif mode == "selective":
+            if k_dagger is not None:
+                raise ArgumentError("selective mode zeroes listed subsets and takes no k_dagger")
             if not zero_subsets:
                 raise ArgumentError("selective mode needs at least one subset to zero")
             zero_subsets = tuple(tuple(int(i) for i in s) for s in zero_subsets)
@@ -65,11 +69,7 @@ class LimitSpec(Frozen):
                 raise ArgumentError("cannot zero the constant term")
         else:
             raise ArgumentError(f"unknown mode {mode!r}")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "k_dagger", k_dagger)
-        object.__setattr__(self, "zero_subsets", zero_subsets)
-        object.__setattr__(self, "renormalize", renormalize)
-        object.__setattr__(self, "round_counts", round_counts)
+        super().__init__(mode, k_dagger, zero_subsets, renormalize, round_counts)
 
 
 class AuditEntry(NamedTuple):
@@ -101,10 +101,7 @@ class ReleaseAudit(Frozen):
         total_drift: float,
         violations: tuple[SubsetKey, ...] = (),
     ):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "zeroed_blocks", zeroed_blocks)
-        object.__setattr__(self, "total_drift", total_drift)
-        object.__setattr__(self, "violations", violations)
+        super().__init__(entries, zeroed_blocks, total_drift, violations)
 
 
 def upward_closure(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[SubsetKey, ...]:
@@ -198,7 +195,9 @@ def interaction_limit(table: ContingencyTable, spec: LimitSpec) -> tuple[Conting
     if spec.mode != "order_limit":
         raise ArgumentError("interaction_limit needs an order_limit spec")
     n = table.schema.n_attributes
-    k_dagger = int(spec.k_dagger)
+    k_dagger = spec.k_dagger
+    if isinstance(k_dagger, bool) or not isinstance(k_dagger, (int, np.integer)):
+        raise ArgumentError(f"maximum interaction order k_dagger must be an integer, got {k_dagger!r}")
     if not 1 <= k_dagger <= n:
         raise ArgumentError(f"maximum interaction order k_dagger {k_dagger} out of range [1, {n}]")
     return _apply_zeroing(table, subset_sizes(n) > k_dagger, spec)

@@ -2,6 +2,8 @@
 
 Schema file:    {"attributes": [{"name": ..., "levels": [...]}, ...]}
                 with at most MAX_CELLS = 2**24 cells (M**N), checked on load.
+                Names and labels are JSON strings or integers (read as
+                decimal strings) without surrounding whitespace.
 Table file:     {"schema": ..., "counts": [...], "n_total": ..., "adjusted": bool}
                 with counts in lexicographic cell order.
 Microdata CSV:  UTF-8 (a leading byte-order mark is dropped), header row
@@ -55,11 +57,27 @@ def schema_to_dict(schema: AttributeSchema) -> dict:
     }
 
 
+def _schema_text(value, what: str) -> str:
+    """A schema name or label as text: a JSON string, or an integer as its
+    decimal string.  Surrounding whitespace is refused, because the CSV
+    readers strip it from every header name and label before the lookup."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise SchemaError(f"{what} must be a JSON string or integer, got {value!r}")
+    text = str(value)
+    if text != text.strip():
+        raise SchemaError(f"{what} {text!r} has leading or trailing whitespace")
+    return text
+
+
 def schema_from_dict(payload: dict) -> AttributeSchema:
+    attributes = []
     try:
-        attributes = tuple(
-            (entry["name"], tuple(entry["levels"])) for entry in payload["attributes"]
-        )
+        for entry in payload["attributes"]:
+            name = _schema_text(entry["name"], "attribute name")
+            levels = entry["levels"]
+            if not isinstance(levels, list):
+                raise SchemaError(f"levels of attribute {name!r} must be a JSON array, got {levels!r}")
+            attributes.append((name, [_schema_text(v, f"level of attribute {name!r}") for v in levels]))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed schema object: {exc}") from exc
     schema = AttributeSchema(attributes)

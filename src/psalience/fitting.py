@@ -45,9 +45,7 @@ class ProjectionResult(Frozen):
     __slots__ = ("subset", "chi", "magnitude")
 
     def __init__(self, subset: SubsetKey, chi, magnitude: float):
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "chi", freeze(chi))
-        object.__setattr__(self, "magnitude", magnitude)
+        super().__init__(subset, freeze(chi), magnitude)
 
 
 def _axis_picks(subset: SubsetKey, n: int) -> tuple[slice, ...]:

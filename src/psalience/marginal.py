@@ -39,10 +39,7 @@ class ConditionalSubtable(Frozen):
     def __init__(self, subset: SubsetKey, conditioning_values: tuple[int, ...], counts, cell_ranks):
         ranks = np.array(cell_ranks, dtype=int, copy=True)
         ranks.setflags(write=False)
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "conditioning_values", conditioning_values)
-        object.__setattr__(self, "counts", freeze(counts))
-        object.__setattr__(self, "cell_ranks", ranks)
+        super().__init__(subset, conditioning_values, freeze(counts), ranks)
 
 
 class GeoMeanTable(Frozen):
@@ -51,9 +48,7 @@ class GeoMeanTable(Frozen):
     __slots__ = ("subset", "counts", "log_values")
 
     def __init__(self, subset: SubsetKey, counts, log_values):
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "counts", freeze(counts))
-        object.__setattr__(self, "log_values", freeze(log_values))
+        super().__init__(subset, freeze(counts), freeze(log_values))
 
 
 def complement_attributes(subset: SubsetKey, n_attributes: int) -> SubsetKey:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import check_subset, subspace_basis
+from .basis import _subset_kron, check_subset, level_contrasts
 from .errors import ArgumentError
 from .table import AttributeSchema, ContingencyTable, zero_adjust
 
@@ -39,8 +39,9 @@ def planted_interaction_table(
         raise ArgumentError("plant a non-empty subset")
     if strength <= 0:
         raise ArgumentError("strength must be positive")
-    basis = subspace_basis(members, schema)
-    column = basis.matrix[:, 0] / np.sqrt(basis.norms_sq[0])
+    n, m = schema.n_attributes, schema.n_levels
+    column = _subset_kron(n, m, members, [level_contrasts(m)[:, :1]] * len(members)).ravel()
+    column = column / np.sqrt(column @ column)
     logs = strength * column
     logs = logs - logs.min()
     counts = np.exp(logs)

@@ -71,18 +71,29 @@ def freeze(array) -> np.ndarray:
 class Frozen:
     """Base of the records that validate their fields.
 
-    A subclass lists its fields in ``__slots__`` and sets each once in its
-    ``__init__`` through ``object.__setattr__``; afterwards assigning or
+    A subclass lists its fields in ``__slots__`` in ``__init__`` parameter
+    order; its ``__init__`` converts and checks them, then hands them to
+    ``Frozen.__init__``, which sets each once.  Afterwards assigning or
     deleting any attribute raises ``AttributeError``.  Equality, hash, repr
-    and pickling go over the fields in ``__slots__`` order, which is also the
-    order of the ``__init__`` parameters.  A slot whose name starts with an
+    and pickling go over these ``_fields``.  A slot whose name starts with an
     underscore caches something derived from the fields and is no field.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} has {len(self._fields)} fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
@@ -99,7 +110,7 @@ class Frozen:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        fields = (f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({', '.join(fields)})"
 
     def __reduce__(self):
@@ -120,8 +131,7 @@ class AttributeSchema(Frozen):
             (str(name), tuple(str(level) for level in levels))
             for name, levels in attributes
         )
-        object.__setattr__(self, "attributes", normal)
-        object.__setattr__(self, "_maps", None)
+        super().__init__(normal)
         if not normal:
             raise SchemaError("schema must declare at least one attribute")
         names = [name for name, _ in normal]
@@ -162,10 +172,11 @@ class AttributeSchema(Frozen):
     @property
     def _level_maps(self) -> tuple[dict, ...]:
         """One label -> level-index map per schema position, built on first use."""
-        if self._maps is None:
+        maps = getattr(self, "_maps", None)
+        if maps is None:
             maps = tuple({label: i for i, label in enumerate(levels)} for _, levels in self.attributes)
             object.__setattr__(self, "_maps", maps)
-        return self._maps
+        return maps
 
 
 def generic_schema(n: int, m: int) -> AttributeSchema:
@@ -189,10 +200,7 @@ class ContingencyTable(Frozen):
     def __init__(self, schema: AttributeSchema, counts, n_total: float, adjusted: bool = False):
         counts = freeze(counts)
         n_total = float(n_total)
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n_total", n_total)
-        object.__setattr__(self, "adjusted", adjusted)
+        super().__init__(schema, counts, n_total, adjusted)
         if counts.ndim != 1 or counts.size != schema.n_cells:
             raise ShapeError(
                 f"expected {schema.n_cells} counts, got shape {counts.shape}"
@@ -220,8 +228,7 @@ class LogTable(Frozen):
 
     def __init__(self, schema: AttributeSchema, values):
         values = freeze(values)
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "values", values)
+        super().__init__(schema, values)
         if values.ndim != 1 or values.size != schema.n_cells:
             raise ShapeError(
                 f"expected {schema.n_cells} log values, got shape {values.shape}"

@@ -143,6 +143,23 @@ def test_tabulate_refuses_oversized_schema_before_reading(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tabulate_refuses_a_padded_schema_label(tmp_path, capsys):
+    """The CSV readers strip labels, so a padded schema label could never match;
+    integer labels still read as their decimal strings."""
+    def tabulate(levels, row):
+        fileio.atomic_write_json(tmp_path / "schema.json", {"attributes": [
+            {"name": "a", "levels": levels}, {"name": "b", "levels": ["u", "v"]}]})
+        (tmp_path / "micro.csv").write_text("a,b\n" + f"{row}\n" * 5, encoding="utf-8")
+        return main(["tabulate", "--schema", str(tmp_path / "schema.json"),
+                     "--input", str(tmp_path / "micro.csv"), "--out", str(tmp_path / "t.json")])
+
+    assert tabulate([" x", "y"], " x,u") == 3
+    assert "level of attribute 'a' ' x' has leading or trailing whitespace" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+    assert tabulate([0, 1], "0,u") == 0
+    assert fileio.load_table(tmp_path / "t.json").schema.attributes == (("a", ("0", "1")), ("b", ("u", "v")))
+
+
 def test_schema_cell_limit_is_inclusive():
     def schema(n):
         return {"attributes": [{"name": f"f{i}", "levels": ["a", "b"]} for i in range(n)]}

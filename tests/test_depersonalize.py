@@ -106,6 +106,15 @@ def test_k_dagger_out_of_range(rng, schema32):
             ps.interaction_limit(table, order_spec(bad))
 
 
+@pytest.mark.parametrize("bad", [2.7, True, "2"])
+def test_k_dagger_must_be_an_integer(rng, schema32, bad):
+    table = random_adjusted_table(schema32, rng)
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        ps.interaction_limit(table, order_spec(bad))
+    numpy_k, int_k = (ps.interaction_limit(table, order_spec(k))[1] for k in (np.int64(2), 2))
+    assert numpy_k == int_k
+
+
 def test_requires_adjusted_table(schema22):
     raw = ps.ContingencyTable(schema22, [5, 1, 1, 1], 8)
     with pytest.raises(StateError):
@@ -195,6 +204,12 @@ def test_spec_validation():
         ps.LimitSpec("selective", zero_subsets=((),))
     with pytest.raises(ArgumentError):
         ps.LimitSpec("unknown", k_dagger=1)
+    for zero_subsets in ([(1, 0)], ()):  # a mode refuses the other mode's field
+        with pytest.raises(ArgumentError, match="takes no zero_subsets"):
+            ps.LimitSpec("order_limit", k_dagger=2, zero_subsets=zero_subsets)
+    for k_dagger in (1, 0):
+        with pytest.raises(ArgumentError, match="takes no k_dagger"):
+            ps.LimitSpec("selective", k_dagger=k_dagger, zero_subsets=[(1, 0)])
 
 
 # ----------------------------------------------------------------- audit

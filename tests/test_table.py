@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -336,6 +337,21 @@ def test_schema_equality_and_hash_survive_json(schema33):
     assert repr(loaded) == f"AttributeSchema(attributes={schema33.attributes!r})"
 
 
+def test_frozen_sets_its_fields_in_slot_order_and_counts_them():
+    from psalience.table import Frozen
+
+    class Pair(Frozen):
+        __slots__ = ("left", "right", "_cache")
+
+    pair = Pair(1, "b")
+    assert Pair._fields == ("left", "right")
+    assert (pair.left, pair.right) == (1, "b")
+    assert repr(pair) == "Pair(left=1, right='b')" and pair == Pair(1, "b") != Pair(1, "c")
+    for values in ((1,), (1, "b", None)):
+        with pytest.raises(TypeError, match="Pair has 2 fields"):
+            Pair(*values)
+
+
 def test_records_survive_pickling(schema22):
     table = ps.ContingencyTable(schema22, [1, 2, 3, 4], 10, adjusted=True)
     copy = pickle.loads(pickle.dumps(table))
@@ -343,3 +359,33 @@ def test_records_survive_pickling(schema22):
     assert np.array_equal(copy.counts, table.counts) and not copy.counts.flags.writeable
     spec = ps.LimitSpec("order_limit", k_dagger=2, round_counts=True)
     assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+# ---------------------------------------------------------- schema files
+
+def _schema_file(*attributes):
+    return {"attributes": [{"name": name, "levels": levels} for name, levels in attributes]}
+
+
+@pytest.mark.parametrize("attributes, message", [
+    ((("a", [" x", "y"]), ("b", ["u", "v"])), "level of attribute 'a' ' x' has leading or trailing"),
+    ((("a", ["x", "y "]), ("b", ["u", "v"])), "level of attribute 'a' 'y ' has leading or trailing"),
+    ((("a", ["x", "y"]), (" b", ["u", "v"])), "attribute name ' b' has leading or trailing"),
+    ((("a", "xy"), ("b", ["u", "v"])), "levels of attribute 'a' must be a JSON array, got 'xy'"),
+    ((("a", {"x": 1, "y": 2}), ("b", ["u", "v"])), "levels of attribute 'a' must be a JSON array"),
+    ((("a", ["x", "y"]), (None, ["u", "v"])), "attribute name must be a JSON string or integer, got None"),
+    ((("a", ["x", "y"]), (True, ["u", "v"])), "attribute name must be a JSON string or integer, got True"),
+    ((("a", [True, False]), ("b", ["u", "v"])), "level of attribute 'a' must be a JSON string or integer"),
+    ((("a", ["x", None]), ("b", ["u", "v"])), "level of attribute 'a' must be a JSON string or integer"),
+    ((("a", ["x", 1.5]), ("b", ["u", "v"])), "level of attribute 'a' must be a JSON string or integer"),
+])
+def test_schema_file_refuses_misread_names_and_labels(attributes, message):
+    from psalience import fileio
+
+    payload = json.loads(json.dumps(_schema_file(*attributes)))
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        fileio.schema_from_dict(payload)
+    table = {"schema": payload, "counts": [1, 1, 1, 1], "n_total": 4, "adjusted": True}
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        fileio.table_from_dict(table)
+
