@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ArgumentError, SizeGuardError
-from .table import AttributeSchema, Frozen, freeze, generic_schema
+from .table import AttributeSchema, Frozen, _read_int, freeze, generic_schema
 
 SubsetKey = tuple[int, ...]
 """Attribute indices in strictly decreasing order; ``()`` is the constant term."""
@@ -46,7 +46,7 @@ GRAM_SCHMIDT_CELL_LIMIT = 4096
 
 def check_subset(subset: Sequence[int], n_attributes: int) -> SubsetKey:
     """Validate and normalise a subset key (strictly decreasing, in range)."""
-    members = tuple(int(i) for i in subset)
+    members = tuple(_read_int(i, "attribute index") for i in subset)
     for i in members:
         if not 0 <= i < n_attributes:
             raise ArgumentError(f"attribute index {i} out of range [0, {n_attributes})")

@@ -31,7 +31,7 @@ from .basis import SubsetKey, check_subset, marked_subsets, subset_index, subset
 from .errors import ArgumentError, ShapeError, StateError
 from .fitting import _zero_blocks
 from .salience import subset_salience
-from .table import ADJUSTED_MIN, ContingencyTable, Frozen, LogTable, log_transform
+from .table import ADJUSTED_MIN, ContingencyTable, Frozen, LogTable, _read_int, log_transform
 
 PSI_DRIFT_TOL = 1e-9
 ROUND_TIE_TOL = 1e-9
@@ -59,16 +59,25 @@ class LimitSpec(Frozen):
                 raise ArgumentError("order_limit needs k_dagger")
             if zero_subsets is not None:
                 raise ArgumentError("order_limit zeroes by order and takes no zero_subsets")
+            k_dagger = _read_int(k_dagger, "maximum interaction order k_dagger")
         elif mode == "selective":
             if k_dagger is not None:
                 raise ArgumentError("selective mode zeroes listed subsets and takes no k_dagger")
             if not zero_subsets:
                 raise ArgumentError("selective mode needs at least one subset to zero")
-            zero_subsets = tuple(tuple(int(i) for i in s) for s in zero_subsets)
+            try:
+                zero_subsets = tuple(tuple(_read_int(i, "attribute index") for i in s) for s in zero_subsets)
+            except TypeError:  # _read_int raises ArgumentError, so only a non-iterable lands here
+                raise ArgumentError(
+                    f"zero_subsets must be a sequence of attribute-index sequences, got {zero_subsets!r}"
+                ) from None
             if any(len(s) == 0 for s in zero_subsets):
                 raise ArgumentError("cannot zero the constant term")
         else:
             raise ArgumentError(f"unknown mode {mode!r}")
+        for name, flag in (("renormalize", renormalize), ("round_counts", round_counts)):
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ArgumentError(f"{name} must be a boolean, got {flag!r}")
         super().__init__(mode, k_dagger, zero_subsets, renormalize, round_counts)
 
 
@@ -196,8 +205,6 @@ def interaction_limit(table: ContingencyTable, spec: LimitSpec) -> tuple[Conting
         raise ArgumentError("interaction_limit needs an order_limit spec")
     n = table.schema.n_attributes
     k_dagger = spec.k_dagger
-    if isinstance(k_dagger, bool) or not isinstance(k_dagger, (int, np.integer)):
-        raise ArgumentError(f"maximum interaction order k_dagger must be an integer, got {k_dagger!r}")
     if not 1 <= k_dagger <= n:
         raise ArgumentError(f"maximum interaction order k_dagger {k_dagger} out of range [1, {n}]")
     return _apply_zeroing(table, subset_sizes(n) > k_dagger, spec)
@@ -229,8 +236,10 @@ def audit(
     if original.schema != released.schema:
         raise ShapeError("audit needs two tables over the same schema")
     n = original.schema.n_attributes
-    if k is not None and not 1 <= k <= n:
-        raise ArgumentError(f"subset size {k} out of range [1, {n}]")
+    if k is not None:
+        k = _read_int(k, "subset size k")
+        if not 1 <= k <= n:
+            raise ArgumentError(f"subset size {k} out of range [1, {n}]")
     above = _zero_set(zeroed_blocks, n) if zeroed_blocks else None
     return _audit_log_values(
         LogTable(original.schema, np.log(np.maximum(original.counts, np.finfo(float).tiny))),

@@ -35,7 +35,7 @@ from .basis import SubsetKey, check_subset, marked_subsets, subset_sizes, subset
 from .errors import ArgumentError, DomainError
 from .fitting import centred_norm, row_norms, subset_energies
 from .marginal import complement_attributes, geometric_mean_subtable
-from .table import ADJUSTED_MIN, ContingencyTable, LogTable, log_transform
+from .table import ADJUSTED_MIN, ContingencyTable, LogTable, _read_int, log_transform
 
 
 class SalienceValue(NamedTuple):
@@ -123,6 +123,7 @@ def scan(table: ContingencyTable, k: int, workers: int | None = None) -> Salienc
     ``workers`` is kept for compatibility and changes nothing.
     """
     n = table.schema.n_attributes
+    k = _read_int(k, "subset size k")
     if not 1 <= k < n:
         raise ArgumentError(f"subset size {k} out of range [1, {n - 1}]")
     index, subsets = marked_subsets(subset_sizes(n) == k)

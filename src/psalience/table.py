@@ -23,19 +23,21 @@ Conventions used throughout the package:
   entries to 1, so every log is finite and non-negative.
 
 All types here are immutable after construction and all operations are
-pure functions, so values can be shared freely between workers.  Records
-that validate their fields derive from :class:`Frozen`; plain records are
-``typing.NamedTuple`` classes.  Neither generates code when its module is
-imported, which every CLI command would pay for.
+pure functions.  Records that validate their fields derive from
+:class:`Frozen`; plain records are ``typing.NamedTuple`` classes.
+Neither generates code when its module is imported, which every CLI
+command would pay for.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     DegeneratePopulationError,
     DomainError,
     EmptyInputError,
@@ -66,6 +68,17 @@ def freeze(array) -> np.ndarray:
     out = np.array(array, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _read_int(value, name: str) -> int:
+    """``value`` as a Python int.  Python and numpy integers pass; a bool, a float or
+    anything else without ``__index__`` raises :class:`ArgumentError` naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 class Frozen:
@@ -104,7 +117,11 @@ class Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        # an array field compares as a whole; its elementwise ``==`` has no truth value
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._values(), other._values())
+        )
 
     def __hash__(self):
         return hash(self._values())

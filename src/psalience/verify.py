@@ -16,16 +16,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import all_subsets, enumerate_subsets, full_basis, gram_schmidt_oracle
+from .basis import enumerate_subsets, full_basis, gram_schmidt_oracle
 from .errors import ArgumentError
-from .fitting import fit_beta, project_subset, reconstruct
+from .fitting import fit_beta, reconstruct, subset_energies
 from .marginal import gm_projection_identity, gm_projection_total_identity
 from .salience import hypercube_psi, psi
 from .synthetic import random_adjusted_table
 from .table import generic_schema, log_transform
 
 CELL_LIMIT = 4096
-_FULL_GRAM_LIMIT = 1024    # dense all-columns gram matrix above this streams blocks
+_GRAM_BAND = 256           # columns per Gram product: 8 MiB of products at the cell limit
 _GS_SUITE_LIMIT = 256      # the literal Gram-Schmidt reference is cubic; cap it
 
 ORTHO_TOL = 1e-9
@@ -66,37 +66,27 @@ class VerificationReport(NamedTuple):
         return out
 
 
-def _suite_orthogonality(schema, bases, rng, perturb):
-    blocks = []
-    for basis in bases:
-        blocks.append(basis.matrix / np.sqrt(basis.norms_sq))
-    if perturb:
-        first = blocks[1].copy()
-        first[:, 0] = first[:, 0] + 1e-6
-        blocks[1] = first
+def _suite_orthogonality(schema, bases, perturb):
+    # row j holds normalised column j, so a band of columns is a contiguous block
+    # of rows; each band meets the columns from its own start onward, which
+    # compares every column pair once
     m_t = schema.n_cells
+    columns = np.empty((m_t, m_t))
+    start = 0
+    for basis in bases:
+        stop = start + basis.dimension
+        np.divide(basis.matrix.T, np.sqrt(basis.norms_sq)[:, None], out=columns[start:stop])
+        start = stop
+    if perturb:
+        columns[1] += 1e-6
     worst = 0.0
-    if m_t <= _FULL_GRAM_LIMIT:
-        checked = len(blocks) * (len(blocks) + 1) // 2
-        stacked = np.hstack(blocks)
-        gram = stacked.T @ stacked
-        worst = float(np.abs(gram - np.eye(gram.shape[0])).max())
-    else:
-        # stream block pairs to avoid a cells-squared allocation; every block is
-        # also checked against itself and the constant term, which a sample can miss
-        pairs = list(itertools.combinations_with_replacement(range(len(blocks)), 2))
-        if len(pairs) > 400:
-            chosen = rng.choice(len(pairs), size=400, replace=False)
-            pairs = sorted({pairs[i] for i in chosen}
-                           | {(0, i) for i in range(len(blocks))}
-                           | {(i, i) for i in range(len(blocks))})
-        checked = len(pairs)
-        for i, j in pairs:
-            gram = blocks[i].T @ blocks[j]
-            if i == j:
-                gram = gram - np.eye(gram.shape[0])
-            worst = max(worst, float(np.abs(gram).max()))
+    for band in range(0, m_t, _GRAM_BAND):
+        rows = columns[band:band + _GRAM_BAND]
+        gram = rows @ columns[band:].T
+        gram[:, :len(rows)] -= np.eye(len(rows))
+        worst = max(worst, float(np.abs(gram).max()))
     passed = worst < ORTHO_TOL
+    checked = len(bases) * (len(bases) + 1) // 2
     return SuiteResult(
         "orthogonality", passed, checked, f"max normalised off-diagonal dot {worst:.3e}",
         {"max_offdiagonal": worst},
@@ -127,9 +117,7 @@ def _suite_expansion(schema, rng, trials):
         log_table = log_transform(table)
         rebuilt = reconstruct(fit_beta(log_table), schema)
         worst_rt = max(worst_rt, float(np.abs(rebuilt.values - log_table.values).max()))
-        total = sum(
-            project_subset(log_table, s).magnitude ** 2 for s in all_subsets(schema.n_attributes)
-        )
+        total = float(subset_energies(log_table).sum())
         norm_sq = float(log_table.values @ log_table.values)
         worst_parseval = max(worst_parseval, abs(total - norm_sq) / max(norm_sq, 1e-12))
     passed = worst_rt < IDENTITY_TOL and worst_parseval < IDENTITY_TOL
@@ -258,7 +246,7 @@ def run_verification(
     bases = full_basis(schema)
     rng = np.random.default_rng(seed)
     suites = (
-        _suite_orthogonality(schema, bases, rng, perturb),
+        _suite_orthogonality(schema, bases, perturb),
         _suite_dimensions(schema, bases),
         _suite_expansion(schema, rng, trials),
         _suite_gm_identity(schema, rng, max(1, trials // 4)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import psalience as ps
-from psalience.basis import marked_subsets, subset_index, subset_sizes
+from psalience.basis import check_subset, marked_subsets, subset_index, subset_sizes
 from psalience.errors import ArgumentError, SizeGuardError
 
 from oracles import (
@@ -66,6 +66,14 @@ def test_subset_validation(schema32):
         ps.subspace_basis((3,), schema32)  # out of range
     with pytest.raises(ArgumentError):
         ps.subspace_basis((1, 1), schema32)  # duplicate
+
+
+@pytest.mark.parametrize("subset", [(1.7, 0.2), (1, 0.0), (True, 0), ("1", 0)])
+def test_check_subset_refuses_members_that_are_not_integers(subset):
+    with pytest.raises(ArgumentError, match="attribute index must be an integer"):
+        check_subset(subset, 3)
+    members = check_subset((np.int64(2), np.uint8(0)), 3)
+    assert members == (2, 0) and all(type(i) is int for i in members)
 
 
 # ------------------------------------------------------------ raw columns

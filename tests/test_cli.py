@@ -650,13 +650,46 @@ def test_verify_perturbation_self_test(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_perturbation_fails_when_block_pairs_are_sampled():
-    # 2187 cells: above the dense gram limit, so orthogonality streams block pairs
+def test_verify_perturbation_fails_across_gram_bands():
+    # 2187 cells: the Gram products run over several column bands
     perturbed = ps.run_verification(7, 3, trials=1, perturb=True)
     orthogonality = next(s for s in perturbed.suites if s.name == "orthogonality")
     assert not perturbed.passed
     assert orthogonality.data["max_offdiagonal"] > 1e-6
     assert ps.run_verification(7, 3, trials=1).passed
+
+
+@pytest.mark.parametrize("n, m", [(6, 4), (11, 2)])
+def test_verify_fails_one_corrupted_pair_of_non_constant_blocks(monkeypatch, n, m):
+    def corrupted(schema):
+        bases = ps.full_basis(schema)
+        # tilt one column of the last block towards the block before it: only
+        # that pair of blocks stops being orthogonal
+        tilted = bases[-1].matrix.copy()
+        tilted[:, 0] += 1e-6 * bases[-2].matrix[:, 0]
+        bases[-1] = bases[-1]._replace(matrix=tilted)
+        return bases
+
+    monkeypatch.setattr(ps.verify, "full_basis", corrupted)
+    report = ps.run_verification(n, m, trials=1)
+    orthogonality = next(s for s in report.suites if s.name == "orthogonality")
+    assert not report.passed and not orthogonality.passed
+    assert orthogonality.data["max_offdiagonal"] > 1e-7
+    blocks = 2 ** n
+    assert orthogonality.checked == blocks * (blocks + 1) // 2
+
+
+def test_verify_expansion_checks_the_energy_spectrum(monkeypatch):
+    def skewed(log_table):
+        energies = ps.fitting.subset_energies(log_table)
+        energies[-1] *= 1.001
+        return energies
+
+    monkeypatch.setattr(ps.verify, "subset_energies", skewed)
+    report = ps.run_verification(3, 2, trials=2)
+    expansion = next(s for s in report.suites if s.name == "expansion")
+    assert not report.passed and not expansion.passed
+    assert expansion.data["parseval"] > 1e-6 and expansion.data["round_trip"] < 1e-9
 
 
 def test_verify_size_guard():

@@ -212,6 +212,31 @@ def test_spec_validation():
             ps.LimitSpec("selective", k_dagger=k_dagger, zero_subsets=[(1, 0)])
 
 
+@pytest.mark.parametrize("zero_subsets, message", [
+    ([1, 0], "zero_subsets must be a sequence of attribute-index sequences"),
+    (5, "zero_subsets must be a sequence of attribute-index sequences"),
+    ([(1.7, 0)], "attribute index must be an integer, got 1.7"),
+    ([(True, 0)], "attribute index must be an integer, got True"),
+])
+def test_spec_reads_zero_subsets_strictly(zero_subsets, message):
+    with pytest.raises(ArgumentError, match=message):
+        ps.LimitSpec("selective", zero_subsets=zero_subsets)
+
+
+def test_spec_reads_integers_once():
+    spec = ps.LimitSpec("selective", zero_subsets=[np.array([2, 1])])
+    assert spec.zero_subsets == ((2, 1),) and type(spec.zero_subsets[0][0]) is int
+    assert type(order_spec(np.int64(2)).k_dagger) is int
+
+
+@pytest.mark.parametrize("flag", ["renormalize", "round_counts"])
+@pytest.mark.parametrize("bad", ["false", 0, 1, None])
+def test_spec_flags_must_be_booleans(flag, bad):
+    with pytest.raises(ArgumentError, match=f"{flag} must be a boolean, got {bad!r}"):
+        order_spec(2, **{flag: bad})
+    assert order_spec(2, **{flag: np.True_}) == order_spec(2, **{flag: True})
+
+
 # ----------------------------------------------------------------- audit
 
 def test_audit_of_identical_tables(rng, schema33):
@@ -361,6 +386,14 @@ def test_releases_match_the_coefficient_dict_oracle(n, m):
 def test_audit_requires_matching_schema(rng, schema32, schema33):
     with pytest.raises(ps.ShapeError):
         ps.audit(random_adjusted_table(schema32, rng), random_adjusted_table(schema33, rng))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_audit_size_must_be_an_integer(rng, schema33, bad):
+    table = random_adjusted_table(schema33, rng)
+    with pytest.raises(ArgumentError, match="subset size k must be an integer"):
+        ps.audit(table, table, k=bad)
+    assert ps.audit(table, table, k=np.int64(2)) == ps.audit(table, table, k=2)
 
 
 # -------------------------------------------------------------- rounding

@@ -181,6 +181,14 @@ def test_scan_k_out_of_range(schema32, rng):
             ps.scan(table, k)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+def test_scan_size_must_be_an_integer(schema32, rng, bad):
+    table = random_adjusted_table(schema32, rng)
+    with pytest.raises(ArgumentError, match="subset size k must be an integer"):
+        ps.scan(table, bad)
+    assert ps.scan(table, np.int64(1)) == ps.scan(table, 1)
+
+
 def test_scan_tie_break_is_deterministic(schema33):
     table = adjusted(schema33, np.full(27, 5.0))
     first = ps.scan(table, 1)

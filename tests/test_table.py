@@ -20,6 +20,7 @@ from psalience.errors import (
     ShapeError,
     StateError,
 )
+from psalience.table import Frozen
 
 
 # ---------------------------------------------------------------- schema
@@ -326,6 +327,26 @@ def test_record_fields_cannot_be_assigned_or_deleted(name):
         record.unknown_field = None
 
 
+def _array_field(record) -> int | None:
+    return next((i for i, v in enumerate(record._values()) if isinstance(v, np.ndarray)), None)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, record in _records().items()
+    if isinstance(record, Frozen) and _array_field(record) is not None
+))
+def test_frozen_records_compare_array_fields_whole(name):
+    record = _records()[name]
+    assert pickle.loads(pickle.dumps(record)) == record
+    values = list(record._values())
+    values[_array_field(record)] = values[_array_field(record)] + 1.0
+    other = object.__new__(type(record))
+    Frozen.__init__(other, *values)
+    assert other != record
+    with pytest.raises(TypeError):
+        hash(record)
+
+
 def test_schema_equality_and_hash_survive_json(schema33):
     from psalience import fileio
 
@@ -338,8 +359,6 @@ def test_schema_equality_and_hash_survive_json(schema33):
 
 
 def test_frozen_sets_its_fields_in_slot_order_and_counts_them():
-    from psalience.table import Frozen
-
     class Pair(Frozen):
         __slots__ = ("left", "right", "_cache")
 
@@ -357,6 +376,7 @@ def test_records_survive_pickling(schema22):
     copy = pickle.loads(pickle.dumps(table))
     assert copy.schema == schema22 and copy.adjusted and copy.n_total == 10.0
     assert np.array_equal(copy.counts, table.counts) and not copy.counts.flags.writeable
+    assert copy == table
     spec = ps.LimitSpec("order_limit", k_dagger=2, round_counts=True)
     assert pickle.loads(pickle.dumps(spec)) == spec
 
