@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ArgumentError, SizeGuardError
-from .table import AttributeSchema, Frozen, _read_int, freeze, generic_schema
+from .table import AttributeSchema, Frozen, _read_int, freeze, generic_schema, record_eq, record_ne
 
 SubsetKey = tuple[int, ...]
 """Attribute indices in strictly decreasing order; ``()`` is the constant term."""
@@ -218,6 +218,9 @@ class SubspaceBasis(NamedTuple):
     codes: tuple[tuple[int, ...], ...]
     matrix: np.ndarray
     norms_sq: np.ndarray
+
+    __eq__ = record_eq
+    __ne__ = record_ne
 
     @property
     def dimension(self) -> int:

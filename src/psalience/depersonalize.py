@@ -63,14 +63,15 @@ class LimitSpec(Frozen):
         elif mode == "selective":
             if k_dagger is not None:
                 raise ArgumentError("selective mode zeroes listed subsets and takes no k_dagger")
-            if not zero_subsets:
-                raise ArgumentError("selective mode needs at least one subset to zero")
             try:
-                zero_subsets = tuple(tuple(_read_int(i, "attribute index") for i in s) for s in zero_subsets)
+                subsets = () if zero_subsets is None else zero_subsets
+                zero_subsets = tuple(tuple(_read_int(i, "attribute index") for i in s) for s in subsets)
             except TypeError:  # _read_int raises ArgumentError, so only a non-iterable lands here
                 raise ArgumentError(
                     f"zero_subsets must be a sequence of attribute-index sequences, got {zero_subsets!r}"
                 ) from None
+            if not zero_subsets:
+                raise ArgumentError("selective mode needs at least one subset to zero")
             if any(len(s) == 0 for s in zero_subsets):
                 raise ArgumentError("cannot zero the constant term")
         else:
@@ -240,7 +241,9 @@ def audit(
         k = _read_int(k, "subset size k")
         if not 1 <= k <= n:
             raise ArgumentError(f"subset size {k} out of range [1, {n}]")
-    above = _zero_set(zeroed_blocks, n) if zeroed_blocks else None
+    # an array's truth value is ambiguous, so emptiness is tested on a tuple
+    blocks = () if zeroed_blocks is None else tuple(zeroed_blocks)
+    above = _zero_set(blocks, n) if blocks else None
     return _audit_log_values(
         LogTable(original.schema, np.log(np.maximum(original.counts, np.finfo(float).tiny))),
         LogTable(original.schema, np.log(np.maximum(released.counts, np.finfo(float).tiny))),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import SubsetKey, all_subsets, check_subset, level_factor
 from .errors import ShapeError
-from .table import AttributeSchema, Frozen, LogTable, freeze
+from .table import AttributeSchema, Frozen, LogTable, freeze, record_eq, record_ne
 
 
 class BetaVector(NamedTuple):
@@ -33,6 +33,9 @@ class BetaVector(NamedTuple):
     blocks: Mapping[SubsetKey, np.ndarray]
     n_attributes: int
     n_levels: int
+
+    __eq__ = record_eq
+    __ne__ = record_ne
 
     @property
     def total_coefficients(self) -> int:

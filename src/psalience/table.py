@@ -81,6 +81,29 @@ def _read_int(value, name: str) -> int:
     raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
+def _same_field(a, b) -> bool:
+    """Field equality: an array compares as a whole, since its elementwise ``==``
+    has no truth value, and a dict (of arrays, say) key by key."""
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same_field(a[k], b[k]) for k in a)
+    return a == b
+
+
+def record_eq(self, other):
+    """``==`` of a ``NamedTuple`` record with array fields: same class, every field the same."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(map(_same_field, self, other))
+
+
+def record_ne(self, other):
+    """``!=`` to match :func:`record_eq`; a tuple's own ``!=`` would compare arrays elementwise."""
+    equal = record_eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
 class Frozen:
     """Base of the records that validate their fields.
 
@@ -117,11 +140,7 @@ class Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # an array field compares as a whole; its elementwise ``==`` has no truth value
-        return all(
-            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            for a, b in zip(self._values(), other._values())
-        )
+        return all(map(_same_field, self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

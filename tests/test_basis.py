@@ -176,6 +176,16 @@ def test_basis_columns_expose_metadata(schema33):
     assert np.allclose(columns[0].entries, basis.matrix[:, 0])
 
 
+def test_subspace_bases_compare_their_arrays_whole(schema33):
+    basis = ps.subspace_basis((1,), schema33)
+    assert basis == ps.subspace_basis((1,), schema33)
+    assert not basis != ps.subspace_basis((1,), schema33)
+    assert basis != ps.subspace_basis((2,), schema33)
+    assert basis != basis._replace(norms_sq=basis.norms_sq * 2.0)
+    with pytest.raises(TypeError):
+        hash(basis)
+
+
 def test_constant_subspace_is_normalised(schema22):
     basis = ps.subspace_basis((), schema22)
     assert basis.dimension == 1

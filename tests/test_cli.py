@@ -692,6 +692,27 @@ def test_verify_expansion_checks_the_energy_spectrum(monkeypatch):
     assert expansion.data["parseval"] > 1e-6 and expansion.data["round_trip"] < 1e-9
 
 
+@pytest.mark.parametrize("n, m", [(4, 2), (6, 3)])
+def test_verify_checks_the_salience_spectrum_of_every_subset(monkeypatch, n, m):
+    def skewed(log_table):
+        psi, chi, norm = ps.salience.subset_salience(log_table)
+        chi[-1] *= 1.001  # the last lattice entry: the subset of every attribute
+        return psi, chi, norm
+
+    monkeypatch.setattr(ps.verify, "subset_salience", skewed)
+    report = ps.run_verification(n, m, trials=4)
+    gm = next(s for s in report.suites if s.name == "gm-projection")
+    assert not report.passed and not gm.passed
+    assert gm.checked == 2 ** n - 1  # trials // 4 = 1 table, every non-empty subset
+    assert gm.data["worst_gap"] > 1e-4 and f"at {tuple(range(n - 1, -1, -1))}" in gm.detail
+
+
+def test_verify_checks_every_spike_radius():
+    report = ps.run_verification(6, 4, trials=1)
+    spikes = next(s for s in report.suites if s.name == "spike-salience")
+    assert spikes.passed and spikes.checked == 4 ** 6
+
+
 def test_verify_size_guard():
     code = main(["verify", "--n", "13", "--m", "2"])
     assert code == 2
@@ -736,12 +757,14 @@ def suite_status(out, name):
     return line.split()[1]
 
 
-def test_verify_marks_a_suite_with_no_subset_pairs_as_skip(capsys):
-    # one attribute has no proper subsets, so gm-projection compares nothing
+def test_verify_checks_the_single_attribute_at_n_1(capsys):
+    # one attribute is the one non-empty subset, so gm-projection checks it
     assert main(["verify", "--n", "1", "--m", "2", "--trials", "1"]) == 0
     out = capsys.readouterr().out
-    assert suite_status(out, "gm-projection") == "SKIP"
+    assert suite_status(out, "gm-projection") == "PASS"
     assert suite_status(out, "expansion") == "PASS"
+    report = ps.run_verification(1, 2, trials=4)
+    assert next(s for s in report.suites if s.name == "gm-projection").checked == 1
 
 
 def test_verify_marks_gram_schmidt_above_its_limit_as_skip(capsys):

@@ -229,6 +229,13 @@ def test_spec_reads_integers_once():
     assert type(order_spec(np.int64(2)).k_dagger) is int
 
 
+def test_spec_reads_an_integer_array_of_subsets():
+    spec = ps.LimitSpec("selective", zero_subsets=np.array([[1, 0]]))
+    assert spec == ps.LimitSpec("selective", zero_subsets=[(1, 0)])
+    with pytest.raises(ArgumentError, match="selective mode needs at least one subset to zero"):
+        ps.LimitSpec("selective", zero_subsets=np.zeros((0, 2), int))
+
+
 @pytest.mark.parametrize("flag", ["renormalize", "round_counts"])
 @pytest.mark.parametrize("bad", ["false", 0, 1, None])
 def test_spec_flags_must_be_booleans(flag, bad):
@@ -297,6 +304,14 @@ def test_audit_reports_the_closure_of_its_zero_set(rng):
     assert report.zeroed_blocks == tuple(e.subset for e in report.entries if e.contains_zeroed)
     assert ps.audit(table, released, k=2, zeroed_blocks=[(3, 1), (3, 1)]).zeroed_blocks == ((3, 1),)
     assert ps.audit(table, released).zeroed_blocks == ()
+
+
+def test_audit_reads_an_integer_array_zero_set(rng):
+    table = random_adjusted_table(ps.generic_schema(3, 2), rng)
+    released, _ = ps.interaction_limit(table, order_spec(1))
+    assert ps.audit(table, released, zeroed_blocks=np.array([[1, 0]])) == ps.audit(
+        table, released, zeroed_blocks=[(1, 0)])
+    assert ps.audit(table, released, zeroed_blocks=np.zeros((0, 2), int)) == ps.audit(table, released)
 
 
 def test_a_release_walks_the_subset_lattice_once(monkeypatch, rng):

@@ -156,6 +156,17 @@ def test_blocks_match_generated_columns(n, m, rng):
         assert np.all(np.abs(block - expected) <= 1e-12 * scale / np.sqrt(basis.norms_sq)), subset
 
 
+def test_beta_vectors_compare_their_blocks_whole(rng):
+    schema = ps.generic_schema(3, 3)
+    log_table = ps.log_transform(random_adjusted_table(schema, rng))
+    beta = ps.fit_beta(log_table)
+    assert beta == ps.fit_beta(log_table) and not beta != ps.fit_beta(log_table)
+    shifted = dict(beta.blocks)
+    shifted[(1, 0)] = shifted[(1, 0)] + 1.0
+    assert beta != beta._replace(blocks=shifted)
+    assert beta != ps.fit_beta(ps.log_transform(random_adjusted_table(schema, rng)))
+
+
 def test_expansion_never_builds_basis_columns(monkeypatch, rng):
     def refuse(*args):
         raise AssertionError("dense basis columns were built")
