@@ -4,6 +4,7 @@ Because the basis is orthogonal, fitting is a set of independent scaled
 inner products, reconstruction is exact, and the squared norm of the log
 table splits additively over the subspaces (an energy identity that makes
 "how much of this table is pairwise structure?" a well-posed question).
+The coefficients are one (M,)*N tensor; each subset's block is a slice of it.
 """
 
 import numpy as np
@@ -18,8 +19,14 @@ log_table = ps.log_transform(table)
 # Fit and reconstruct: an identity.
 beta = ps.fit_beta(log_table)
 rebuilt = ps.reconstruct(beta, schema)
-print("coefficients:", beta.total_coefficients)
+print("coefficient tensor:", beta.coef.shape, "=", beta.total_coefficients, "coefficients")
 print("round-trip error:", np.abs(rebuilt.values - log_table.values).max())
+
+# Blocks are views of the tensor: a subset takes the contrast column on its
+# own axes (index 1 here, since M = 2) and the constant column elsewhere.
+# Axis 0 is attribute N-1, so the block of (3, 1) is coef[1, 0, 1, 0].
+print("block (3, 1):", beta.blocks[(3, 1)], "=", beta.coef[1, 0, 1, 0])
+print("beta0:", beta.beta0, "blocks:", len(beta.blocks))
 
 # Energy split: |T|^2 equals the sum of squared projection magnitudes.
 norm_sq = float(log_table.values @ log_table.values)

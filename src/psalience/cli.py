@@ -5,9 +5,11 @@ Subcommands: ``tabulate`` (CSV microdata to adjusted table), ``scan``
 subset), ``depersonalize`` (interaction-limited release plus audit) and
 ``verify`` (structural self-checks).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (an
-``ArgumentError``, whether this module or the library raises it), 3 data
-error.  Given the same inputs and seed every command is deterministic.
+Exit codes: 0 success, 1 verification failure (a ``verify`` suite failed,
+or a release's audit found contract violations; the release is then not
+written), 2 usage error (an ``ArgumentError``, whether this module or the
+library raises it), 3 data error.  Given the same inputs and seed every
+command is deterministic.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-renormalize", action="store_true",
                    help="keep the raw reconstruction instead of rescaling to the original total")
     p.add_argument("--round-counts", action="store_true",
-                   help="round released counts to integers, preserving the total exactly")
+                   help="round released counts to integers, preserving the total exactly; "
+                   "totals above 2**53 are refused (exit 3)")
     p.add_argument("--out", required=True, help="released table JSON file; the audit "
                    "is written alongside with an .audit.json suffix")
     p.set_defaults(func=cmd_depersonalize)
@@ -201,13 +204,15 @@ def cmd_depersonalize(args) -> int:
                          renormalize=renormalize, round_counts=args.round_counts)
         released, audit = selective_zero(table, spec)
         mode = f"selective({len(seeds)} seeds)"
-    save_table(args.out, released)
     audit_path = Path(args.out).with_suffix(".audit.json")
     atomic_write_json(audit_path, audit_to_dict(audit, table.schema, mode))
+    if audit.violations:
+        print(f"error: {len(audit.violations)} subsets broke the salience contract; "
+              f"release not written, audit -> {audit_path}", file=sys.stderr)
+        return 1
+    save_table(args.out, released)
     print(f"depersonalize {mode}: zeroed {len(audit.zeroed_blocks)} blocks, "
           f"total drift {audit.total_drift:+.3e} -> {args.out}, {audit_path}")
-    if audit.violations:
-        print(f"  warning: {len(audit.violations)} subsets broke the salience contract")
     return 0
 
 

@@ -10,7 +10,8 @@ The release is exponentiated back to count space.  Optionally the counts
 are rescaled to the original population total (a uniform rescaling, i.e. a
 constant shift of the log table that only moves the constant coefficient)
 and rounded to integers with a largest-remainder correction so the total
-is preserved exactly.  Audits always compare salience on the
+is preserved exactly; totals above 2**53, which float64 cannot sum
+exactly, are refused.  Audits always compare salience on the
 un-rescaled, un-rounded reconstruction, isolating the effect of the
 zeroing itself; rounding necessarily perturbs the refitted
 coefficients a little, which is the price of an integer release.
@@ -28,13 +29,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .basis import SubsetKey, check_subset, marked_subsets, subset_index, subset_sizes, subset_sums
-from .errors import ArgumentError, ShapeError, StateError
+from .errors import ArgumentError, DomainError, ShapeError, StateError
 from .fitting import _zero_blocks
 from .salience import subset_salience
 from .table import ADJUSTED_MIN, ContingencyTable, Frozen, LogTable, _read_int, log_transform
 
 PSI_DRIFT_TOL = 1e-9
 ROUND_TIE_TOL = 1e-9
+MAX_ROUNDED_TOTAL = 2 ** 53
+"""Largest total ``round_counts`` keeps exactly: float64 holds every integer up to it."""
 
 
 class LimitSpec(Frozen):
@@ -148,10 +151,24 @@ def _round_preserving_total(values: np.ndarray, target: int) -> np.ndarray:
     return base
 
 
+def _rounded_total(total: float) -> int:
+    """``total`` rounded to the integer an integral release must sum to, refused above
+    :data:`MAX_ROUNDED_TOTAL`, where float64 sums of integers stop being exact."""
+    target = int(round(total))
+    if target > MAX_ROUNDED_TOTAL:
+        raise DomainError(
+            f"cannot round counts preserving a total of {target}: totals above 2**53 "
+            "have no exact float64 sum"
+        )
+    return target
+
+
 def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSpec):
     """``zero_mask`` is closed upward, so it also marks the subsets containing a zeroed block."""
     if not table.adjusted:
         raise StateError("de-personalisation needs an adjusted table")
+    if spec.round_counts and spec.renormalize:
+        _rounded_total(table.n_total)  # the release keeps this total: refuse it before any transform
     logs = log_transform(table)
     limited = _zero_blocks(logs, zero_mask)
     counts = np.exp(limited.values)
@@ -161,7 +178,7 @@ def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSp
     else:
         n_total = float(counts.sum())
     if spec.round_counts:
-        counts = _round_preserving_total(counts, int(round(n_total)))
+        counts = _round_preserving_total(counts, _rounded_total(n_total))
         n_total = float(counts.sum())
     released = ContingencyTable(
         table.schema,

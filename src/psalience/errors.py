@@ -55,8 +55,9 @@ class StateError(SalienceError, RuntimeError):
 
 
 class DomainError(SalienceError, ValueError):
-    """Values outside the domain of the log transform (entries below 1, or a
-    table not flagged adjusted)."""
+    """Values outside an operation's domain: entries below 1 or a table not
+    flagged adjusted for the log transform, a total above 2**53 for an
+    integral release."""
 
 
 class ShapeError(SalienceError, ValueError):

@@ -113,11 +113,15 @@ def table_from_dict(payload: dict) -> ContingencyTable:
     if not isinstance(adjusted, bool):
         raise ShapeError(f"malformed table object: adjusted must be true or false, got {adjusted!r}")
     try:
-        counts = np.asarray(counts, dtype=float)
-        n_total = float(n_total)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"malformed table object: counts and n_total must be numbers ({exc})") from exc
-    return ContingencyTable(schema, counts, n_total, adjusted=adjusted)
+        counts = np.asarray(counts)
+    except ValueError as exc:
+        raise ShapeError(f"malformed table object: counts must be an array of numbers ({exc})") from exc
+    # JSON strings and booleans would convert to floats, so numbers are told apart by type
+    if counts.dtype.kind not in "iuf":
+        raise ShapeError(f"malformed table object: counts must be numbers, got {counts.dtype} values")
+    if isinstance(n_total, bool) or not isinstance(n_total, (int, float)):
+        raise ShapeError(f"malformed table object: n_total must be a number, got {n_total!r}")
+    return ContingencyTable(schema, counts.astype(float, copy=False), float(n_total), adjusted=adjusted)
 
 
 def load_table(path) -> ContingencyTable:

@@ -1,22 +1,24 @@
 """Fitting and evaluating the orthogonal log-linear expansion.
 
 A log table ``T`` decomposes exactly as the constant direction plus one
-block of coefficients per non-empty attribute subset.  Because the basis
-columns are orthogonal, each block is obtained independently by scaled
-inner products and the expansion is an identity: reconstructing from a
-fitted coefficient vector returns the original table.
+block of coefficients per non-empty attribute subset.  Basis columns are
+orthogonal tensor products, so every block comes from one mode-wise
+transform (Yates' algorithm, ``O(N * M**(N+1))`` time, ``O(M**N)`` floats)
+and the expansion is an identity: reconstructing returns the original table.
+The coefficients form one ``(M,)*N`` tensor indexed by level-factor column
+per attribute; a subset's block is the slice with contrast columns on its
+axes and the constant column elsewhere.  Fitting, reconstruction and a
+release's zeroing share one transform pair.
 
 Projection magnitudes onto the subset subspaces are the quantities the
 salience measures are built from; coefficients themselves depend on the
 contrast choice in :mod:`psalience.basis` and are exposed for inspection only.
-
-Basis columns are tensor products, so the expansion is one mode-wise
-transform (Yates' algorithm): ``O(N * M**(N+1))`` time, ``O(M**N)`` floats.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from collections.abc import Mapping
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,20 +28,61 @@ from .table import AttributeSchema, Frozen, LogTable, freeze, record_eq, record_
 
 
 class BetaVector(NamedTuple):
-    """Expansion coefficients: scalar ``beta0`` for the constant direction
-    plus one length-``(M-1)**k`` block per non-empty subset, for inspection."""
+    """Expansion coefficients as one ``(M,)*N`` tensor ``coef``.
 
-    beta0: float
-    blocks: Mapping[SubsetKey, np.ndarray]
-    n_attributes: int
-    n_levels: int
+    Axis ``i`` belongs to attribute ``N-1-i``; along it, index 0 is the
+    constant column of :func:`psalience.basis.level_factor` and index
+    ``c >= 1`` its contrast column ``c``.  Entry ``(0,)*N`` scales the
+    constant direction, and the entries with a contrast on exactly a
+    subset's axes form that subset's length-``(M-1)**k`` block.
+    """
+
+    coef: np.ndarray
 
     __eq__ = record_eq
     __ne__ = record_ne
 
     @property
+    def n_attributes(self) -> int:
+        return self.coef.ndim
+
+    @property
+    def n_levels(self) -> int:
+        return self.coef.shape[0]
+
+    @property
     def total_coefficients(self) -> int:
-        return 1 + sum(block.size for block in self.blocks.values())
+        return self.coef.size
+
+    @property
+    def beta0(self) -> float:
+        """Coefficient of the unit-norm constant direction."""
+        return float(self.coef.flat[0]) * np.sqrt(self.coef.size)
+
+    @property
+    def blocks(self) -> Mapping[SubsetKey, np.ndarray]:
+        """Read-only view: each non-empty subset, in :func:`all_subsets` order,
+        to a read-only copy of its block, sliced from ``coef`` on access."""
+        return _Blocks(self.coef)
+
+
+class _Blocks(Mapping):
+    def __init__(self, coef: np.ndarray):
+        self._coef = coef
+
+    def __getitem__(self, subset: SubsetKey) -> np.ndarray:
+        n = self._coef.ndim
+        # the keys: non-empty, strictly decreasing tuples of attribute indices
+        if not (isinstance(subset, tuple) and subset
+                and subset == tuple(sorted({*subset} & {*range(n)}, reverse=True))):
+            raise KeyError(subset)
+        return freeze(self._coef[_axis_picks(subset, n)].ravel())
+
+    def __iter__(self) -> Iterator[SubsetKey]:
+        return iter(all_subsets(self._coef.ndim)[1:])
+
+    def __len__(self) -> int:
+        return 2 ** self._coef.ndim - 1
 
 
 class ProjectionResult(Frozen):
@@ -57,59 +100,55 @@ def _axis_picks(subset: SubsetKey, n: int) -> tuple[slice, ...]:
 
 
 def _modewise(values: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply ``factors[i]`` along axis ``i`` of the flat cell tensor ``values``;
-    each pass multiplies the leading axis and moves it to the back."""
+    """Apply ``factors[i]`` along axis ``i`` of the cell tensor ``values`` (flat or
+    shaped); each pass multiplies the leading axis and moves it to the back."""
     x = values
     for factor in factors:
         x = np.dot(factor, x.reshape(factor.shape[1], -1)).T
     return x.ravel()
 
 
+def _coefficients(log_table: LogTable) -> np.ndarray:
+    """A fresh ``(M,)*N`` coefficient tensor: the inverse level factor along every axis."""
+    n, m = log_table.schema.n_attributes, log_table.schema.n_levels
+    return _modewise(log_table.values, [level_factor(m)[1]] * n).reshape((m,) * n)
+
+
+def _cells(coef: np.ndarray) -> np.ndarray:
+    """Flat cell values of a coefficient tensor: the level factor along every axis."""
+    return _modewise(coef, [level_factor(coef.shape[0])[0]] * coef.ndim)
+
+
 def fit_beta(log_table: LogTable) -> BetaVector:
     """Coefficients of the orthogonal expansion of ``log_table``.
 
     Blockwise ``(column . T) / |column|^2``, all blocks from one transform
-    by the inverse level factor; ``beta0`` scales the unit constant direction.
+    by the inverse level factor, held read-only.
     """
-    schema = log_table.schema
-    n, m = schema.n_attributes, schema.n_levels
-    coef = _modewise(log_table.values, [level_factor(m)[1]] * n).reshape((m,) * n)
-    blocks = {s: freeze(coef[_axis_picks(s, n)].ravel()) for s in all_subsets(n)[1:]}
-    return BetaVector(float(coef[(0,) * n]) * np.sqrt(schema.n_cells), blocks, n, m)
+    coef = _coefficients(log_table)
+    coef.setflags(write=False)
+    return BetaVector(coef)
 
 
 def reconstruct(beta: BetaVector, schema: AttributeSchema) -> LogTable:
     """Assemble the log table encoded by ``beta`` in one transform."""
-    if (beta.n_attributes, beta.n_levels) != (schema.n_attributes, schema.n_levels):
-        raise ShapeError(
-            f"coefficients were fitted for a {beta.n_attributes}-attribute, "
-            f"{beta.n_levels}-level table"
-        )
     n, m = schema.n_attributes, schema.n_levels
-    coef = np.zeros((m,) * n)
-    coef[(0,) * n] = beta.beta0 / np.sqrt(schema.n_cells)
-    for subset in all_subsets(n)[1:]:
-        block = np.asarray(beta.blocks[subset], dtype=float)
-        target = coef[_axis_picks(subset, n)]
-        if block.shape != (target.size,):
-            raise ShapeError(
-                f"block for subset {subset} has shape {block.shape}, "
-                f"expected ({target.size},)"
-            )
-        target[...] = block.reshape(target.shape)
-    return LogTable(schema, _modewise(coef.ravel(), [level_factor(m)[0]] * n))
+    coef = np.asarray(beta.coef, dtype=float)
+    if coef.shape != (m,) * n:
+        raise ShapeError(f"coefficient shape {coef.shape} does not fit a {n}-attribute, {m}-level table")
+    return LogTable(schema, _cells(coef))
 
 
 def _zero_blocks(log_table: LogTable, mask: np.ndarray) -> LogTable:
     """``log_table`` without the blocks of the subsets ``mask`` marks on the subset lattice."""
-    n, m = log_table.schema.n_attributes, log_table.schema.n_levels
-    coef = _modewise(log_table.values, [level_factor(m)[1]] * n)
+    coef = _coefficients(log_table)
+    n, m = coef.ndim, coef.shape[0]
     # a coefficient belongs to the subset of the axes where it takes a contrast
-    support = np.zeros(coef.size, dtype=np.uint32)
+    support = np.zeros(coef.shape, dtype=np.uint32)
     for a in range(n):
         support.reshape(-1, m, m ** a)[:, 1:] += 1 << a
     coef[mask[support]] = 0.0
-    return LogTable(log_table.schema, _modewise(coef, [level_factor(m)[0]] * n))
+    return LogTable(log_table.schema, _cells(coef))
 
 
 def project_subset(log_table: LogTable, subset: Sequence[int]) -> ProjectionResult:
@@ -128,10 +167,10 @@ def subset_energies(log_table: LogTable) -> np.ndarray:
     """Squared projection magnitude of every subset's block as a lattice vector
     (see :func:`psalience.basis.subset_index`); exactly 0 off the constant for a constant table."""
     n, m = log_table.schema.n_attributes, log_table.schema.n_levels
-    factor, solve = level_factor(m)
-    coef = _modewise(log_table.values, [solve] * n)
+    factor = level_factor(m)[0]
+    coef = _coefficients(log_table)
     if np.ptp(log_table.values) == 0.0:
-        coef[1:] = 0.0
+        coef.flat[1:] = 0.0
     pool = np.zeros((2, m))  # per axis: the constant column's |col|^2, then the contrasts'
     pool[0, 0], pool[1, 1:] = m, np.einsum("ij,ij->j", factor, factor)[1:]
     return _modewise(np.square(coef, out=coef), [pool] * n)

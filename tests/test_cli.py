@@ -630,6 +630,34 @@ def test_depersonalize_round_counts(tmp_path, rng):
     assert released.counts.sum() == 463
 
 
+def test_depersonalize_that_breaks_its_contract_exits_1(tmp_path, rng, monkeypatch, capsys):
+    from psalience import depersonalize
+
+    def leaky(log_table, mask):  # moves one cell, so subsets outside the zero set move too
+        values = np.array(zero_blocks(log_table, mask).values)
+        values[0] += 0.1
+        return ps.LogTable(log_table.schema, values)
+
+    zero_blocks = depersonalize._zero_blocks
+    monkeypatch.setattr(depersonalize, "_zero_blocks", leaky)
+    out = tmp_path / "released.json"
+    table_path = save_table(tmp_path, random_adjusted_table(ps.generic_schema(3, 2), rng))
+    assert main(["depersonalize", "--table", table_path, "--max-order", "2", "--out", str(out)]) == 1
+    assert "subsets broke the salience contract; release not written" in capsys.readouterr().err
+    assert not out.exists()
+    audit = json.loads(out.with_suffix(".audit.json").read_text(encoding="utf-8"))
+    assert [2, 1] not in audit["zeroed_blocks"] and [2] in audit["violations"]
+
+
+def test_depersonalize_refuses_rounding_a_total_above_2_53(tmp_path, rng, capsys):
+    table = random_adjusted_table(ps.generic_schema(3, 3), rng, n_total=6 * 10 ** 17)
+    out = tmp_path / "released.json"
+    assert main(["depersonalize", "--table", save_table(tmp_path, table),
+                 "--max-order", "1", "--round-counts", "--out", str(out)]) == 3
+    assert "above 2**53" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.json"]
+
+
 # ----------------------------------------------------------------- verify
 
 def test_verify_passes(capsys):
@@ -864,7 +892,11 @@ def test_tabulate_invalid_utf8_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("counts", ["many", 2.0, 3.0, 4.0]),
+    ("counts", ["10", "20", "30", "40"]),
+    ("counts", [True, True, True, True]),
     ("n_total", "lots"),
+    ("n_total", "100"),
+    ("n_total", True),
     ("adjusted", "false"),
     ("adjusted", 1),
 ])

@@ -8,7 +8,7 @@ from oracles import axis_mean_psi
 
 import psalience as ps
 from psalience.depersonalize import _round_preserving_total
-from psalience.errors import ArgumentError, StateError
+from psalience.errors import ArgumentError, DomainError, StateError
 from psalience.synthetic import correlated_pair_table, random_adjusted_table
 
 
@@ -97,6 +97,21 @@ def test_rounded_release_has_integer_counts_and_exact_total(rng):
     )
     assert np.array_equal(released.counts, np.rint(released.counts))
     assert released.counts.sum() == 971
+
+
+def test_rounding_refuses_totals_float64_cannot_sum_exactly(monkeypatch, rng):
+    schema = ps.generic_schema(3, 3)
+    at_limit = random_adjusted_table(schema, rng, n_total=2 ** 53)
+    released, _ = ps.interaction_limit(at_limit, order_spec(1, round_counts=True))
+    assert released.counts.sum() == 2 ** 53 and np.array_equal(released.counts, np.rint(released.counts))
+    above = random_adjusted_table(schema, rng, n_total=6 * 10 ** 17)
+    with monkeypatch.context() as patch:
+        patch.setattr(ps.depersonalize, "_zero_blocks", None)  # refused before any transform
+        with pytest.raises(DomainError, match=r"total of 600000000000000000: totals above 2\*\*53"):
+            ps.interaction_limit(above, order_spec(1, round_counts=True))
+    with pytest.raises(DomainError, match=r"above 2\*\*53"):
+        ps.interaction_limit(above, order_spec(1, renormalize=False, round_counts=True))
+    assert ps.interaction_limit(above, order_spec(1))[0].n_total == above.n_total
 
 
 def test_k_dagger_out_of_range(rng, schema32):
@@ -373,12 +388,14 @@ def test_releases_never_fit_or_reconstruct(monkeypatch, rng):
 
 
 def oracle_release(table, zeroed):
-    """Unrenormalised release through the public coefficient dict."""
+    """Unrenormalised release through the public coefficient tensor, zeroing
+    each subset's block by its own slice."""
     beta = ps.fit_beta(ps.log_transform(table))
-    zeroed = set(zeroed)
-    blocks = {s: np.zeros_like(b) if s in zeroed else b for s, b in beta.blocks.items()}
-    limited = ps.BetaVector(beta.beta0, blocks, beta.n_attributes, beta.n_levels)
-    return np.exp(ps.reconstruct(limited, table.schema).values)
+    n = beta.n_attributes
+    coef = np.array(beta.coef)
+    for subset in zeroed:
+        coef[tuple(slice(1, None) if n - 1 - axis in subset else 0 for axis in range(n))] = 0.0
+    return np.exp(ps.reconstruct(ps.BetaVector(coef), table.schema).values)
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (4, 3), (5, 2), (6, 3), (8, 3), (7, 4), (10, 2), (12, 2)])

@@ -40,17 +40,15 @@ def test_round_trip_identity(n, m, rng):
 
 
 def test_reconstruct_zero_coefficients(schema22):
-    beta = ps.BetaVector(0.0, {s: np.zeros((1,)) for s in ps.all_subsets(2) if s}, 2, 2)
+    beta = ps.BetaVector(np.zeros((2, 2)))
     assert np.array_equal(ps.reconstruct(beta, schema22).values, np.zeros(4))
 
 
 def test_reconstruct_single_unit_coefficient(schema33):
-    blocks = {}
-    for subset in ps.all_subsets(3):
-        if subset:
-            blocks[subset] = np.zeros((2 ** len(subset),))
-    blocks[(2, 0)] = np.array([1.0, 0.0, 0.0, 0.0])
-    beta = ps.BetaVector(0.0, blocks, 3, 3)
+    coef = np.zeros((3, 3, 3))
+    coef[1, 0, 1] = 1.0  # first entry of the (2, 0) block
+    beta = ps.BetaVector(coef)
+    assert np.array_equal(beta.blocks[(2, 0)], [1.0, 0.0, 0.0, 0.0])
     rebuilt = ps.reconstruct(beta, schema33)
     expected = ps.subspace_basis((2, 0), schema33).matrix[:, 0]
     assert np.allclose(rebuilt.values, expected)
@@ -60,7 +58,7 @@ def test_reconstruct_shape_errors(schema22, schema33):
     beta = ps.fit_beta(ps.LogTable(schema22, np.ones(4)))
     with pytest.raises(ShapeError):
         ps.reconstruct(beta, schema33)
-    bad = ps.BetaVector(0.0, {(1,): np.zeros(5), (0,): np.zeros(1), (1, 0): np.zeros(1)}, 2, 2)
+    bad = ps.BetaVector(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         ps.reconstruct(bad, schema22)
 
@@ -161,9 +159,9 @@ def test_beta_vectors_compare_their_blocks_whole(rng):
     log_table = ps.log_transform(random_adjusted_table(schema, rng))
     beta = ps.fit_beta(log_table)
     assert beta == ps.fit_beta(log_table) and not beta != ps.fit_beta(log_table)
-    shifted = dict(beta.blocks)
-    shifted[(1, 0)] = shifted[(1, 0)] + 1.0
-    assert beta != beta._replace(blocks=shifted)
+    shifted = np.array(beta.coef)
+    shifted[0, 1:, 1:] += 1.0  # the (1, 0) block
+    assert beta != beta._replace(coef=shifted)
     assert beta != ps.fit_beta(ps.log_transform(random_adjusted_table(schema, rng)))
 
 
@@ -201,3 +199,16 @@ def test_expansion_memory_stays_near_table_size(rng):
     finally:
         tracemalloc.stop()
     assert peak < 32 * log_table.values.nbytes, peak / log_table.values.nbytes
+
+
+def test_expansion_holds_one_coefficient_tensor_at_sixteen_attributes(rng):
+    schema = ps.generic_schema(16, 2)
+    log_table = ps.log_transform(random_adjusted_table(schema, rng))
+    tracemalloc.start()
+    try:
+        rebuilt = ps.reconstruct(ps.fit_beta(log_table), schema)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * log_table.values.nbytes, peak / log_table.values.nbytes
+    assert np.abs(rebuilt.values - log_table.values).max() < 1e-9

@@ -409,3 +409,22 @@ def test_schema_file_refuses_misread_names_and_labels(attributes, message):
     with pytest.raises(SchemaError, match=re.escape(message)):
         fileio.table_from_dict(table)
 
+
+@pytest.mark.parametrize("counts, n_total, message", [
+    (["10", "20", "30", "40"], "100", "counts must be numbers, got <U2 values"),
+    ([True, True, True, True], 4, "counts must be numbers, got bool values"),
+    ([10, None, 30, 40], 80, "counts must be numbers, got object values"),
+    ([10, 20, 30, 40], "100", "n_total must be a number, got '100'"),
+    ([10, 20, 30, 40], True, "n_total must be a number, got True"),
+])
+def test_table_file_refuses_counts_and_totals_that_are_not_numbers(counts, n_total, message):
+    from psalience import fileio
+
+    table = {"schema": _schema_file(("a", ["x", "y"]), ("b", ["u", "v"])),
+             "counts": counts, "n_total": n_total, "adjusted": True}
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        fileio.table_from_dict(table)
+    table.update(counts=[10, 20.0, 30, 40], n_total=100)
+    loaded = fileio.table_from_dict(table)
+    assert loaded.counts.tolist() == [10.0, 20.0, 30.0, 40.0] and loaded.n_total == 100.0
+
