@@ -8,7 +8,8 @@ reduce to attribute subsets by geometric-mean marginalisation without
 losing interaction structure (:mod:`psalience.marginal`), score how
 sharply each subset's values stand out (:mod:`psalience.salience`), and
 blunt the sharpest structure before releasing the data
-(:mod:`psalience.depersonalize`).
+(:mod:`psalience.depersonalize`).  The literal constructions the pipeline is
+checked against are in :mod:`psalience.reference`.
 
 ``import psalience`` loads no submodule.  Each name in ``__all__``, the
 submodules among them, is imported on first use (PEP 562) and then
@@ -22,11 +23,7 @@ __version__ = "0.1.0"
 
 # Submodule -> the public names the package re-exports from it.
 _PUBLIC = {
-    "basis": (
-        "BasisColumn", "SubsetKey", "SubspaceBasis", "all_subsets", "enumerate_subsets",
-        "full_basis", "gram_schmidt_oracle", "level_contrasts", "ortho_column", "raw_column",
-        "reduced_basis", "subspace_basis",
-    ),
+    "basis": ("SubsetKey", "all_subsets", "enumerate_subsets", "level_contrasts"),
     "depersonalize": (
         "AuditEntry", "LimitSpec", "ReleaseAudit", "audit", "interaction_limit",
         "selective_zero", "upward_closure",
@@ -36,19 +33,18 @@ _PUBLIC = {
         "IngestionError", "InvalidIndexError", "InvalidRankError", "SalienceError",
         "SchemaError", "ShapeError", "SizeGuardError", "StateError",
     ),
-    "fitting": (
-        "BetaVector", "ProjectionResult", "fit_beta", "orthogonal_complement_magnitude",
-        "project_subset", "reconstruct",
-    ),
+    "fitting": ("BetaVector", "fit_beta", "reconstruct"),
     "marginal": (
         "ConditionalSubtable", "GeoMeanTable", "complement_attributes", "conditional_subtable",
-        "geometric_mean_subtable", "gm_projection_identity", "gm_projection_total_identity",
-        "reduced_subset_key",
+        "geometric_mean_subtable",
     ),
-    "salience": (
-        "Psi", "SalienceReport", "SalienceValue", "ScanEntry", "hypercube_psi", "psi",
-        "psi_histogram", "scan",
+    "reference": (
+        "BasisColumn", "ProjectionResult", "Psi", "SubspaceBasis", "full_basis",
+        "gm_projection_identity", "gm_projection_total_identity", "gram_schmidt_oracle",
+        "hypercube_psi", "ortho_column", "orthogonal_complement_magnitude", "project_subset",
+        "raw_column", "reduced_basis", "reduced_subset_key", "subspace_basis",
     ),
+    "salience": ("SalienceReport", "SalienceValue", "ScanEntry", "psi", "psi_histogram", "scan"),
     "synthetic": ("correlated_pair_table", "planted_interaction_table", "random_adjusted_table"),
     "table": (
         "AttributeSchema", "CellIndex", "ContingencyTable", "LogTable", "generic_schema",

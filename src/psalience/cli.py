@@ -25,7 +25,7 @@ from .errors import ArgumentError, SalienceError
 
 # Each command imports the modules it runs inside its own body, so a process
 # loads only those: --version and tabulate never import the analysis modules,
-# and only verify imports verify and synthetic.
+# and only verify imports verify, synthetic and reference.
 
 DEFAULT_AMBER = 0.5
 DEFAULT_RED = 0.8

@@ -112,16 +112,20 @@ def table_from_dict(payload: dict) -> ContingencyTable:
         raise ShapeError(f"malformed table object: {exc}") from exc
     if not isinstance(adjusted, bool):
         raise ShapeError(f"malformed table object: adjusted must be true or false, got {adjusted!r}")
-    try:
-        counts = np.asarray(counts)
-    except ValueError as exc:
-        raise ShapeError(f"malformed table object: counts must be an array of numbers ({exc})") from exc
+    if not isinstance(counts, list):
+        raise ShapeError(f"malformed table object: counts must be an array, got {type(counts).__name__}")
     # JSON strings and booleans would convert to floats, so numbers are told apart by type
-    if counts.dtype.kind not in "iuf":
-        raise ShapeError(f"malformed table object: counts must be numbers, got {counts.dtype} values")
+    others = set(map(type, counts)) - {int, float}
+    if others:
+        names = ", ".join(sorted(t.__name__ for t in others))
+        raise ShapeError(f"malformed table object: counts must be numbers, got {names} values")
     if isinstance(n_total, bool) or not isinstance(n_total, (int, float)):
         raise ShapeError(f"malformed table object: n_total must be a number, got {n_total!r}")
-    return ContingencyTable(schema, counts.astype(float, copy=False), float(n_total), adjusted=adjusted)
+    try:
+        counts, n_total = np.array(counts, dtype=float), float(n_total)
+    except OverflowError as exc:  # a JSON integer beyond the float64 range
+        raise ShapeError(f"malformed table object: counts and n_total must fit a float64 ({exc})") from exc
+    return ContingencyTable(schema, counts, n_total, adjusted=adjusted)
 
 
 def load_table(path) -> ContingencyTable:

@@ -10,9 +10,9 @@ per attribute; a subset's block is the slice with contrast columns on its
 axes and the constant column elsewhere.  Fitting, reconstruction and a
 release's zeroing share one transform pair.
 
-Projection magnitudes onto the subset subspaces are the quantities the
-salience measures are built from; coefficients themselves depend on the
-contrast choice in :mod:`psalience.basis` and are exposed for inspection only.
+Coefficients depend on the contrast choice in :mod:`psalience.basis` and are
+exposed for inspection only; the literal projection onto one subset's
+subspace, which shares none of this transform, is in :mod:`psalience.reference`.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, all_subsets, check_subset, level_factor
+from .basis import SubsetKey, all_subsets, level_factor
 from .errors import ShapeError
-from .table import AttributeSchema, Frozen, LogTable, freeze, record_eq, record_ne
+from .table import AttributeSchema, LogTable, freeze, record_eq, record_ne
 
 
 class BetaVector(NamedTuple):
@@ -85,15 +85,6 @@ class _Blocks(Mapping):
         return 2 ** self._coef.ndim - 1
 
 
-class ProjectionResult(Frozen):
-    """Projection of a log table onto one subset's subspace."""
-
-    __slots__ = ("subset", "chi", "magnitude")
-
-    def __init__(self, subset: SubsetKey, chi, magnitude: float):
-        super().__init__(subset, freeze(chi), magnitude)
-
-
 def _axis_picks(subset: SubsetKey, n: int) -> tuple[slice, ...]:
     """Level-factor indices of a subset's block: contrasts on its axes, else the constant."""
     return tuple(slice(1, None) if n - 1 - axis in subset else slice(0, 1) for axis in range(n))
@@ -151,18 +142,6 @@ def _zero_blocks(log_table: LogTable, mask: np.ndarray) -> LogTable:
     return LogTable(log_table.schema, _cells(coef))
 
 
-def project_subset(log_table: LogTable, subset: Sequence[int]) -> ProjectionResult:
-    """Orthogonal projection of the log table onto one subset's subspace: only
-    its block, by contrast rows on its axes and mean rows elsewhere, mapped back."""
-    schema = log_table.schema
-    members = check_subset(subset, schema.n_attributes)
-    factor, solve = level_factor(schema.n_levels)
-    picks = _axis_picks(members, schema.n_attributes)
-    coef = _modewise(log_table.values, [solve[pick] for pick in picks])
-    chi = _modewise(coef, [factor[:, pick] for pick in picks])
-    return ProjectionResult(members, chi, float(np.linalg.norm(chi)))
-
-
 def subset_energies(log_table: LogTable) -> np.ndarray:
     """Squared projection magnitude of every subset's block as a lattice vector
     (see :func:`psalience.basis.subset_index`); exactly 0 off the constant for a constant table."""
@@ -187,9 +166,3 @@ def centred_norm(values: np.ndarray) -> np.ndarray:
     equal ``sqrt(|v|^2 - (sum v)^2 / len(v))`` cancels badly near uniformity."""
     norm = row_norms(values - values.mean(axis=-1, keepdims=True))
     return np.where(np.ptp(values, axis=-1) == 0.0, 0.0, norm)
-
-
-def orthogonal_complement_magnitude(log_table: LogTable) -> float:
-    """Norm of the log table's component orthogonal to the uniform vector,
-    the combined magnitude of every non-constant block."""
-    return float(centred_norm(log_table.values))

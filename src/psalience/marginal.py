@@ -8,22 +8,19 @@ arithmetic mean in log space) produces a small table that keeps the
 interaction structure of the original: for any subset of the retained
 attributes, the projection magnitude of the full log table equals
 ``M**((N - k0)/2)`` times the projection magnitude of the log
-geometric-mean table in its own reduced basis.  The two identity checks
-at the bottom of this module compute both sides of that relation through
-independent code paths.
+geometric-mean table in its own reduced basis.  Both sides of that
+relation are computed literally in :mod:`psalience.reference`.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
 
 from .basis import SubsetKey, check_subset
 from .errors import ArgumentError
-from .fitting import orthogonal_complement_magnitude, project_subset
-from .table import ContingencyTable, Frozen, LogTable, freeze, generic_schema, log_transform
+from .table import ContingencyTable, Frozen, _read_int, freeze, log_transform
 
 
 class ConditionalSubtable(Frozen):
@@ -69,7 +66,7 @@ def conditional_subtable(
     n, m = schema.n_attributes, schema.n_levels
     members = check_subset(subset, n)
     others = complement_attributes(members, n)
-    fixed = tuple(int(v) for v in conditioning)
+    fixed = tuple(_read_int(v, "conditioning level") for v in conditioning)
     if len(fixed) != len(others):
         raise ArgumentError(
             f"expected {len(others)} conditioning values, got {len(fixed)}"
@@ -100,79 +97,3 @@ def geometric_mean_subtable(table: ContingencyTable, subset: Sequence[int]) -> G
     axes = tuple(n - 1 - a for a in complement_attributes(members, n))
     logs = log_transform(table).reshaped().mean(axis=axes).ravel()
     return GeoMeanTable(members, np.exp(logs), logs)
-
-
-def reduced_subset_key(outer: SubsetKey, inner: SubsetKey) -> SubsetKey:
-    """Re-index ``inner`` by its positions inside ``outer``.
-
-    The geometric-mean table of ``outer`` (size ``k0``) is a table in its
-    own right whose attribute ``k0-1`` corresponds to the largest member
-    of ``outer`` and attribute ``0`` to the smallest.  Descending order is
-    preserved.
-    """
-    k0 = len(outer)
-    positions = []
-    for member in inner:
-        try:
-            positions.append(outer.index(member))
-        except ValueError:
-            raise ArgumentError(f"attribute {member} of inner subset not in outer {outer}")
-    return tuple(k0 - 1 - p for p in positions)
-
-
-def gm_projection_identity(
-    table: ContingencyTable, outer: Sequence[int], inner: Sequence[int]
-) -> tuple[float, float]:
-    """Both sides of the projection-transfer identity for one subset pair.
-
-    Left: projection magnitude of the full log table onto the ``inner``
-    subspace.  Right: ``M**((N-k0)/2)`` times the projection magnitude of
-    the log geometric-mean table of ``outer`` onto the re-indexed inner
-    subspace of the reduced ``k0``-attribute basis.  The two sides agree
-    whenever ``inner`` is contained in ``outer``.
-    """
-    schema = table.schema
-    n, m = schema.n_attributes, schema.n_levels
-    outer_key = check_subset(outer, n)
-    inner_key = check_subset(inner, n)
-    if not outer_key or not inner_key:
-        raise ArgumentError("outer and inner subsets must be non-empty")
-    if not set(inner_key) <= set(outer_key):
-        raise ArgumentError(f"inner subset {inner_key} must be contained in outer {outer_key}")
-
-    lhs = project_subset(log_transform(table), inner_key).magnitude
-
-    k0 = len(outer_key)
-    gamma = LogTable(generic_schema(k0, m), geometric_mean_subtable(table, outer_key).log_values)
-    reduced = project_subset(gamma, reduced_subset_key(outer_key, inner_key)).magnitude
-    rhs = m ** ((n - k0) / 2.0) * reduced
-    return lhs, rhs
-
-
-def gm_projection_total_identity(
-    table: ContingencyTable, outer: Sequence[int]
-) -> tuple[float, float]:
-    """Both sides of the aggregate projection-transfer identity.
-
-    Left: root sum of squared full-table projection magnitudes over every
-    non-empty subset of ``outer``.  Right: ``M**((N-k0)/2)`` times the
-    norm of the log geometric-mean table's component orthogonal to the
-    uniform vector in the reduced space.
-    """
-    schema = table.schema
-    n, m = schema.n_attributes, schema.n_levels
-    outer_key = check_subset(outer, n)
-    if not outer_key:
-        raise ArgumentError("outer subset must be non-empty")
-
-    log_table = log_transform(table)
-    total = 0.0
-    for size in range(1, len(outer_key) + 1):
-        for inner in itertools.combinations(outer_key, size):
-            total += project_subset(log_table, inner).magnitude ** 2
-    lhs = float(np.sqrt(total))
-
-    k0 = len(outer_key)
-    gamma = LogTable(generic_schema(k0, m), geometric_mean_subtable(table, outer_key).log_values)
-    rhs = m ** ((n - k0) / 2.0) * orthogonal_complement_magnitude(gamma)
-    return lhs, rhs

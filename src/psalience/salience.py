@@ -8,8 +8,8 @@ distance from uniformity of a positive table as
 
 a number in [0, 1] that is 0 exactly for constant tables and grows as the
 mass piles onto fewer cells.  Applied to the geometric-mean table of an
-attribute subset this becomes the subset-level score Psi used to rank
-subsets by how inferable their values are from the rest.
+attribute subset (literally, in :mod:`psalience.reference`) this becomes the
+subset-level score Psi that ranks subsets by how inferable their values are.
 
 Entries are expected on the adjusted scale (everything at least 1) so all
 logs are non-negative; ratios are invariant to raising the entries to a
@@ -18,15 +18,14 @@ common positive power.
 By the projection-transfer identity ``Psi(S)**2`` is the block energy of the
 non-empty subsets of ``S`` over that of all its subsets, so :func:`scan` costs
 one transform plus ``O(N * 2**N)``; its ``workers`` is accepted but changes nothing.
-:func:`psi`, :func:`Psi` and :func:`psi_histogram` score rows of logs in one
-vectorised pass, so analysing one subset costs one geometric-mean reduction plus
-one pass over the table.
+:func:`psi` and :func:`psi_histogram` score rows of logs in one vectorised
+pass, so analysing one subset costs one geometric-mean reduction plus one pass
+over the table.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ import numpy as np
 from .basis import SubsetKey, check_subset, marked_subsets, subset_sizes, subset_sums
 from .errors import ArgumentError, DomainError
 from .fitting import centred_norm, row_norms, subset_energies
-from .marginal import complement_attributes, geometric_mean_subtable
+from .marginal import complement_attributes
 from .table import ADJUSTED_MIN, ContingencyTable, LogTable, _read_int, log_transform
 
 
@@ -68,14 +67,6 @@ def _row_salience(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     norm = row_norms(logs)
     ratio = np.divide(chi, norm, out=np.zeros_like(norm), where=norm > 0.0)
     return np.minimum(ratio, 1.0, out=ratio), chi, norm
-
-
-def Psi(table: ContingencyTable, subset: Sequence[int]) -> SalienceValue:
-    """Subset-level salience: ``psi`` of the subset's geometric-mean table."""
-    members = check_subset(subset, table.schema.n_attributes)
-    if not members:
-        raise ArgumentError("subset must be non-empty")
-    return psi(geometric_mean_subtable(table, members).counts)
 
 
 def subset_salience(log_table: LogTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,16 +144,3 @@ def psi_histogram(table: ContingencyTable, subset: Sequence[int]) -> list[tuple[
     rows = np.ascontiguousarray(logs.reshape(m ** len(others), m ** len(members)))
     values = _row_salience(rows)[0]
     return list(zip(itertools.product(range(m), repeat=len(others)), values.tolist()))
-
-
-def hypercube_psi(r: int, m_t: int) -> float:
-    """Salience of a log vector with ``r`` equal positive entries, rest zero.
-
-    Closed form ``sqrt(1 - r/m_t)`` for a table of ``m_t`` cells; smaller
-    ``r`` (sharper concentration) gives strictly larger salience.
-    """
-    r = int(r)
-    m_t = int(m_t)
-    if m_t < 1 or not 1 <= r <= m_t:
-        raise ArgumentError(f"need 1 <= r <= m_t, got r={r}, m_t={m_t}")
-    return math.sqrt(1.0 - r / m_t)

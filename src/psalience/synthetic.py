@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import _subset_kron, check_subset, level_contrasts
+from .basis import check_subset
 from .errors import ArgumentError
-from .table import AttributeSchema, ContingencyTable, zero_adjust
+from .reference import subspace_basis
+from .table import AttributeSchema, ContingencyTable, _read_int, zero_adjust
 
 
 def random_adjusted_table(
@@ -14,12 +15,11 @@ def random_adjusted_table(
 ) -> ContingencyTable:
     """Multinomial draw over Dirichlet cell probabilities, zero-adjusted."""
     m_t = schema.n_cells
-    if n_total is None:
-        n_total = 50 * m_t
+    n_total = 50 * m_t if n_total is None else _read_int(n_total, "n_total")
     if n_total <= m_t:
         raise ArgumentError("n_total must exceed the cell count")
     probabilities = rng.dirichlet(np.ones(m_t))
-    counts = rng.multinomial(int(n_total), probabilities).astype(float)
+    counts = rng.multinomial(n_total, probabilities).astype(float)
     raw = ContingencyTable(schema, counts, float(n_total), adjusted=False)
     return zero_adjust(raw)
 
@@ -39,8 +39,7 @@ def planted_interaction_table(
         raise ArgumentError("plant a non-empty subset")
     if strength <= 0:
         raise ArgumentError("strength must be positive")
-    n, m = schema.n_attributes, schema.n_levels
-    column = _subset_kron(n, m, members, [level_contrasts(m)[:, :1]] * len(members)).ravel()
+    column = subspace_basis(members, schema).matrix[:, 0]
     column = column / np.sqrt(column @ column)
     logs = strength * column
     logs = logs - logs.min()

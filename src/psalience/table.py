@@ -70,15 +70,15 @@ def freeze(array) -> np.ndarray:
     return out
 
 
-def _read_int(value, name: str) -> int:
+def _read_int(value, name: str, error: type[ArgumentError] = ArgumentError) -> int:
     """``value`` as a Python int.  Python and numpy integers pass; a bool, a float or
-    anything else without ``__index__`` raises :class:`ArgumentError` naming ``name``."""
+    anything else without ``__index__`` raises ``error`` naming ``name``."""
     if not isinstance(value, (bool, np.bool_)):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _same_field(a, b) -> bool:
@@ -284,7 +284,7 @@ def lex_rank(index: Sequence[int], schema: AttributeSchema) -> int:
     fastest when counting through the table.
     """
     n, m = schema.n_attributes, schema.n_levels
-    digits = tuple(int(d) for d in index)
+    digits = tuple(_read_int(d, "digit", InvalidIndexError) for d in index)
     if len(digits) != n:
         raise InvalidIndexError(f"expected {n} digits, got {len(digits)}")
     rank = 0
@@ -300,7 +300,7 @@ def lex_rank(index: Sequence[int], schema: AttributeSchema) -> int:
 def lex_unrank(rank: int, schema: AttributeSchema) -> CellIndex:
     """Digit tuple of the cell at flat position ``rank``; inverse of lex_rank."""
     n, m = schema.n_attributes, schema.n_levels
-    rank = int(rank)
+    rank = _read_int(rank, "rank", InvalidRankError)
     if not 0 <= rank < schema.n_cells:
         raise InvalidRankError(f"rank {rank} out of range [0, {schema.n_cells})")
     digits = []

@@ -18,12 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import full_basis, gram_schmidt_oracle, marked_subsets, subset_sizes
+from .basis import marked_subsets, subset_sizes
 from .errors import ArgumentError
 from .fitting import fit_beta, reconstruct, subset_energies
-from .salience import Psi, hypercube_psi, psi, subset_salience
+from .reference import Psi, full_basis, gram_schmidt_oracle, hypercube_psi
+from .salience import psi, subset_salience
 from .synthetic import random_adjusted_table
-from .table import generic_schema, log_transform
+from .table import _read_int, generic_schema, log_transform
 
 CELL_LIMIT = 4096
 _GRAM_BAND = 256           # columns per Gram product: 8 MiB of products at the cell limit
@@ -202,12 +203,13 @@ def run_verification(
 ) -> VerificationReport:
     """Run every suite for an ``n``-attribute, ``m``-level configuration.
 
-    Refuses, with :class:`ArgumentError`, fewer than one attribute, fewer
-    than two levels, more than ``CELL_LIMIT`` cells, a negative seed, and
-    fewer than one trial, which would check nothing.  ``perturb=True``
-    injects a deliberate basis corruption so the orthogonality suite must
-    fail; use it to prove the checker is alive.
+    Refuses, with :class:`ArgumentError`, an argument that is not an integer,
+    fewer than one attribute, fewer than two levels, more than ``CELL_LIMIT``
+    cells, a negative seed, and fewer than one trial, which would check
+    nothing.  ``perturb=True`` injects a deliberate basis corruption so the
+    orthogonality suite must fail; use it to prove the checker is alive.
     """
+    n, m, seed, trials = map(_read_int, (n, m, seed, trials), ("n", "m", "seed", "trials"))
     # with m >= 2, n >= CELL_LIMIT.bit_length() already exceeds the limit, so
     # m ** n is formed only for small n
     if n < 1 or m < 2 or n >= CELL_LIMIT.bit_length() or m ** n > CELL_LIMIT:

@@ -805,13 +805,13 @@ def test_verify_marks_gram_schmidt_above_its_limit_as_skip(capsys):
 
 def test_verify_builds_each_subspace_once(monkeypatch):
     built = []
-    original = ps.basis._subspace_arrays
+    original = ps.reference._subspace_arrays
 
     def counting(n, m, subset):
         built.append(subset)
         return original(n, m, subset)
 
-    monkeypatch.setattr(ps.basis, "_subspace_arrays", counting)
+    monkeypatch.setattr(ps.reference, "_subspace_arrays", counting)
     assert ps.run_verification(3, 2, trials=1).passed
     assert sorted(built) == sorted(ps.all_subsets(3))
 
@@ -899,6 +899,8 @@ def test_tabulate_invalid_utf8_is_data_error(tmp_path, capsys):
     ("n_total", True),
     ("adjusted", "false"),
     ("adjusted", 1),
+    ("counts", [True, 20, 30, 49]),
+    ("counts", [10 ** 400, 20, 30, 40]),
 ])
 def test_malformed_table_field_is_data_error(tmp_path, rng, capsys, field, value):
     payload = fileio.table_to_dict(random_adjusted_table(ps.generic_schema(2, 2), rng))

@@ -362,8 +362,8 @@ def test_scan_and_releases_never_build_a_geometric_mean_table(monkeypatch, rng):
     def refuse(*args, **kwargs):
         raise AssertionError("per-subset geometric-mean path used")
 
-    monkeypatch.setattr(ps.salience, "Psi", refuse)
-    monkeypatch.setattr(ps.salience, "geometric_mean_subtable", refuse)
+    monkeypatch.setattr(ps.reference, "Psi", refuse)
+    monkeypatch.setattr(ps.reference, "geometric_mean_subtable", refuse)
     monkeypatch.setattr(ps.marginal, "geometric_mean_subtable", refuse)
     table = random_adjusted_table(ps.generic_schema(4, 3), rng)
     for k in (1, 2, 3):

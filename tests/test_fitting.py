@@ -169,7 +169,7 @@ def test_expansion_never_builds_basis_columns(monkeypatch, rng):
     def refuse(*args):
         raise AssertionError("dense basis columns were built")
 
-    monkeypatch.setattr(ps.basis, "_subspace_arrays", refuse)
+    monkeypatch.setattr(ps.reference, "_subspace_arrays", refuse)
     schema = ps.generic_schema(4, 3)
     table = random_adjusted_table(schema, rng)
     log_table = ps.log_transform(table)

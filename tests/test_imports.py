@@ -3,6 +3,7 @@ loads only the modules it runs, and never ``dataclasses``, whose classes
 generate code at import.  Every check runs in a fresh interpreter, because
 this one has long since imported the whole package."""
 
+import ast
 import json
 import os
 import subprocess
@@ -104,6 +105,22 @@ def test_each_command_loads_only_what_it_runs(inputs, command):
     elif command == "tabulate":
         assert loaded == BASE | {"psalience.table", "psalience.fileio"}
     elif command == "verify":
-        assert {"psalience.verify", "psalience.synthetic"} <= loaded
+        assert {"psalience.verify", "psalience.synthetic", "psalience.reference"} <= loaded
     else:
-        assert not loaded & {"psalience.verify", "psalience.synthetic"}, loaded
+        assert not loaded & {"psalience.verify", "psalience.synthetic", "psalience.reference"}, loaded
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {}
+    for path in sorted(Path(ps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

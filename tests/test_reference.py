@@ -1,0 +1,72 @@
+"""The literal constructions in ``psalience.reference``: they run none of the
+pipeline's transforms, and the literal Psi is accurate where its geometric
+mean of many logs used to cancel."""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+import psalience as ps
+from psalience import reference
+from psalience.synthetic import random_adjusted_table
+
+PIPELINE = ("_modewise", "_coefficients", "_cells", "subset_energies", "subset_salience", "_zero_blocks")
+
+
+def reference_calls(table):
+    """One call of every public function of ``psalience.reference`` on ``table``."""
+    schema, log_table = table.schema, ps.log_transform(table)
+    return {
+        "raw_column": lambda: ps.raw_column((2, 0), (1, 0), schema),
+        "ortho_column": lambda: ps.ortho_column((2, 0), (1, 0), schema),
+        "subspace_basis": lambda: ps.subspace_basis((2, 1), schema),
+        "full_basis": lambda: ps.full_basis(schema),
+        "reduced_basis": lambda: ps.reduced_basis(2, schema.n_levels),
+        "gram_schmidt_oracle": lambda: ps.gram_schmidt_oracle(schema),
+        "project_subset": lambda: ps.project_subset(log_table, (2, 0)),
+        "orthogonal_complement_magnitude": lambda: ps.orthogonal_complement_magnitude(log_table),
+        "reduced_subset_key": lambda: ps.reduced_subset_key((2, 1, 0), (2, 0)),
+        "gm_projection_identity": lambda: ps.gm_projection_identity(table, (2, 0), (0,)),
+        "gm_projection_total_identity": lambda: ps.gm_projection_total_identity(table, (2, 1)),
+        "Psi": lambda: ps.Psi(table, (2, 0)),
+        "hypercube_psi": lambda: ps.hypercube_psi(3, schema.n_cells),
+    }
+
+
+def test_reference_runs_none_of_the_pipeline_transforms(monkeypatch, rng):
+    table = random_adjusted_table(ps.generic_schema(3, 3), rng)
+    calls = reference_calls(table)
+    functions = {name for name in ps._PUBLIC["reference"] if not isinstance(getattr(reference, name), type)}
+    assert set(calls) == functions
+    expected = {name: call() for name, call in calls.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pipeline transform ran")
+
+    ps.depersonalize, ps.verify  # load every module that binds a pipeline name
+    for module in [m for name, m in sys.modules.items() if name.startswith("psalience.")]:
+        for name in PIPELINE:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="pipeline transform"):
+        ps.scan(table, 1)
+    for name, call in calls.items():
+        got = call()
+        same = np.array_equal(got, expected[name]) if isinstance(got, np.ndarray) else got == expected[name]
+        assert same, name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_Psi_chi_of_each_attribute_matches_an_exact_sum(seed):
+    # a size-1 geometric-mean table at M=2 is (g0, g1), each the mean of 2**15
+    # logs, and its chi is |g0 - g1| / sqrt(2); fsum gives that difference exactly
+    n = 16
+    table = random_adjusted_table(ps.generic_schema(n, 2), np.random.default_rng(seed))
+    logs = ps.log_transform(table).reshaped()
+    for attribute in range(n):
+        level0, level1 = np.moveaxis(logs, n - 1 - attribute, 0)
+        exact = abs(math.fsum([*level0.ravel().tolist(), *(-level1).ravel().tolist()])) / 2 ** 15 / math.sqrt(2)
+        chi = ps.Psi(table, (attribute,)).chi_magnitude
+        assert abs(chi - exact) <= 2e-12 * exact, (attribute, chi, exact)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import psalience as ps
 from psalience.errors import (
+    ArgumentError,
     DegeneratePopulationError,
     DomainError,
     EmptyInputError,
@@ -411,11 +412,15 @@ def test_schema_file_refuses_misread_names_and_labels(attributes, message):
 
 
 @pytest.mark.parametrize("counts, n_total, message", [
-    (["10", "20", "30", "40"], "100", "counts must be numbers, got <U2 values"),
+    (["10", "20", "30", "40"], "100", "counts must be numbers, got str values"),
     ([True, True, True, True], 4, "counts must be numbers, got bool values"),
-    ([10, None, 30, 40], 80, "counts must be numbers, got object values"),
+    ([10, None, 30, 40], 80, "counts must be numbers, got NoneType values"),
     ([10, 20, 30, 40], "100", "n_total must be a number, got '100'"),
     ([10, 20, 30, 40], True, "n_total must be a number, got True"),
+    ([True, 20, 30, 49], 100, "counts must be numbers, got bool values"),
+    ({"a": 1}, 1, "counts must be an array, got dict"),
+    ([10 ** 400, 20, 30, 40], 100, "counts and n_total must fit a float64"),
+    pytest.param([10, 20, 30, 40], 10 ** 400, "counts and n_total must fit a float64", id="n_total-1e400"),
 ])
 def test_table_file_refuses_counts_and_totals_that_are_not_numbers(counts, n_total, message):
     from psalience import fileio
@@ -427,4 +432,25 @@ def test_table_file_refuses_counts_and_totals_that_are_not_numbers(counts, n_tot
     table.update(counts=[10, 20.0, 30, 40], n_total=100)
     loaded = fileio.table_from_dict(table)
     assert loaded.counts.tolist() == [10.0, 20.0, 30.0, 40.0] and loaded.n_total == 100.0
+
+
+@pytest.mark.parametrize("value", [1.9, True, "1"])
+def test_integer_arguments_refuse_floats_booleans_and_strings(schema32, value):
+    table = ps.ContingencyTable(schema32, np.arange(1.0, 9.0), 36.0, adjusted=True)
+    calls = [
+        (InvalidIndexError, lambda: ps.lex_rank((value, 0, 1), schema32)),
+        (InvalidRankError, lambda: ps.lex_unrank(value, schema32)),
+        (ArgumentError, lambda: ps.conditional_subtable(table, (1, 0), (value,))),
+        (ArgumentError, lambda: ps.raw_column((1,), (value,), schema32)),
+        (ArgumentError, lambda: ps.ortho_column((1,), (value,), schema32)),
+        (ArgumentError, lambda: ps.reduced_basis(value, 2)),
+        (ArgumentError, lambda: ps.random_adjusted_table(schema32, np.random.default_rng(0), n_total=value)),
+        (ArgumentError, lambda: ps.hypercube_psi(value, 4)),
+        (ArgumentError, lambda: ps.hypercube_psi(1, value)),
+        (ArgumentError, lambda: ps.run_verification(2, 2, trials=value)),
+        (ArgumentError, lambda: ps.run_verification(2, 2, seed=value)),
+    ]
+    for error, call in calls:
+        with pytest.raises(error, match=f"must be an integer, got {re.escape(repr(value))}"):
+            call()
 
