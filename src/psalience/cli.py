@@ -6,10 +6,10 @@ subset), ``depersonalize`` (interaction-limited release plus audit) and
 ``verify`` (structural self-checks).
 
 Exit codes: 0 success, 1 verification failure (a ``verify`` suite failed,
-or a release's audit found contract violations; the release is then not
-written), 2 usage error (an ``ArgumentError``, whether this module or the
-library raises it), 3 data error.  Given the same inputs and seed every
-command is deterministic.
+or a release's audit found contract violations or zeroed blocks that do
+not refit to zero; the release is then not written), 2 usage error (an
+``ArgumentError``, whether this module or the library raises it), 3 data
+error.  Given the same inputs and seed every command is deterministic.
 """
 
 from __future__ import annotations
@@ -148,18 +148,21 @@ def _first_close(values: np.ndarray, extreme: float) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .basis import subset_index
     from .fileio import atomic_write_json
     from .marginal import complement_attributes, geometric_mean_subtable
-    from .salience import psi, psi_histogram
+    from .salience import psi_histogram, subset_salience
+    from .table import log_transform
 
     table = _load_adjusted_table(args.table)
     schema = table.schema
     subset = _parse_subset(args.subset)
     gm = geometric_mean_subtable(table, subset)
-    overall = psi(gm.counts)
+    # the spectrum scan reads, so both commands report the same Psi
+    overall = float(subset_salience(log_transform(table))[0][subset_index(gm.subset)])
     histogram = psi_histogram(table, subset)
     values = np.array([value for _, value in histogram])
-    distances = np.abs(values - overall.psi)
+    distances = np.abs(values - overall)
 
     def _entry(i):
         conditioning, value = histogram[i]
@@ -171,7 +174,7 @@ def cmd_analyze(args) -> int:
         "subset": list(subset),
         "attributes": [schema.attribute_name(i) for i in subset],
         "conditioning_attributes": [schema.attribute_name(i) for i in others],
-        "Psi": overall.psi,
+        "Psi": overall,
         "geo_mean": {"counts": gm.counts.tolist(), "log_values": gm.log_values.tolist()},
         "histogram": [
             {"conditioning": list(conditioning), "psi": value} for conditioning, value in histogram
@@ -180,13 +183,13 @@ def cmd_analyze(args) -> int:
         "max_psi": _entry(_first_close(values, values.max())),
     }
     atomic_write_json(args.out, payload)
-    print(f"analyze subset {list(subset)}: Psi={overall.psi:.4f}, "
+    print(f"analyze subset {list(subset)}: Psi={overall:.4f}, "
           f"{len(histogram)} conditional subtables -> {args.out}")
     return 0
 
 
 def cmd_depersonalize(args) -> int:
-    from .depersonalize import LimitSpec, interaction_limit, selective_zero
+    from .depersonalize import REFIT_TOL, LimitSpec, interaction_limit, selective_zero
     from .fileio import atomic_write_json, audit_to_dict, save_table
 
     table = _load_adjusted_table(args.table)
@@ -206,9 +209,15 @@ def cmd_depersonalize(args) -> int:
         mode = f"selective({len(seeds)} seeds)"
     audit_path = Path(args.out).with_suffix(".audit.json")
     atomic_write_json(audit_path, audit_to_dict(audit, table.schema, mode))
+    problems = []
+    if audit.refit_residual > REFIT_TOL:
+        problems.append(f"zeroed blocks refit to a residual of {audit.refit_residual:.3e} "
+                        f"(bound {REFIT_TOL:g})")
     if audit.violations:
-        print(f"error: {len(audit.violations)} subsets broke the salience contract; "
-              f"release not written, audit -> {audit_path}", file=sys.stderr)
+        problems.append(f"{len(audit.violations)} subsets broke the salience contract")
+    if problems:
+        print(f"error: {' and '.join(problems)}; release not written, audit -> {audit_path}",
+              file=sys.stderr)
         return 1
     save_table(args.out, released)
     print(f"depersonalize {mode}: zeroed {len(audit.zeroed_blocks)} blocks, "

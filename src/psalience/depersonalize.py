@@ -13,7 +13,8 @@ and rounded to integers with a largest-remainder correction so the total
 is preserved exactly; totals above 2**53, which float64 cannot sum
 exactly, are refused.  Audits always compare salience on the
 un-rescaled, un-rounded reconstruction, isolating the effect of the
-zeroing itself; rounding necessarily perturbs the refitted
+zeroing itself, and report its refit residual, which only the command
+line bounds by :data:`REFIT_TOL`: rounding necessarily perturbs the refitted
 coefficients a little, which is the price of an integer release.
 
 A zero set is a boolean lattice vector over all ``2**N`` subsets.  A release
@@ -30,11 +31,12 @@ import numpy as np
 
 from .basis import SubsetKey, check_subset, marked_subsets, subset_index, subset_sizes, subset_sums
 from .errors import ArgumentError, DomainError, ShapeError, StateError
-from .fitting import _zero_blocks
-from .salience import subset_salience
+from .fitting import _zero_blocks, subset_energies
+from .salience import _spectrum_salience
 from .table import ADJUSTED_MIN, ContingencyTable, Frozen, LogTable, _read_int, log_transform
 
 PSI_DRIFT_TOL = 1e-9
+REFIT_TOL = 1e-9
 ROUND_TIE_TOL = 1e-9
 MAX_ROUNDED_TOTAL = 2 ** 53
 """Largest total ``round_counts`` keeps exactly: float64 holds every integer up to it."""
@@ -101,11 +103,12 @@ class ReleaseAudit(Frozen):
 
     ``zeroed_blocks`` lists the audited subsets whose block is zeroed, in
     enumeration order; ``violations`` those whose salience grew despite a
-    zeroed block, or moved at all without one.  Not a tuple, so a release's
-    ``(table, audit)`` pair is never mistaken for an audit.
+    zeroed block, or moved at all without one; ``refit_residual`` is the norm of the released
+    logs' zero-set blocks over their whole norm, ``None`` if the zero set is unknown.  Not a
+    tuple, so a release's ``(table, audit)`` pair is never mistaken for an audit.
     """
 
-    __slots__ = ("entries", "zeroed_blocks", "total_drift", "violations")
+    __slots__ = ("entries", "zeroed_blocks", "total_drift", "violations", "refit_residual")
 
     def __init__(
         self,
@@ -113,8 +116,9 @@ class ReleaseAudit(Frozen):
         zeroed_blocks: tuple[SubsetKey, ...],
         total_drift: float,
         violations: tuple[SubsetKey, ...] = (),
+        refit_residual: float | None = None,
     ):
-        super().__init__(entries, zeroed_blocks, total_drift, violations)
+        super().__init__(entries, zeroed_blocks, total_drift, violations, refit_residual)
 
 
 def upward_closure(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[SubsetKey, ...]:
@@ -196,21 +200,26 @@ def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSp
 
 
 def _audit_log_values(logs_before: LogTable, logs_after: LogTable, above, total_drift, k=None):
-    """``above`` marks subsets containing a zeroed block; ``None`` (zero set unknown) flags only increases."""
-    psi_before = subset_salience(logs_before)[0]
-    psi_after = subset_salience(logs_after)[0]
+    """``above`` marks subsets containing a zeroed block, which for a release is its zero
+    set; ``None`` (zero set unknown) flags only increases and leaves no refit residual."""
+    m = logs_before.schema.n_levels
+    psi_before = _spectrum_salience(subset_energies(logs_before), m)[0]
+    energies = subset_energies(logs_after)
+    psi_after = _spectrum_salience(energies, m)[0]
     broken = psi_after > psi_before + PSI_DRIFT_TOL
     if above is None:
-        above = np.zeros(psi_before.size, dtype=bool)
+        above, refit_residual = np.zeros(psi_before.size, dtype=bool), None
     else:
         broken = np.where(above, broken, np.abs(psi_after - psi_before) > PSI_DRIFT_TOL)
+        total = float(energies.sum())
+        refit_residual = float(np.sqrt(energies.sum(where=above) / total)) if total > 0.0 else 0.0
     sizes = subset_sizes(logs_before.schema.n_attributes)
     index, subsets = marked_subsets(sizes > 0 if k is None else sizes == k)
     before, after, contains = (a[index].tolist() for a in (psi_before, psi_after, above))
     entries = tuple(map(AuditEntry, subsets, before, after, contains))
     zeroed_blocks = tuple(itertools.compress(subsets, contains))
     violations = tuple(itertools.compress(subsets, broken[index].tolist()))
-    return ReleaseAudit(entries, zeroed_blocks, total_drift, violations)
+    return ReleaseAudit(entries, zeroed_blocks, total_drift, violations, refit_residual)
 
 
 def interaction_limit(table: ContingencyTable, spec: LimitSpec) -> tuple[ContingencyTable, ReleaseAudit]:

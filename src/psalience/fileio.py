@@ -358,6 +358,7 @@ def audit_to_dict(audit: ReleaseAudit, schema: AttributeSchema, mode: str) -> di
         "mode": mode,
         "zeroed_blocks": [list(s) for s in audit.zeroed_blocks],
         "total_drift": float(audit.total_drift),
+        "refit_residual": audit.refit_residual,
         "entries": [
             {
                 "subset": list(e.subset),

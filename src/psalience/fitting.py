@@ -130,15 +130,19 @@ def reconstruct(beta: BetaVector, schema: AttributeSchema) -> LogTable:
     return LogTable(schema, _cells(coef))
 
 
+def _slots(m: int) -> np.ndarray:
+    """Per axis, the lattice bit each level-factor column sets: 0 for the constant, 1 for a contrast."""
+    return np.minimum(np.arange(m), 1)
+
+
 def _zero_blocks(log_table: LogTable, mask: np.ndarray) -> LogTable:
     """``log_table`` without the blocks of the subsets ``mask`` marks on the subset lattice."""
     coef = _coefficients(log_table)
-    n, m = coef.ndim, coef.shape[0]
-    # a coefficient belongs to the subset of the axes where it takes a contrast
-    support = np.zeros(coef.shape, dtype=np.uint32)
-    for a in range(n):
-        support.reshape(-1, m, m ** a)[:, 1:] += 1 << a
-    coef[mask[support]] = 0.0
+    # lattice bit N-1-a is axis a of the (2,)*N view, as attribute N-1-a is axis a of coef
+    zeroed = mask.reshape((2,) * coef.ndim)
+    for a in range(coef.ndim):
+        zeroed = zeroed.take(_slots(coef.shape[0]), axis=a)
+    coef[zeroed] = 0.0
     return LogTable(log_table.schema, _cells(coef))
 
 
@@ -150,8 +154,8 @@ def subset_energies(log_table: LogTable) -> np.ndarray:
     coef = _coefficients(log_table)
     if np.ptp(log_table.values) == 0.0:
         coef.flat[1:] = 0.0
-    pool = np.zeros((2, m))  # per axis: the constant column's |col|^2, then the contrasts'
-    pool[0, 0], pool[1, 1:] = m, np.einsum("ij,ij->j", factor, factor)[1:]
+    pool = np.zeros((2, m))  # per axis: each column's |col|^2, pooled into its lattice bit
+    pool[_slots(m), np.arange(m)] = np.einsum("ij,ij->j", factor, factor)
     return _modewise(np.square(coef, out=coef), [pool] * n)
 
 

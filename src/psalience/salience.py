@@ -19,8 +19,8 @@ By the projection-transfer identity ``Psi(S)**2`` is the block energy of the
 non-empty subsets of ``S`` over that of all its subsets, so :func:`scan` costs
 one transform plus ``O(N * 2**N)``; its ``workers`` is accepted but changes nothing.
 :func:`psi` and :func:`psi_histogram` score rows of logs in one vectorised
-pass, so analysing one subset costs one geometric-mean reduction plus one pass
-over the table.
+pass, so analysing one subset costs one geometric-mean reduction, one pass
+over the table and the spectrum its Psi is read from, as :func:`scan` reads it.
 """
 
 from __future__ import annotations
@@ -71,15 +71,19 @@ def _row_salience(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def subset_salience(log_table: LogTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(psi, chi_magnitude, log_norm)`` of every subset's geometric-mean table as lattice
-    vectors; the constant energy joins only the denominator, so near-uniform scores survive.
-    The arithmetic runs in place: at most three ``2**N`` vectors beyond the spectrum's transform."""
-    n, m = log_table.schema.n_attributes, log_table.schema.n_levels
-    energies = subset_energies(log_table)
+    vectors, scored from :func:`subset_energies`."""
+    return _spectrum_salience(subset_energies(log_table), log_table.schema.n_levels)
+
+
+def _spectrum_salience(energies: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`subset_salience` of an energy spectrum, left unchanged; the constant energy joins only
+    the denominator, so near-uniform scores survive.  At most three ``2**N`` vectors beyond it."""
+    n = energies.size.bit_length() - 1
     constant, energies[0] = energies[0], 0.0
+    chi = subset_sums(energies)
+    energies[0] = constant
     # a size-k table's energy is the blocks' over M**(N-k)
     per_cell = (float(m) ** (np.arange(n + 1) - n))[subset_sizes(n)]
-    chi = subset_sums(energies)
-    del energies
     chi *= per_cell
     np.sqrt(chi, out=chi)
     ratio = np.multiply(chi, chi)

@@ -83,11 +83,9 @@ def _read_int(value, name: str, error: type[ArgumentError] = ArgumentError) -> i
 
 def _same_field(a, b) -> bool:
     """Field equality: an array compares as a whole, since its elementwise ``==``
-    has no truth value, and a dict (of arrays, say) key by key."""
+    has no truth value."""
     if isinstance(a, np.ndarray):
         return np.array_equal(a, b)
-    if isinstance(a, dict):
-        return isinstance(b, dict) and a.keys() == b.keys() and all(_same_field(a[k], b[k]) for k in a)
     return a == b
 
 
@@ -243,8 +241,8 @@ class ContingencyTable(Frozen):
             )
         if not np.all(np.isfinite(counts)) or np.any(counts < 0):
             raise ShapeError("counts must be finite and non-negative")
-        if n_total <= 0:
-            raise ShapeError("population total must be positive")
+        if not 0 < n_total < np.inf:
+            raise ShapeError(f"population total must be positive and finite, got {n_total!r}")
         total = float(counts.sum())
         if not values_close(total, n_total):
             raise ShapeError(f"counts sum to {total!r}, declared total is {n_total!r}")

@@ -539,6 +539,19 @@ def test_commands_accept_a_table_inside_the_adjusted_tolerance(tmp_path, floor_t
                      "--out", str(tmp_path / f"{command}.json")]) == 0, command
 
 
+def test_analyze_reports_the_psi_scan_reports_for_every_pair(tmp_path):
+    table = random_adjusted_table(ps.generic_schema(8, 3), np.random.default_rng(1))
+    path = save_table(tmp_path, table)
+    assert main(["scan", "--table", path, "--k", "2", "--out", str(tmp_path / "scan.json")]) == 0
+    entries = json.loads((tmp_path / "scan.json").read_text())["entries"]
+    assert len(entries) == 28
+    out = tmp_path / "analysis.json"
+    for entry in entries:
+        subset = ",".join(map(str, entry["subset"]))
+        assert main(["analyze", "--table", path, "--subset", subset, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["Psi"] == entry["Psi"], subset
+
+
 def test_analyze_bad_subset_is_usage_error(tmp_path, rng):
     table = random_adjusted_table(ps.generic_schema(3, 2), rng)
     path = save_table(tmp_path, table)
@@ -647,6 +660,61 @@ def test_depersonalize_that_breaks_its_contract_exits_1(tmp_path, rng, monkeypat
     assert not out.exists()
     audit = json.loads(out.with_suffix(".audit.json").read_text(encoding="utf-8"))
     assert [2, 1] not in audit["zeroed_blocks"] and [2] in audit["violations"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_depersonalize_whose_zeroed_blocks_survive_exits_1(tmp_path, monkeypatch, capsys, seed):
+    from psalience import depersonalize
+    from psalience.basis import subset_index
+
+    def leaky(log_table, mask):  # keeps the top block, which moves no salience the audit flags
+        mask = mask.copy()
+        mask[subset_index((2, 1, 0))] = False
+        return zero_blocks(log_table, mask)
+
+    zero_blocks = depersonalize._zero_blocks
+    monkeypatch.setattr(depersonalize, "_zero_blocks", leaky)
+    out = tmp_path / "released.json"
+    table = random_adjusted_table(ps.generic_schema(3, 2), np.random.default_rng(seed))
+    table_path = save_table(tmp_path, table)
+    assert main(["depersonalize", "--table", table_path, "--max-order", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "zeroed blocks refit to a residual of" in err and "release not written" in err
+    assert not out.exists()
+    audit = json.loads(out.with_suffix(".audit.json").read_text(encoding="utf-8"))
+    assert audit["violations"] == [] and audit["refit_residual"] > depersonalize.REFIT_TOL
+
+
+def test_audit_of_a_rounded_release_reports_a_residual_and_no_new_violation(tmp_path, rng):
+    from psalience.depersonalize import PSI_DRIFT_TOL, REFIT_TOL
+
+    table = random_adjusted_table(ps.generic_schema(4, 3), rng, n_total=2000)
+    out = tmp_path / "released.json"
+    assert main(["depersonalize", "--table", save_table(tmp_path, table), "--max-order", "1",
+                 "--round-counts", "--out", str(out)]) == 0
+    written = json.loads(out.with_suffix(".audit.json").read_text(encoding="utf-8"))
+    assert 0.0 <= written["refit_residual"] <= REFIT_TOL  # read before rounding
+    zeroed = [s for s in ps.all_subsets(4) if len(s) > 1]
+    audit = ps.audit(table, fileio.load_table(out), zeroed_blocks=zeroed)
+    assert audit.refit_residual > REFIT_TOL  # rounding moved the refitted blocks
+    # the violations are exactly the salience rule's: the residual adds none
+    assert audit.violations == tuple(
+        e.subset for e in audit.entries
+        if (e.delta if e.contains_zeroed else abs(e.delta)) > PSI_DRIFT_TOL
+    )
+
+
+@pytest.mark.parametrize("total", [math.inf, math.nan])
+@pytest.mark.parametrize("rounding", [[], ["--round-counts"]])
+def test_depersonalize_refuses_a_table_whose_total_is_not_finite(tmp_path, rng, capsys, total, rounding):
+    payload = fileio.table_to_dict(random_adjusted_table(ps.generic_schema(3, 2), rng))
+    payload["n_total"] = total
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")  # Infinity and NaN, as json writes them
+    assert main(["depersonalize", "--table", str(path), "--max-order", "1", *rounding,
+                 "--out", str(tmp_path / "released.json")]) == 3
+    assert capsys.readouterr().err.startswith("error: population total must be positive and finite")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.json"]
 
 
 def test_depersonalize_refuses_rounding_a_total_above_2_53(tmp_path, rng, capsys):

@@ -47,6 +47,27 @@ def test_refit_blocks_are_zero_after_limiting(rng):
                 assert np.linalg.norm(block) <= 1e-9, subset
 
 
+@pytest.mark.parametrize("n, m", [(4, 2), (3, 3), (6, 3)])
+def test_clean_releases_report_a_refit_residual_within_the_bound(n, m):
+    for seed in range(3):
+        table = random_adjusted_table(ps.generic_schema(n, m), np.random.default_rng(seed))
+        for k in range(1, n):
+            for round_counts in (False, True):  # the audit reads the un-rounded reconstruction
+                audit = ps.interaction_limit(table, order_spec(k, round_counts=round_counts))[1]
+                assert 0.0 <= audit.refit_residual <= ps.depersonalize.REFIT_TOL, (seed, k)
+        # nothing zeroed: the residual sums no energy at all
+        assert ps.interaction_limit(table, order_spec(n))[1].refit_residual == 0.0
+        selective = ps.LimitSpec("selective", zero_subsets=[(1, 0)])
+        assert ps.selective_zero(table, selective)[1].refit_residual <= ps.depersonalize.REFIT_TOL
+
+
+def test_an_audit_without_its_zero_set_reports_no_refit_residual(rng):
+    table = random_adjusted_table(ps.generic_schema(3, 3), rng)
+    released, _ = ps.interaction_limit(table, order_spec(1))
+    assert ps.audit(table, released).refit_residual is None
+    assert ps.audit(table, released, zeroed_blocks=[(1, 0), (2, 0), (2, 1)]).refit_residual <= 1e-9
+
+
 def test_limit_is_idempotent_without_renormalisation(rng):
     schema = ps.generic_schema(3, 3)
     table = random_adjusted_table(schema, rng)

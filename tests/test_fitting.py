@@ -201,6 +201,24 @@ def test_expansion_memory_stays_near_table_size(rng):
     assert peak < 32 * log_table.values.nbytes, peak / log_table.values.nbytes
 
 
+def test_zero_blocks_peak_memory_stays_near_four_tables(rng):
+    # the mask is expanded along each axis as booleans, never as a support tensor of integers
+    from psalience.basis import subset_sizes
+    from psalience.fitting import _zero_blocks
+
+    log_table = ps.log_transform(random_adjusted_table(ps.generic_schema(16, 2), rng))
+    mask = subset_sizes(16) > 2
+    tracemalloc.start()
+    try:
+        limited = _zero_blocks(log_table, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.3 * log_table.values.nbytes, peak / log_table.values.nbytes
+    # at M=2 each axis's level-factor column is its lattice bit, so the mask indexes coef directly
+    assert np.abs(ps.fit_beta(limited).coef[mask.reshape((2,) * 16)]).max() <= 1e-9
+
+
 def test_expansion_holds_one_coefficient_tensor_at_sixteen_attributes(rng):
     schema = ps.generic_schema(16, 2)
     log_table = ps.log_transform(random_adjusted_table(schema, rng))

@@ -12,7 +12,8 @@ import psalience as ps
 from psalience import reference
 from psalience.synthetic import random_adjusted_table
 
-PIPELINE = ("_modewise", "_coefficients", "_cells", "subset_energies", "subset_salience", "_zero_blocks")
+PIPELINE = ("_modewise", "_coefficients", "_cells", "subset_energies", "subset_salience",
+            "_spectrum_salience", "_zero_blocks")
 
 
 def reference_calls(table):

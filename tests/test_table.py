@@ -279,6 +279,13 @@ def test_table_shape_validation(schema22):
         ps.ContingencyTable(schema22, [-1, 2, 2, 1], 4)
 
 
+@pytest.mark.parametrize("n_total", [math.inf, -math.inf, math.nan])
+def test_table_refuses_a_total_that_is_not_finite(n_total):
+    # values_close(8.0, inf) holds, so the sum check alone would admit an infinite total
+    with pytest.raises(ShapeError, match="positive and finite"):
+        ps.ContingencyTable(ps.generic_schema(1, 2), [3, 5], n_total)
+
+
 def test_counts_are_read_only(schema22):
     table = ps.ContingencyTable(schema22, [1, 1, 1, 1], 4, adjusted=True)
     with pytest.raises(ValueError):
