@@ -110,16 +110,6 @@ class ReleaseAudit(Frozen):
 
     __slots__ = ("entries", "zeroed_blocks", "total_drift", "violations", "refit_residual")
 
-    def __init__(
-        self,
-        entries: tuple[AuditEntry, ...],
-        zeroed_blocks: tuple[SubsetKey, ...],
-        total_drift: float,
-        violations: tuple[SubsetKey, ...] = (),
-        refit_residual: float | None = None,
-    ):
-        super().__init__(entries, zeroed_blocks, total_drift, violations, refit_residual)
-
 
 def upward_closure(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[SubsetKey, ...]:
     """All subsets containing at least one seed, in enumeration order.

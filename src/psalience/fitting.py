@@ -18,16 +18,16 @@ subspace, which shares none of this transform, is in :mod:`psalience.reference`.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .basis import SubsetKey, all_subsets, level_factor
 from .errors import ShapeError
-from .table import AttributeSchema, LogTable, freeze, record_eq, record_ne
+from .table import AttributeSchema, Frozen, LogTable, freeze
 
 
-class BetaVector(NamedTuple):
+class BetaVector(Frozen):
     """Expansion coefficients as one ``(M,)*N`` tensor ``coef``.
 
     Axis ``i`` belongs to attribute ``N-1-i``; along it, index 0 is the
@@ -37,10 +37,7 @@ class BetaVector(NamedTuple):
     subset's axes form that subset's length-``(M-1)**k`` block.
     """
 
-    coef: np.ndarray
-
-    __eq__ = record_eq
-    __ne__ = record_ne
+    __slots__ = ("coef",)
 
     @property
     def n_attributes(self) -> int:

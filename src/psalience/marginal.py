@@ -62,8 +62,7 @@ def conditional_subtable(
     attribute first.  The slice itself is defined for any table; entries
     are at least 1 whenever the source is adjusted.
     """
-    schema = table.schema
-    n, m = schema.n_attributes, schema.n_levels
+    n, m = table.schema.n_attributes, table.schema.n_levels
     members = check_subset(subset, n)
     others = complement_attributes(members, n)
     fixed = tuple(_read_int(v, "conditioning level") for v in conditioning)
@@ -76,13 +75,10 @@ def conditional_subtable(
             raise ArgumentError(f"conditioning level {value} out of range [0, {m})")
 
     by_attribute = dict(zip(others, fixed))
-    indexer = tuple(
-        slice(None) if attribute in members else by_attribute[attribute]
-        for attribute in range(n - 1, -1, -1)
-    )
-    counts = table.reshaped()[indexer].ravel()
-    ranks = np.arange(schema.n_cells).reshape((m,) * n)[indexer].ravel()
-    return ConditionalSubtable(members, fixed, counts, ranks)
+    # the subtable's own digit grid, so no rank tensor of the whole table is built
+    digits = np.ix_(*(range(m) if a in members else [by_attribute[a]] for a in range(n - 1, -1, -1)))
+    ranks = np.ravel_multi_index(digits, (m,) * n).ravel()
+    return ConditionalSubtable(members, fixed, table.counts[ranks], ranks)
 
 
 def geometric_mean_subtable(table: ContingencyTable, subset: Sequence[int]) -> GeoMeanTable:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .fitting import centred_norm, row_norms
 from .marginal import complement_attributes, geometric_mean_subtable
 from .salience import SalienceValue
 from .table import (AttributeSchema, ContingencyTable, Frozen, LogTable, _read_int, freeze, generic_schema,
-                    log_transform, record_eq, record_ne)
+                    log_transform)
 
 GRAM_SCHMIDT_CELL_LIMIT = 4096
 
@@ -99,7 +99,7 @@ def ortho_column(subset: Sequence[int], levels: Sequence[int], schema: Attribute
     return BasisColumn(members, codes, entries.ravel())
 
 
-class SubspaceBasis(NamedTuple):
+class SubspaceBasis(Frozen):
     """Orthogonal, unnormalised columns spanning one subset's subspace.
 
     ``matrix`` is ``M**N x (M-1)**k`` with squared column norms in
@@ -107,13 +107,7 @@ class SubspaceBasis(NamedTuple):
     empty subset gets the single unit-norm constant direction.
     """
 
-    subset: SubsetKey
-    codes: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray
-    norms_sq: np.ndarray
-
-    __eq__ = record_eq
-    __ne__ = record_ne
+    __slots__ = ("subset", "codes", "matrix", "norms_sq")
 
     @property
     def dimension(self) -> int:

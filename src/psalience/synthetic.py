@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
-from .basis import check_subset
+from .basis import check_subset, level_contrasts
 from .errors import ArgumentError
-from .reference import subspace_basis
 from .table import AttributeSchema, ContingencyTable, _read_int, zero_adjust
 
 
@@ -29,9 +30,10 @@ def planted_interaction_table(
 ) -> ContingencyTable:
     """Adjusted table whose log is a constant plus one scaled interaction column.
 
-    The column is the subset's first generated basis column (all contrast
-    codes zero), scaled to unit norm times ``strength``, then shifted so
-    the smallest count is exactly 1.  Every other subset's projection is
+    The column is the subset's first basis column (all contrast codes zero):
+    the Kronecker product of the first level contrast on the subset's
+    attributes and ones elsewhere.  It is scaled to unit norm times
+    ``strength``, then shifted so the smallest count is exactly 1.  Every other subset's projection is
     exactly zero, so a scan must rank ``subset`` first.
     """
     members = check_subset(subset, schema.n_attributes)
@@ -39,7 +41,9 @@ def planted_interaction_table(
         raise ArgumentError("plant a non-empty subset")
     if strength <= 0:
         raise ArgumentError("strength must be positive")
-    column = subspace_basis(members, schema).matrix[:, 0]
+    n, m = schema.n_attributes, schema.n_levels
+    contrast, ones = level_contrasts(m)[:, 0], np.ones(m)
+    column = reduce(np.kron, [contrast if a in members else ones for a in range(n - 1, -1, -1)])
     column = column / np.sqrt(column @ column)
     logs = strength * column
     logs = logs - logs.min()

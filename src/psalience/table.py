@@ -23,10 +23,10 @@ Conventions used throughout the package:
   entries to 1, so every log is finite and non-negative.
 
 All types here are immutable after construction and all operations are
-pure functions.  Records that validate their fields derive from
-:class:`Frozen`; plain records are ``typing.NamedTuple`` classes.
-Neither generates code when its module is imported, which every CLI
-command would pay for.
+pure functions.  Records that validate their fields or hold arrays derive
+from :class:`Frozen`; plain-value records are ``typing.NamedTuple``
+classes.  Neither generates code when its module is imported, which every
+CLI command would pay for.
 """
 
 from __future__ import annotations
@@ -81,36 +81,17 @@ def _read_int(value, name: str, error: type[ArgumentError] = ArgumentError) -> i
     raise error(f"{name} must be an integer, got {value!r}")
 
 
-def _same_field(a, b) -> bool:
-    """Field equality: an array compares as a whole, since its elementwise ``==``
-    has no truth value."""
-    if isinstance(a, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
-
-
-def record_eq(self, other):
-    """``==`` of a ``NamedTuple`` record with array fields: same class, every field the same."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return all(map(_same_field, self, other))
-
-
-def record_ne(self, other):
-    """``!=`` to match :func:`record_eq`; a tuple's own ``!=`` would compare arrays elementwise."""
-    equal = record_eq(self, other)
-    return equal if equal is NotImplemented else not equal
-
-
 class Frozen:
-    """Base of the records that validate their fields.
+    """Base of the records that validate their fields or hold arrays.
 
-    A subclass lists its fields in ``__slots__`` in ``__init__`` parameter
-    order; its ``__init__`` converts and checks them, then hands them to
-    ``Frozen.__init__``, which sets each once.  Afterwards assigning or
+    A subclass lists its fields in ``__slots__`` in constructor parameter
+    order.  ``Frozen.__init__`` sets each once; a subclass that only stores
+    its arguments defines no ``__init__``, and one that converts and checks
+    them hands them on to ``Frozen.__init__``.  Afterwards assigning or
     deleting any attribute raises ``AttributeError``.  Equality, hash, repr
-    and pickling go over these ``_fields``.  A slot whose name starts with an
-    underscore caches something derived from the fields and is no field.
+    and pickling go over these ``_fields``; an array field compares as a
+    whole, so a record holding one is unhashable.  A slot whose name starts
+    with an underscore holds state derived at construction and is no field.
     """
 
     __slots__ = ()
@@ -138,7 +119,8 @@ class Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(map(_same_field, self._values(), other._values()))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())
@@ -158,7 +140,7 @@ class AttributeSchema(Frozen):
     first entry is attribute ``N-1`` and the last is attribute ``0``.
     """
 
-    __slots__ = ("attributes", "_maps")
+    __slots__ = ("attributes", "_level_maps")
 
     def __init__(self, attributes: Iterable[tuple[str, Iterable[str]]]):
         normal = tuple(
@@ -182,6 +164,9 @@ class AttributeSchema(Frozen):
                 raise SchemaError(f"attribute {name!r} has duplicate level labels")
         if m < 2:
             raise SchemaError("attributes need at least 2 levels")
+        # one label -> level-index map per schema position
+        object.__setattr__(self, "_level_maps",
+                           tuple({label: i for i, label in enumerate(levels)} for _, levels in normal))
 
     @property
     def n_attributes(self) -> int:
@@ -202,15 +187,6 @@ class AttributeSchema(Frozen):
     def attribute_name(self, attribute: int) -> str:
         """Name of attribute ``attribute`` (numbered N-1 .. 0)."""
         return self.attributes[self.n_attributes - 1 - attribute][0]
-
-    @property
-    def _level_maps(self) -> tuple[dict, ...]:
-        """One label -> level-index map per schema position, built on first use."""
-        maps = getattr(self, "_maps", None)
-        if maps is None:
-            maps = tuple({label: i for i, label in enumerate(levels)} for _, levels in self.attributes)
-            object.__setattr__(self, "_maps", maps)
-        return maps
 
 
 def generic_schema(n: int, m: int) -> AttributeSchema:

@@ -181,7 +181,7 @@ def test_subspace_bases_compare_their_arrays_whole(schema33):
     assert basis == ps.subspace_basis((1,), schema33)
     assert not basis != ps.subspace_basis((1,), schema33)
     assert basis != ps.subspace_basis((2,), schema33)
-    assert basis != basis._replace(norms_sq=basis.norms_sq * 2.0)
+    assert basis != ps.SubspaceBasis(basis.subset, basis.codes, basis.matrix, basis.norms_sq * 2.0)
     with pytest.raises(TypeError):
         hash(basis)
 

@@ -763,7 +763,8 @@ def test_verify_fails_one_corrupted_pair_of_non_constant_blocks(monkeypatch, n, 
         # that pair of blocks stops being orthogonal
         tilted = bases[-1].matrix.copy()
         tilted[:, 0] += 1e-6 * bases[-2].matrix[:, 0]
-        bases[-1] = bases[-1]._replace(matrix=tilted)
+        last = bases[-1]
+        bases[-1] = ps.SubspaceBasis(last.subset, last.codes, tilted, last.norms_sq)
         return bases
 
     monkeypatch.setattr(ps.verify, "full_basis", corrupted)

@@ -161,7 +161,7 @@ def test_beta_vectors_compare_their_blocks_whole(rng):
     assert beta == ps.fit_beta(log_table) and not beta != ps.fit_beta(log_table)
     shifted = np.array(beta.coef)
     shifted[0, 1:, 1:] += 1.0  # the (1, 0) block
-    assert beta != beta._replace(coef=shifted)
+    assert beta != ps.BetaVector(shifted)
     assert beta != ps.fit_beta(ps.log_transform(random_adjusted_table(schema, rng)))
 
 

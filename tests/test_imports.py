@@ -59,6 +59,11 @@ def test_lazy_namespace_resolves_every_public_name():
                       "unknown": "AttributeError"}
 
 
+def test_synthetic_tables_load_no_oracle():
+    loaded, _ = fresh(f"import json, sys, psalience.synthetic; print(json.dumps({LOADED}))")
+    assert "psalience.synthetic" in loaded and "psalience.reference" not in loaded
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("startup")

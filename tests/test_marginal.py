@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,34 @@ def test_conditional_subtables_partition_the_table(n, m, subset):
     for combo in itertools.product(range(m), repeat=n - len(subset)):
         seen.extend(ps.conditional_subtable(table, subset, combo).cell_ranks.tolist())
     assert sorted(seen) == list(range(schema.n_cells))
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (4, 2)])
+def test_conditional_subtable_equals_the_slice_of_a_full_rank_tensor(n, m, rng):
+    schema = ps.generic_schema(n, m)
+    table = random_adjusted_table(schema, rng)
+    every_rank = np.arange(schema.n_cells).reshape((m,) * n)
+    for subset in ps.all_subsets(n):
+        for combo in itertools.product(range(m), repeat=n - len(subset)):
+            fixed = dict(zip((a for a in range(n - 1, -1, -1) if a not in subset), combo))
+            indexer = tuple(slice(None) if a in subset else fixed[a] for a in range(n - 1, -1, -1))
+            sub = ps.conditional_subtable(table, subset, combo)
+            assert np.array_equal(sub.cell_ranks, every_rank[indexer].ravel())
+            assert np.array_equal(sub.counts, table.reshaped()[indexer].ravel())
+
+
+def test_conditional_subtable_allocates_only_its_own_cells():
+    schema = ps.generic_schema(20, 2)
+    table = ps.ContingencyTable(schema, np.ones(schema.n_cells), schema.n_cells, adjusted=True)
+    ps.conditional_subtable(table, (5, 3), (0,) * 18)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        sub = ps.conditional_subtable(table, (5, 3), (1,) * 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sub.counts.size == 4
+    assert peak < 0.01 * table.counts.nbytes
 
 
 def test_conditional_subtable_argument_errors(schema32):

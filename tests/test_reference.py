@@ -10,7 +10,7 @@ import pytest
 
 import psalience as ps
 from psalience import reference
-from psalience.synthetic import random_adjusted_table
+from psalience.synthetic import planted_interaction_table, random_adjusted_table
 
 PIPELINE = ("_modewise", "_coefficients", "_cells", "subset_energies", "subset_salience",
             "_spectrum_salience", "_zero_blocks")
@@ -71,3 +71,13 @@ def test_Psi_chi_of_each_attribute_matches_an_exact_sum(seed):
         exact = abs(math.fsum([*level0.ravel().tolist(), *(-level1).ravel().tolist()])) / 2 ** 15 / math.sqrt(2)
         chi = ps.Psi(table, (attribute,)).chi_magnitude
         assert abs(chi - exact) <= 2e-12 * exact, (attribute, chi, exact)
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (5, 3)])
+def test_planted_column_is_the_first_basis_column_bit_for_bit(n, m):
+    schema = ps.generic_schema(n, m)
+    for subset in ps.all_subsets(n)[1:]:
+        column = ps.subspace_basis(subset, schema).matrix[:, 0]
+        logs = 3.0 * (column / np.sqrt(column @ column))
+        counts = np.exp(logs - logs.min())
+        assert np.array_equal(planted_interaction_table(schema, subset).counts, counts), subset

@@ -21,7 +21,7 @@ from psalience.errors import (
     ShapeError,
     StateError,
 )
-from psalience.table import Frozen
+from psalience.table import Frozen, _record_rank
 
 
 # ---------------------------------------------------------------- schema
@@ -339,6 +339,17 @@ def _array_field(record) -> int | None:
     return next((i for i, v in enumerate(record._values()) if isinstance(v, np.ndarray)), None)
 
 
+def test_records_holding_arrays_are_frozen():
+    def fields(record):
+        return record._values() if isinstance(record, Frozen) else record
+
+    holding = {name: record for name, record in _records().items()
+               if any(isinstance(v, np.ndarray) for v in fields(record))}
+    assert {"BetaVector", "SubspaceBasis", "LogTable"} <= set(holding)
+    for name, record in holding.items():
+        assert isinstance(record, Frozen) and not isinstance(record, tuple), name
+
+
 @pytest.mark.parametrize("name", sorted(
     name for name, record in _records().items()
     if isinstance(record, Frozen) and _array_field(record) is not None
@@ -360,7 +371,7 @@ def test_schema_equality_and_hash_survive_json(schema33):
 
     loaded = fileio.schema_from_dict(json.loads(json.dumps(fileio.schema_to_dict(schema33))))
     assert loaded == schema33 and hash(loaded) == hash(schema33)
-    assert loaded._level_maps  # a filled cache is no field
+    assert loaded._level_maps  # state derived at construction is no field
     assert loaded == schema33 and hash(loaded) == hash(schema33)
     assert loaded != ps.generic_schema(3, 2)
     assert repr(loaded) == f"AttributeSchema(attributes={schema33.attributes!r})"
@@ -387,6 +398,13 @@ def test_records_survive_pickling(schema22):
     assert copy == table
     spec = ps.LimitSpec("order_limit", k_dagger=2, round_counts=True)
     assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_schema_pickle_rebuilds_its_level_maps():
+    schema = ps.AttributeSchema((("region", ("north", "south", "east")), ("band", ("lo", "mid", "hi"))))
+    copy = pickle.loads(pickle.dumps(schema))
+    assert copy == schema and copy._level_maps == schema._level_maps
+    assert _record_rank(("south", "mid"), copy, "record 1", 1) == 4
 
 
 # ---------------------------------------------------------- schema files
