@@ -8,12 +8,15 @@ Table file:     {"schema": ..., "counts": [...], "n_total": ..., "adjusted": boo
                 with counts in lexicographic cell order.
 Microdata CSV:  UTF-8 (a leading byte-order mark is dropped), header row
                 with the attribute names, one level label per cell.
-                tabulate_microdata counts the raw lines in one C-level
-                pass, then parses the distinct lines in batches of
-                BATCH_LINES and ranks each batch column by column:
-                O(distinct lines) memory.  Records that span lines and
-                every error go through the per-record read_microdata,
-                whose errors name the first offending file row.
+                tabulate_microdata tallies the raw lines after the header
+                as bytes in one C-level pass, then decodes and parses
+                only the distinct lines, in batches of BATCH_LINES, and
+                ranks each batch column by column: O(distinct lines)
+                memory.  A file it cannot read line by line goes through
+                the per-record read_microdata instead: bytes that are not
+                UTF-8, a lone carriage return as a line end, a record
+                that spans lines, and every error.  read_microdata's
+                errors name the first offending file row.
 
 Written JSON is compact (no indentation, no spaces) and round-trips
 exactly: floats are serialised with enough digits to reproduce the
@@ -174,11 +177,22 @@ def _header_positions(reader, path, schema: AttributeSchema) -> list[int]:
         header = next(reader)
     except StopIteration:
         raise IngestionError(f"{path}: file is empty, expected a header row")
+    _require_utf8(header, path, 1)
     header = [h.strip() for h in header]
     names = list(schema.names)
     if sorted(header) != sorted(names):
         raise IngestionError(f"{path}: header {header} does not match schema attributes {names}")
     return [header.index(name) for name in names]
+
+
+def _require_utf8(row: list[str], path, row_number: int) -> None:
+    """Refuse a row read with ``surrogateescape`` that held bytes outside UTF-8:
+    they decoded to lone surrogates, which no strict encoder accepts."""
+    try:
+        "".join(row).encode("utf-8")
+    except UnicodeEncodeError:
+        raise IngestionError(f"{path}: row {row_number} is not valid UTF-8",
+                             record_number=row_number) from None
 
 
 def _row_labels(row: list[str], positions: list[int]) -> tuple:
@@ -197,13 +211,14 @@ def read_microdata(path, schema: AttributeSchema):
     distinct raw row is checked, stripped and reordered the first time it
     is seen, and its later copies yield that same tuple, so streaming this
     into :func:`tabulate` takes O(distinct rows) memory.  Errors, malformed
-    CSV included, name the first offending file row; a file without records
-    raises :class:`EmptyInputError` naming the file.  This is the reference
-    and error path of :func:`tabulate_microdata`.
+    CSV and bytes that are not UTF-8 included, name the first offending file
+    row; a file without records raises :class:`EmptyInputError` naming the
+    file.  This is the reference and error path of :func:`tabulate_microdata`.
     """
     row_number = 0  # the last row read in full; the header is row 1
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
+        # undecodable bytes become lone surrogates, so the row holding them is known
+        with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
             reader = csv.reader(fh)
             positions = _header_positions(reader, path, schema)
             row_number = 1
@@ -214,14 +229,13 @@ def read_microdata(path, schema: AttributeSchema):
                 key = tuple(row)
                 labels = seen.get(key)
                 if labels is None:
+                    _require_utf8(row, path, row_number)
                     labels = _row_labels(row, positions)
                     _record_rank(labels, schema, f"{path}: row {row_number}", row_number)
                     seen[key] = labels
                 yield row_number, labels
         if not seen:
             raise EmptyInputError(f"{path}: no records after the header row", record_number=0)
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     except csv.Error as exc:
         raise IngestionError(
             f"{path}: row {row_number + 1} is not valid CSV ({exc})", record_number=row_number + 1
@@ -232,14 +246,16 @@ def tabulate_microdata(path, schema: AttributeSchema) -> ContingencyTable:
     """Unadjusted table of a microdata CSV, equal to :func:`tabulate` over
     :func:`read_microdata`.
 
-    One C-level ``Counter`` pass tallies the physical lines after the header,
-    so memory is O(distinct lines).  The distinct lines are parsed as strict
-    CSV in batches of :data:`BATCH_LINES`; each batch's cell ranks come from
-    one label -> level lookup per attribute column, and one ``np.bincount``
-    sums the tallies per cell.  If any line is not one complete valid record
-    (the first line of a multi-line quoted record never is), or the file is
-    not UTF-8, or has no records, the file goes through the record path
-    instead, which reads such records or raises its error.
+    One C-level ``Counter`` pass tallies the physical lines after the header
+    as bytes, so memory is O(distinct lines) and only distinct lines are ever
+    decoded.  They are decoded as UTF-8 and parsed as strict CSV in batches of
+    :data:`BATCH_LINES`; each batch's cell ranks come from one label -> level
+    lookup per attribute column, and one ``np.bincount`` sums the tallies per
+    cell.  If any line is not one complete valid record (the first line of a
+    multi-line quoted record never is, nor a line in which a lone carriage
+    return ends a record), or is not UTF-8, or the file has no records, the
+    file goes through the record path instead, which reads such records or
+    raises its error.
     """
     try:
         table = _tabulate_lines(path, schema)
@@ -254,8 +270,10 @@ def _tabulate_lines(path, schema: AttributeSchema) -> ContingencyTable | None:
     """The batched path of :func:`tabulate_microdata`: ``None`` when a record
     spans lines, has the wrong field count or an unknown label, or when the
     file has no records; the record path then decides."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        positions = _header_positions(csv.reader(fh), path, schema)
+    with open(path, "rb") as fh:
+        # strict, so a quoted header name that runs past its line is an error
+        header = csv.reader([fh.readline().decode("utf-8-sig")], strict=True)
+        positions = _header_positions(header, path, schema)
         lines = Counter(fh)
     ranks, tallies = [], []
     distinct = iter(lines.items())
@@ -274,11 +292,13 @@ def _tabulate_lines(path, schema: AttributeSchema) -> ContingencyTable | None:
 
 
 def _rank_batch(batch, positions: list[int], schema: AttributeSchema):
-    """Cell ranks and tallies of a batch of ``(line, tally)`` pairs, blank lines
-    dropped; ``None`` when some line is not one complete record in the schema,
-    or every line is blank (at most three distinct lines are, so only a file
-    without records has such a batch)."""
-    text, tallies = zip(*batch)
+    """Cell ranks and tallies of a batch of ``(raw line, tally)`` pairs, blank
+    lines dropped; ``None`` when some line is not one complete record in the
+    schema, or every line is blank (at most three distinct lines are, so only a
+    file without records has such a batch).  Raises ``UnicodeDecodeError`` for
+    a line that is not UTF-8."""
+    raw, tallies = zip(*batch)
+    text = [line.decode("utf-8") for line in raw]
     rows = list(csv.reader(text, strict=True))
     if len(rows) != len(text):
         return None  # a quoted record spanned lines

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import SubsetKey, check_subset
 from .errors import ArgumentError
-from .table import ContingencyTable, Frozen, _read_int, freeze, log_transform
+from .table import ContingencyTable, Frozen, LogTable, _read_int, freeze, log_transform
 
 
 class ConditionalSubtable(Frozen):
@@ -81,15 +81,17 @@ def conditional_subtable(
     return ConditionalSubtable(members, fixed, table.counts[ranks], ranks)
 
 
-def geometric_mean_subtable(table: ContingencyTable, subset: Sequence[int]) -> GeoMeanTable:
+def geometric_mean_subtable(table: ContingencyTable | LogTable, subset: Sequence[int]) -> GeoMeanTable:
     """Geometric mean of the conditional subtables over all conditioning values.
 
     Computed as ``exp(mean(log counts))`` to stay stable for large
     populations; the logs come from :func:`log_transform`, so the table
-    must be adjusted.
+    must be adjusted.  A :class:`LogTable` passed as ``table`` is used as
+    those logs, so a caller that already has them does not log twice.
     """
     n = table.schema.n_attributes
     members = check_subset(subset, n)
     axes = tuple(n - 1 - a for a in complement_attributes(members, n))
-    logs = log_transform(table).reshaped().mean(axis=axes).ravel()
-    return GeoMeanTable(members, np.exp(logs), logs)
+    logs = table if isinstance(table, LogTable) else log_transform(table)
+    values = logs.reshaped().mean(axis=axes).ravel()
+    return GeoMeanTable(members, np.exp(values), values)

@@ -19,8 +19,9 @@ By the projection-transfer identity ``Psi(S)**2`` is the block energy of the
 non-empty subsets of ``S`` over that of all its subsets, so :func:`scan` costs
 one transform plus ``O(N * 2**N)``; its ``workers`` is accepted but changes nothing.
 :func:`psi` and :func:`psi_histogram` score rows of logs in one vectorised
-pass, so analysing one subset costs one geometric-mean reduction, one pass
-over the table and the spectrum its Psi is read from, as :func:`scan` reads it.
+pass, so analysing one subset costs one log of the table, one geometric-mean
+reduction, one pass over the logs and the spectrum its Psi is read from, as
+:func:`scan` reads it.
 """
 
 from __future__ import annotations
@@ -129,12 +130,16 @@ def scan(table: ContingencyTable, k: int, workers: int | None = None) -> Salienc
     return SalienceReport(k=k, entries=tuple(map(ScanEntry, subsets, values, ranks.tolist())))
 
 
-def psi_histogram(table: ContingencyTable, subset: Sequence[int]) -> list[tuple[tuple[int, ...], float]]:
+def psi_histogram(
+    table: ContingencyTable | LogTable, subset: Sequence[int]
+) -> list[tuple[tuple[int, ...], float]]:
     """Salience of every individual conditional subtable of ``subset``.
 
     One entry per conditioning combination (``M**(N-k)`` of them) in
     lexicographic conditioning order, largest conditioning attribute most
     significant.  Each value equals ``psi`` of that conditional subtable.
+    A :class:`LogTable` passed as ``table`` is used as the adjusted table's
+    logs instead of taking them again.
     """
     schema = table.schema
     members = check_subset(subset, schema.n_attributes)
@@ -144,7 +149,8 @@ def psi_histogram(table: ContingencyTable, subset: Sequence[int]) -> list[tuple[
     others = complement_attributes(members, n)
     # conditioning axes first, so each row is one conditional subtable; contiguous
     # rows are summed in the order psi sums a lone subtable
-    logs = log_transform(table).reshaped().transpose([n - 1 - a for a in others + members])
+    logs = table if isinstance(table, LogTable) else log_transform(table)
+    logs = logs.reshaped().transpose([n - 1 - a for a in others + members])
     rows = np.ascontiguousarray(logs.reshape(m ** len(others), m ** len(members)))
     values = _row_salience(rows)[0]
     return list(zip(itertools.product(range(m), repeat=len(others)), values.tolist()))

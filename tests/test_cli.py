@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -322,6 +323,41 @@ def test_tabulate_clean_csv_never_walks_records(tmp_path, monkeypatch):
     assert fileio.load_table(tmp_path / "fast.json").n_total == 6.0
 
 
+def test_bom_and_crlf_are_counted_by_the_batched_path(tmp_path, monkeypatch):
+    schema = fileio.schema_from_dict(SCHEMA)
+    csv_path = tmp_path / "micro.csv"
+    csv_path.write_bytes(b"\xef\xbb\xbfband,region\r\nlo,north\r\nhi,south\r\n\r\nlo,north\r\n")
+    monkeypatch.setattr(fileio, "read_microdata", None)  # the batches alone must count it
+    table = fileio.tabulate_microdata(csv_path, schema)
+    expected = ps.tabulate([("north", "lo"), ("south", "hi"), ("north", "lo")], schema)
+    assert np.array_equal(table.counts, expected.counts)
+    assert table.n_total == 3.0
+
+
+def test_header_name_quoted_across_lines_is_refused_as_the_record_path_refuses_it(tmp_path):
+    # read alone, the first line's unterminated quote would give the name "a",
+    # and the header's second line would then count as a record
+    schema = ps.AttributeSchema((("a", ('x"', "y")),))
+    csv_path = tmp_path / "micro.csv"
+    csv_path.write_text('"a\nx"\ny\n', encoding="utf-8")
+    with pytest.raises(ps.IngestionError, match="does not match schema attributes"):
+        fileio.tabulate_microdata(csv_path, schema)
+
+
+@pytest.mark.parametrize("text, row", [
+    (b"region,band\nnorth,lo\nsouth,hi\nnorth,lo\nsouth,h\xffi\nnorth,lo\n", 5),
+    (b"region,b\xe9nd\nnorth,lo\n", 1),  # Latin-1, not UTF-8
+    (b'region,band\r\nnorth,lo\r\n"south\r\n\xed\xa0\x80",hi\r\n', 3),  # an encoded surrogate
+])
+def test_invalid_utf8_names_its_row(tmp_path, text, row):
+    schema = fileio.schema_from_dict(SCHEMA)
+    csv_path = tmp_path / "micro.csv"
+    csv_path.write_bytes(text)
+    with pytest.raises(ps.IngestionError, match=f"row {row} is not valid UTF-8") as info:
+        fileio.tabulate_microdata(csv_path, schema)
+    assert info.value.record_number == row
+
+
 @pytest.mark.parametrize("levels, records, text", [
     ((("north\nside", "south"), ("lo", 'h"i')),
      [("north\nside", "lo"), ("south", 'h"i'), ("north\nside", "lo"), ("south", "lo")],
@@ -550,6 +586,28 @@ def test_analyze_reports_the_psi_scan_reports_for_every_pair(tmp_path):
         subset = ",".join(map(str, entry["subset"]))
         assert main(["analyze", "--table", path, "--subset", subset, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["Psi"] == entry["Psi"], subset
+
+
+def test_analyze_logs_the_table_once(tmp_path, monkeypatch):
+    table = random_adjusted_table(ps.generic_schema(4, 3), np.random.default_rng(4))
+    argv = ["analyze", "--table", save_table(tmp_path, table), "--subset", "3,1",
+            "--out", str(tmp_path / "analysis.json")]
+    assert main(argv) == 0  # loads every module analyze runs
+    real = ps.table.log_transform
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    # patched wherever a module holds it, as a tracer wrapping the function would be
+    holders = [m for name, m in sys.modules.items()
+               if name.startswith("psalience.") and getattr(m, "log_transform", None) is real]
+    assert {ps.table, ps.marginal, ps.salience} <= set(holders)
+    for module in holders:
+        monkeypatch.setattr(module, "log_transform", counted)
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_analyze_bad_subset_is_usage_error(tmp_path, rng):

@@ -1,11 +1,15 @@
-"""Start-up: ``import psalience`` loads no submodule, and each CLI command
-loads only the modules it runs, and never ``dataclasses``, whose classes
-generate code at import.  Every check runs in a fresh interpreter, because
-this one has long since imported the whole package."""
+"""Start-up and exit: ``import psalience`` loads no submodule, and each CLI
+command loads only the modules it runs, and never ``dataclasses``, whose
+classes generate code at import; the process entry keeps ``main``'s exit
+codes and output and freezes the heap only on its way out.  Every check
+runs in a fresh interpreter, because this one has long since imported the
+whole package."""
 
 import ast
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,18 +19,23 @@ import numpy as np
 import pytest
 
 import psalience as ps
-from psalience import fileio
+from psalience import cli, fileio
 from psalience.synthetic import random_adjusted_table
 
 SRC = str(Path(ps.__file__).resolve().parents[1])
 LOADED = "sorted(m for m in sys.modules if m.startswith('psalience.') or m == 'dataclasses')"
 
 
+def interpreter(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args``, this checkout's ``src`` first on its path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def fresh(code: str):
     """Run ``code`` in a new interpreter; return the JSON it prints last and its stderr."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    proc = interpreter("-c", textwrap.dedent(code))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
 
@@ -113,6 +122,53 @@ def test_each_command_loads_only_what_it_runs(inputs, command):
         assert {"psalience.verify", "psalience.synthetic", "psalience.reference"} <= loaded
     else:
         assert not loaded & {"psalience.verify", "psalience.synthetic", "psalience.reference"}, loaded
+
+
+ENTRY_CASES = {
+    "version": (["--version"], 0),
+    "usage error": (["scan", "--table", "{d}/table.json", "--k", "0", "--out", "{d}/s.json"], 2),
+    "missing table": (["scan", "--table", "{d}/missing.json", "--k", "1", "--out", "{d}/s.json"], 3),
+}
+
+
+@pytest.mark.parametrize("case", ENTRY_CASES)
+def test_module_entry_keeps_exit_codes_and_output(inputs, capsys, case):
+    argv, expected = ENTRY_CASES[case]
+    argv = [arg.format(d=inputs) for arg in argv]
+    proc = interpreter("-m", "psalience.cli", *argv)
+    assert proc.returncode == expected, proc.stderr
+    # what the process prints is what main prints in process, which leaves the collector alone
+    assert cli.main(argv) == expected
+    assert gc.get_freeze_count() == 0
+    out, err = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (out, err)
+    last = (out or err).splitlines()[-1]
+    if expected == 0:
+        assert last == f"psalience {ps.__version__}"
+    else:
+        assert last.startswith("error: ") and not out
+
+
+def test_module_entry_freezes_the_heap_before_the_exit_handlers_run():
+    frozen, _ = fresh("""
+        import atexit, gc, json, runpy, sys
+        atexit.register(lambda: print(json.dumps(gc.get_freeze_count() > 0)))
+        sys.argv = ["psalience", "--version"]
+        runpy.run_module("psalience.cli", run_name="__main__", alter_sys=True)
+    """)
+    assert frozen is True
+
+
+def test_console_script_is_the_function_the_module_guard_calls():
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    (target,) = re.findall(r'^psalience\s*=\s*"([^"]+)"', scripts, re.M)
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (guard,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (statement,) = guard.body
+    assert ast.unparse(statement) == f"{target.split(':')[1]}()"
+    assert target == "psalience.cli:run"
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -252,6 +252,14 @@ def test_histogram_rows_are_conditional_subtables(rng, subset):
         assert value == ps.psi(ps.conditional_subtable(table, subset, combo).counts).psi
 
 
+@pytest.mark.parametrize("subset", [(3,), (2, 0), (3, 2, 0)])
+def test_analyses_of_a_log_table_equal_those_of_its_table(rng, subset):
+    table = random_adjusted_table(ps.generic_schema(4, 3), rng)
+    logs = ps.log_transform(table)
+    assert ps.psi_histogram(logs, subset) == ps.psi_histogram(table, subset)
+    assert ps.geometric_mean_subtable(logs, subset) == ps.geometric_mean_subtable(table, subset)
+
+
 def test_histogram_scores_every_row_without_calling_psi(rng, monkeypatch):
     table = random_adjusted_table(ps.generic_schema(5, 3), rng)
     expected = ps.psi_histogram(table, (3, 1))
