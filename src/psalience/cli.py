@@ -218,14 +218,14 @@ def cmd_depersonalize(args) -> int:
     if audit.refit_residual > REFIT_TOL:
         problems.append(f"zeroed blocks refit to a residual of {audit.refit_residual:.3e} "
                         f"(bound {REFIT_TOL:g})")
-    if audit.violations:
-        problems.append(f"{len(audit.violations)} subsets broke the salience contract")
+    if audit.violated.any():
+        problems.append(f"{int(audit.violated.sum())} subsets broke the salience contract")
     if problems:
         print(f"error: {' and '.join(problems)}; release not written, audit -> {audit_path}",
               file=sys.stderr)
         return 1
     save_table(args.out, released)
-    print(f"depersonalize {mode}: zeroed {len(audit.zeroed_blocks)} blocks, "
+    print(f"depersonalize {mode}: zeroed {int(audit.zeroed.sum())} blocks, "
           f"total drift {audit.total_drift:+.3e} -> {args.out}, {audit_path}")
     return 0
 

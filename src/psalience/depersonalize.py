@@ -18,13 +18,13 @@ line bounds by :data:`REFIT_TOL`: rounding necessarily perturbs the refitted
 coefficients a little, which is the price of an integer release.
 
 A zero set is a boolean lattice vector over all ``2**N`` subsets.  A release
-and its audit cost four transforms plus ``O(N * 2**N)`` lattice operations;
-Python objects are built only for the returned subset keys and audit entries.
+and its audit cost four transforms plus ``O(N * 2**N)`` lattice operations.
+The audit keeps its lattice vectors; Python objects are built only when its
+``entries``, ``zeroed_blocks`` or ``violations`` are read.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -99,16 +99,35 @@ class AuditEntry(NamedTuple):
 
 
 class ReleaseAudit(Frozen):
-    """Per-subset salience before and after a release.
+    """Salience of every subset before and after a release, as lattice vectors.
 
-    ``zeroed_blocks`` lists the audited subsets whose block is zeroed, in
-    enumeration order; ``violations`` those whose salience grew despite a
-    zeroed block, or moved at all without one; ``refit_residual`` is the norm of the released
-    logs' zero-set blocks over their whole norm, ``None`` if the zero set is unknown.  Not a
-    tuple, so a release's ``(table, audit)`` pair is never mistaken for an audit.
+    ``psi_before`` and ``psi_after`` are read-only float64 salience spectra over
+    all ``2**N`` subsets (see :func:`psalience.basis.subset_index`); ``zeroed``
+    marks the subsets containing a zeroed block and ``violated`` those whose
+    salience grew despite one, or moved at all without one, both read-only
+    boolean masks.  ``refit_residual`` is the norm of the released logs'
+    zero-set blocks over their whole norm, ``None`` if the zero set is unknown.
+    ``entries`` holds one :class:`AuditEntry` per non-empty subset, and
+    ``zeroed_blocks`` and ``violations`` the keys the two masks mark, each in
+    enumeration order and built afresh on every read.  Not a tuple, so a
+    release's ``(table, audit)`` pair is never mistaken for an audit.
     """
 
-    __slots__ = ("entries", "zeroed_blocks", "total_drift", "violations", "refit_residual")
+    __slots__ = ("psi_before", "psi_after", "zeroed", "violated", "total_drift", "refit_residual")
+
+    @property
+    def entries(self) -> tuple[AuditEntry, ...]:
+        index, subsets = marked_subsets(np.arange(self.zeroed.size) > 0)
+        before, after, contains = (a[index].tolist() for a in (self.psi_before, self.psi_after, self.zeroed))
+        return tuple(map(AuditEntry, subsets, before, after, contains))
+
+    @property
+    def zeroed_blocks(self) -> tuple[SubsetKey, ...]:
+        return marked_subsets(self.zeroed)[1]
+
+    @property
+    def violations(self) -> tuple[SubsetKey, ...]:
+        return marked_subsets(self.violated)[1]
 
 
 def upward_closure(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[SubsetKey, ...]:
@@ -189,7 +208,7 @@ def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSp
     return released, audit_result
 
 
-def _audit_log_values(logs_before: LogTable, logs_after: LogTable, above, total_drift, k=None):
+def _audit_log_values(logs_before: LogTable, logs_after: LogTable, above, total_drift):
     """``above`` marks subsets containing a zeroed block, which for a release is its zero
     set; ``None`` (zero set unknown) flags only increases and leaves no refit residual."""
     m = logs_before.schema.n_levels
@@ -203,13 +222,9 @@ def _audit_log_values(logs_before: LogTable, logs_after: LogTable, above, total_
         broken = np.where(above, broken, np.abs(psi_after - psi_before) > PSI_DRIFT_TOL)
         total = float(energies.sum())
         refit_residual = float(np.sqrt(energies.sum(where=above) / total)) if total > 0.0 else 0.0
-    sizes = subset_sizes(logs_before.schema.n_attributes)
-    index, subsets = marked_subsets(sizes > 0 if k is None else sizes == k)
-    before, after, contains = (a[index].tolist() for a in (psi_before, psi_after, above))
-    entries = tuple(map(AuditEntry, subsets, before, after, contains))
-    zeroed_blocks = tuple(itertools.compress(subsets, contains))
-    violations = tuple(itertools.compress(subsets, broken[index].tolist()))
-    return ReleaseAudit(entries, zeroed_blocks, total_drift, violations, refit_residual)
+    for vector in (psi_before, psi_after, above, broken):
+        vector.setflags(write=False)
+    return ReleaseAudit(psi_before, psi_after, above, broken, total_drift, refit_residual)
 
 
 def interaction_limit(table: ContingencyTable, spec: LimitSpec) -> tuple[ContingencyTable, ReleaseAudit]:
@@ -237,33 +252,25 @@ def selective_zero(table: ContingencyTable, spec: LimitSpec) -> tuple[Contingenc
 def audit(
     original: ContingencyTable,
     released: ContingencyTable,
-    k: int | None = None,
     zeroed_blocks: Sequence[SubsetKey] | None = None,
 ) -> ReleaseAudit:
     """Compare per-subset salience of two tables sharing a schema.
 
-    Restricts to subsets of size ``k`` when given, otherwise covers every
-    non-empty subset.  Salience is evaluated on the log counts directly,
-    so releases whose entries dipped below 1 can still be audited.  When
-    the zeroed blocks are known, unchanged-versus-decreased contracts are
-    classified per subset; otherwise only salience increases are flagged.
-    The report's ``zeroed_blocks`` lists the audited subsets in the upward
-    closure of ``zeroed_blocks``.  A zero set holding ``()`` is refused.
+    Covers every non-empty subset.  Salience is evaluated on the log counts
+    directly, so releases whose entries dipped below 1 can still be audited.
+    When the zeroed blocks are known, unchanged-versus-decreased contracts
+    are classified per subset; otherwise only salience increases are flagged.
+    The report's ``zeroed`` mask is the upward closure of ``zeroed_blocks``.
+    A zero set holding ``()`` is refused.
     """
     if original.schema != released.schema:
         raise ShapeError("audit needs two tables over the same schema")
-    n = original.schema.n_attributes
-    if k is not None:
-        k = _read_int(k, "subset size k")
-        if not 1 <= k <= n:
-            raise ArgumentError(f"subset size {k} out of range [1, {n}]")
     # an array's truth value is ambiguous, so emptiness is tested on a tuple
     blocks = () if zeroed_blocks is None else tuple(zeroed_blocks)
-    above = _zero_set(blocks, n) if blocks else None
+    above = _zero_set(blocks, original.schema.n_attributes) if blocks else None
     return _audit_log_values(
         LogTable(original.schema, np.log(np.maximum(original.counts, np.finfo(float).tiny))),
         LogTable(original.schema, np.log(np.maximum(released.counts, np.finfo(float).tiny))),
         above,
         total_drift=float(released.counts.sum() - original.n_total),
-        k=k,
     )

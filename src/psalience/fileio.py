@@ -373,10 +373,13 @@ def classify_warning(value: float, amber: float, red: float) -> str:
 
 
 def audit_to_dict(audit: ReleaseAudit, schema: AttributeSchema, mode: str) -> dict:
+    # each view walks the subset lattice on every read; the zeroed blocks are
+    # the entries containing one, so one walk serves both
+    entries = audit.entries
     return {
         "kind": "release_audit",
         "mode": mode,
-        "zeroed_blocks": [list(s) for s in audit.zeroed_blocks],
+        "zeroed_blocks": [list(e.subset) for e in entries if e.contains_zeroed],
         "total_drift": float(audit.total_drift),
         "refit_residual": audit.refit_residual,
         "entries": [
@@ -389,7 +392,7 @@ def audit_to_dict(audit: ReleaseAudit, schema: AttributeSchema, mode: str) -> di
                 "delta": float(e.delta),
                 "contains_zeroed": e.contains_zeroed,
             }
-            for e in audit.entries
+            for e in entries
         ],
         "violations": [list(s) for s in audit.violations],
     }

@@ -298,17 +298,19 @@ def gm_projection_total_identity(
     return lhs, rhs
 
 
-def Psi(table: ContingencyTable, subset: Sequence[int]) -> SalienceValue:
+def Psi(table: ContingencyTable | LogTable, subset: Sequence[int]) -> SalienceValue:
     """Subset-level salience: ``psi`` of the subset's geometric-mean table.
 
     The logs are centred on their mean before the reduction, so chi does not
     come from a difference of large sums, and the log norm adds the mean back.
+    A :class:`LogTable` passed as ``table`` is used as the adjusted table's
+    logs, so a caller scoring many subsets logs the table once.
     """
     n = table.schema.n_attributes
     members = check_subset(subset, n)
     if not members:
         raise ArgumentError("subset must be non-empty")
-    logs = log_transform(table).reshaped()
+    logs = (table if isinstance(table, LogTable) else log_transform(table)).reshaped()
     mean = logs.mean()
     axes = tuple(n - 1 - a for a in complement_attributes(members, n))
     centred = (logs - mean).mean(axis=axes).ravel()

@@ -137,9 +137,9 @@ def _suite_gm_identity(schema, rng, trials):
     worst = 0.0
     worst_subset = None
     for _ in range(trials):
-        table = random_adjusted_table(schema, rng)
-        spectrum = np.column_stack([a[index] for a in subset_salience(log_transform(table))])
-        literal = np.array([Psi(table, subset) for subset in subsets])
+        log_table = log_transform(random_adjusted_table(schema, rng))
+        spectrum = np.column_stack([a[index] for a in subset_salience(log_table)])
+        literal = np.array([Psi(log_table, subset) for subset in subsets])
         gaps = (np.abs(spectrum - literal) / np.maximum(np.maximum(spectrum, literal), 1e-12)).max(axis=1)
         if gaps.max() > worst:
             worst, worst_subset = float(gaps.max()), subsets[int(gaps.argmax())]

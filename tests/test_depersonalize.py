@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,16 +291,10 @@ def test_audit_of_identical_tables(rng, schema33):
     assert report.violations == ()
 
 
-def test_audit_restricted_to_one_size(rng, schema33):
-    table = random_adjusted_table(schema33, rng)
-    report = ps.audit(table, table, k=2)
-    assert [entry.subset for entry in report.entries] == ps.enumerate_subsets(3, 2)
-
-
 def test_audit_flags_salience_increase(schema33):
     flat = ps.ContingencyTable(schema33, np.full(27, 3.0), 81.0, adjusted=True)
     sharp = correlated_pair_table(schema33, (1, 0), weight=20.0)
-    report = ps.audit(flat, sharp, k=2)
+    report = ps.audit(flat, sharp)
     assert (1, 0) in report.violations
 
 
@@ -338,7 +333,6 @@ def test_audit_reports_the_closure_of_its_zero_set(rng):
     report = ps.audit(table, released, zeroed_blocks=[(3, 1), (3, 1)])
     assert report.zeroed_blocks == ps.upward_closure([(3, 1)], 5)
     assert report.zeroed_blocks == tuple(e.subset for e in report.entries if e.contains_zeroed)
-    assert ps.audit(table, released, k=2, zeroed_blocks=[(3, 1), (3, 1)]).zeroed_blocks == ((3, 1),)
     assert ps.audit(table, released).zeroed_blocks == ()
 
 
@@ -351,6 +345,7 @@ def test_audit_reads_an_integer_array_zero_set(rng):
 
 
 def test_a_release_walks_the_subset_lattice_once(monkeypatch, rng):
+    # only when a view of its audit is read: once per read, never for the release itself
     walk = ps.depersonalize.marked_subsets
     calls = []
 
@@ -360,10 +355,39 @@ def test_a_release_walks_the_subset_lattice_once(monkeypatch, rng):
 
     monkeypatch.setattr(ps.depersonalize, "marked_subsets", counted)
     table = random_adjusted_table(ps.generic_schema(4, 3), rng)
-    ps.interaction_limit(table, order_spec(2))
-    assert calls == [16]
+    _, audit = ps.interaction_limit(table, order_spec(2))
     ps.selective_zero(table, ps.LimitSpec("selective", zero_subsets=((2, 1),)))
-    assert calls == [16, 16]
+    assert calls == []
+    for view in ("entries", "zeroed_blocks", "violations"):
+        getattr(audit, view)
+        assert calls == [16], view
+        calls.clear()
+
+
+def test_an_audit_holds_read_only_lattice_vectors(rng):
+    table = random_adjusted_table(ps.generic_schema(4, 3), rng)
+    _, audit = ps.interaction_limit(table, order_spec(2))
+    for field, dtype in (("psi_before", float), ("psi_after", float), ("zeroed", bool), ("violated", bool)):
+        vector = getattr(audit, field)
+        assert vector.dtype == dtype and vector.shape == (16,) and not vector.flags.writeable, field
+    assert np.array_equal(audit.zeroed, ps.basis.subset_sizes(4) > 2)
+    assert [e.psi_before for e in audit.entries] == audit.psi_before[[ps.basis.subset_index(s)
+                                                                      for s in ps.all_subsets(4)[1:]]].tolist()
+    with pytest.raises(TypeError):
+        ps.audit(table, table, k=2)  # every audit covers every non-empty subset
+
+
+def test_a_release_peaks_at_a_few_table_sizes():
+    # the audit stays four lattice vectors; per-subset records would cost about 40 table sizes
+    table = random_adjusted_table(ps.generic_schema(16, 2), np.random.default_rng(7))
+    tracemalloc.start()
+    try:
+        _, audit = ps.interaction_limit(table, order_spec(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * table.counts.nbytes, f"release peak {peak / table.counts.nbytes:.1f} table sizes"
+    assert int(audit.zeroed.sum()) == 2 ** 16 - 1 - 16 - math.comb(16, 2)
 
 
 def test_audit_of_a_release_below_1_matches_axis_means():
@@ -439,14 +463,6 @@ def test_releases_match_the_coefficient_dict_oracle(n, m):
 def test_audit_requires_matching_schema(rng, schema32, schema33):
     with pytest.raises(ps.ShapeError):
         ps.audit(random_adjusted_table(schema32, rng), random_adjusted_table(schema33, rng))
-
-
-@pytest.mark.parametrize("bad", [1.5, 2.0, True])
-def test_audit_size_must_be_an_integer(rng, schema33, bad):
-    table = random_adjusted_table(schema33, rng)
-    with pytest.raises(ArgumentError, match="subset size k must be an integer"):
-        ps.audit(table, table, k=bad)
-    assert ps.audit(table, table, k=np.int64(2)) == ps.audit(table, table, k=2)
 
 
 # -------------------------------------------------------------- rounding

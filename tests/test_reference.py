@@ -73,6 +73,31 @@ def test_Psi_chi_of_each_attribute_matches_an_exact_sum(seed):
         assert abs(chi - exact) <= 2e-12 * exact, (attribute, chi, exact)
 
 
+def test_Psi_of_a_log_table_equals_Psi_of_its_table(rng):
+    table = random_adjusted_table(ps.generic_schema(4, 3), rng)
+    logs = ps.log_transform(table)
+    for subset in ps.all_subsets(4)[1:]:
+        assert ps.Psi(logs, subset) == ps.Psi(table, subset), subset
+
+
+def test_gm_projection_logs_each_table_once(monkeypatch):
+    from psalience import verify
+
+    real = ps.table.log_transform
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("psalience.") and getattr(m, "log_transform", None) is real]:
+        monkeypatch.setattr(module, "log_transform", counted)
+    suite = verify._suite_gm_identity(ps.generic_schema(4, 2), np.random.default_rng(0), 3)
+    assert suite.passed and suite.checked == 3 * 15
+    assert len(calls) == 3  # where logging per Psi call makes 3 * 16
+
+
 @pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (5, 3)])
 def test_planted_column_is_the_first_basis_column_bit_for_bit(n, m):
     schema = ps.generic_schema(n, m)
