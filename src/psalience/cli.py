@@ -171,7 +171,7 @@ def cmd_analyze(args) -> int:
 
     def _entry(i):
         conditioning, value = histogram[i]
-        return {"index": i, "conditioning": list(conditioning), "psi": value}
+        return {"index": i, "conditioning": conditioning, "psi": value}
 
     others = complement_attributes(subset, schema.n_attributes)
     payload = {
@@ -181,9 +181,8 @@ def cmd_analyze(args) -> int:
         "conditioning_attributes": [schema.attribute_name(i) for i in others],
         "Psi": overall,
         "geo_mean": {"counts": gm.counts.tolist(), "log_values": gm.log_values.tolist()},
-        "histogram": [
-            {"conditioning": list(conditioning), "psi": value} for conditioning, value in histogram
-        ],
+        # rows keep psi_histogram's tuples, so the collector stops walking them
+        "histogram": [{"conditioning": conditioning, "psi": value} for conditioning, value in histogram],
         "closest_to_gm": _entry(_first_close(distances, distances.min())),
         "max_psi": _entry(_first_close(values, values.max())),
     }

@@ -9,10 +9,12 @@ Table file:     {"schema": ..., "counts": [...], "n_total": ..., "adjusted": boo
 Microdata CSV:  UTF-8 (a leading byte-order mark is dropped), header row
                 with the attribute names, one level label per cell.
                 tabulate_microdata tallies the raw lines after the header
-                as bytes in one C-level pass, then decodes and parses
-                only the distinct lines, in batches of BATCH_LINES, and
-                ranks each batch column by column: O(distinct lines)
-                memory.  A file it cannot read line by line goes through
+                as bytes in one C-level pass and drops the blank ones
+                (only carriage returns and line feeds) from the tally.
+                One function then decodes, parses and ranks the other
+                distinct lines, in batches of BATCH_LINES, column by
+                column into one rank vector: O(distinct lines) memory.
+                A file it cannot read line by line goes through
                 the per-record read_microdata instead: bytes that are not
                 UTF-8, a lone carriage return as a line end, a record
                 that spans lines, and every error.  read_microdata's
@@ -159,7 +161,8 @@ def atomic_write_json(path, payload) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 # one dumps call runs the C encoder; json.dump with indent runs the Python one
-                fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+                fh.write(json.dumps(payload, separators=(",", ":")))
+                fh.write("\n")  # a second write, so the whole text is not copied to append it
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -248,78 +251,60 @@ def tabulate_microdata(path, schema: AttributeSchema) -> ContingencyTable:
 
     One C-level ``Counter`` pass tallies the physical lines after the header
     as bytes, so memory is O(distinct lines) and only distinct lines are ever
-    decoded.  They are decoded as UTF-8 and parsed as strict CSV in batches of
+    decoded.  Lines made only of carriage returns and line feeds, which CSV
+    reads as no record, leave the tally before anything is decoded.  The other
+    distinct lines are decoded as UTF-8 and parsed as strict CSV in batches of
     :data:`BATCH_LINES`; each batch's cell ranks come from one label -> level
-    lookup per attribute column, and one ``np.bincount`` sums the tallies per
-    cell.  If any line is not one complete valid record (the first line of a
-    multi-line quoted record never is, nor a line in which a lone carriage
-    return ends a record), or is not UTF-8, or the file has no records, the
-    file goes through the record path instead, which reads such records or
-    raises its error.
+    lookup per attribute column and fill one preallocated rank vector, and one
+    ``np.bincount`` sums the tallies per cell.  If any line is not one complete
+    valid record (the first line of a multi-line quoted record never is, nor a
+    line in which a lone carriage return ends a record), or is not UTF-8, or
+    the file has no records, the file goes through the record path instead,
+    which reads such records or raises its error.
     """
     try:
-        table = _tabulate_lines(path, schema)
+        return _tabulate_lines(path, schema)
     except (csv.Error, UnicodeDecodeError, IngestionError):
-        table = None
-    if table is None:
-        table = tabulate((labels for _, labels in read_microdata(path, schema)), schema)
-    return table
+        pass
+    # outside the handler, so the record path's errors chain to nothing
+    return tabulate((labels for _, labels in read_microdata(path, schema)), schema)
 
 
-def _tabulate_lines(path, schema: AttributeSchema) -> ContingencyTable | None:
-    """The batched path of :func:`tabulate_microdata`: ``None`` when a record
-    spans lines, has the wrong field count or an unknown label, or when the
-    file has no records; the record path then decides."""
+def _tabulate_lines(path, schema: AttributeSchema) -> ContingencyTable:
+    """The batched path of :func:`tabulate_microdata`.  Raises ``csv.Error``,
+    ``UnicodeDecodeError`` or :class:`IngestionError` (a record spanning
+    lines, a wrong field count, an unknown label, no records) for a file the
+    record path must decide."""
     with open(path, "rb") as fh:
         # strict, so a quoted header name that runs past its line is an error
         header = csv.reader([fh.readline().decode("utf-8-sig")], strict=True)
         positions = _header_positions(header, path, schema)
         lines = Counter(fh)
-    ranks, tallies = [], []
-    distinct = iter(lines.items())
-    while batch := list(itertools.islice(distinct, BATCH_LINES)):
-        ranked = _rank_batch(batch, positions, schema)
-        if ranked is None:
-            return None
-        ranks.append(ranked[0])
-        tallies.append(ranked[1])
-    del lines, distinct  # drop the distinct lines first, so the arrays below do not add to their peak
-    if not ranks:
-        return None
-    weights = np.concatenate(tallies)
-    counts = np.bincount(np.concatenate(ranks), weights=weights, minlength=schema.n_cells)
+    for blank in [line for line in lines if not line.strip(b"\r\n")]:
+        del lines[blank]
+    if not lines:
+        raise EmptyInputError(f"{path}: no records after the header row", record_number=0)
+    ranks = np.zeros(len(lines), dtype=np.int64)
+    distinct = iter(lines)
+    for start in range(0, len(ranks), BATCH_LINES):
+        text = [line.decode("utf-8") for line in itertools.islice(distinct, BATCH_LINES)]
+        rows = list(csv.reader(text, strict=True))
+        if len(rows) != len(text) or set(map(len, rows)) - {schema.n_attributes}:
+            raise IngestionError(f"{path}: a record spans lines or has the wrong field count")
+        columns = tuple(zip(*rows))
+        rank = ranks[start:start + len(rows)]
+        for position, levels in zip(positions, schema._level_maps):
+            column = columns[position]
+            # a column holds few distinct raw labels: strip and look each up once
+            lookup = {label: levels.get(label.strip()) for label in set(column)}
+            if None in lookup.values():
+                raise IngestionError(f"{path}: a label is not in the schema")
+            rank *= schema.n_levels
+            rank += np.fromiter(map(lookup.__getitem__, column), dtype=np.int64, count=len(column))
+    weights = np.fromiter(lines.values(), dtype=float, count=len(lines))
+    del lines, distinct  # drop the distinct lines first, so the counts below do not add to their peak
+    counts = np.bincount(ranks, weights=weights, minlength=schema.n_cells)
     return ContingencyTable(schema, counts, float(weights.sum()), adjusted=False)
-
-
-def _rank_batch(batch, positions: list[int], schema: AttributeSchema):
-    """Cell ranks and tallies of a batch of ``(raw line, tally)`` pairs, blank
-    lines dropped; ``None`` when some line is not one complete record in the
-    schema, or every line is blank (at most three distinct lines are, so only a
-    file without records has such a batch).  Raises ``UnicodeDecodeError`` for
-    a line that is not UTF-8."""
-    raw, tallies = zip(*batch)
-    text = [line.decode("utf-8") for line in raw]
-    rows = list(csv.reader(text, strict=True))
-    if len(rows) != len(text):
-        return None  # a quoted record spanned lines
-    if not all(rows):  # drop blank lines
-        kept = [(row, tally) for row, tally in zip(rows, tallies) if row]
-        if not kept:
-            return None
-        rows, tallies = zip(*kept)
-    if set(map(len, rows)) - {schema.n_attributes}:
-        return None
-    columns = tuple(zip(*rows))
-    rank = np.zeros(len(rows), dtype=np.int64)
-    for position, levels in zip(positions, schema._level_maps):
-        column = columns[position]
-        # a column holds few distinct raw labels: strip and look each up once
-        lookup = {label: levels.get(label.strip()) for label in set(column)}
-        if None in lookup.values():
-            return None
-        rank *= schema.n_levels
-        rank += np.fromiter(map(lookup.__getitem__, column), dtype=np.int64, count=len(column))
-    return rank, np.array(tallies, dtype=float)
 
 
 def report_to_dict(
@@ -331,18 +316,20 @@ def report_to_dict(
     """Scan report with warning bands and bar-plot series.
 
     Bands are configuration, not derived from any reference: green below
-    ``amber``, amber from there to ``red``, red above.
+    ``amber``, amber from there to ``red``, red above.  Each entry holds only
+    atoms and tuples (``json`` writes tuples as arrays), so the garbage
+    collector stops tracking it after its first collection.
     """
     entries = []
     for entry in report.entries:
         value = entry.salience
         entries.append(
             {
-                "subset": list(entry.subset),
-                "attributes": [schema.attribute_name(i) for i in entry.subset],
-                "Psi": float(value.psi),
-                "chi_magnitude": float(value.chi_magnitude),
-                "log_norm": float(value.log_norm),
+                "subset": entry.subset,
+                "attributes": tuple(map(schema.attribute_name, entry.subset)),
+                "Psi": value.psi,
+                "chi_magnitude": value.chi_magnitude,
+                "log_norm": value.log_norm,
                 "rank": entry.rank,
                 "warning": classify_warning(value.psi, amber, red),
             }
@@ -374,25 +361,26 @@ def classify_warning(value: float, amber: float, red: float) -> str:
 
 def audit_to_dict(audit: ReleaseAudit, schema: AttributeSchema, mode: str) -> dict:
     # each view walks the subset lattice on every read; the zeroed blocks are
-    # the entries containing one, so one walk serves both
+    # the entries containing one, so one walk serves both.  Rows hold only atoms
+    # and tuples, as in report_to_dict, so later collections stop walking them.
     entries = audit.entries
     return {
         "kind": "release_audit",
         "mode": mode,
-        "zeroed_blocks": [list(e.subset) for e in entries if e.contains_zeroed],
-        "total_drift": float(audit.total_drift),
+        "zeroed_blocks": tuple(e.subset for e in entries if e.contains_zeroed),
+        "total_drift": audit.total_drift,
         "refit_residual": audit.refit_residual,
         "entries": [
             {
-                "subset": list(e.subset),
-                "attributes": [schema.attribute_name(i) for i in e.subset],
+                "subset": e.subset,
+                "attributes": tuple(map(schema.attribute_name, e.subset)),
                 "size": len(e.subset),
-                "psi_before": float(e.psi_before),
-                "psi_after": float(e.psi_after),
-                "delta": float(e.delta),
+                "psi_before": e.psi_before,
+                "psi_after": e.psi_after,
+                "delta": e.delta,
                 "contains_zeroed": e.contains_zeroed,
             }
             for e in entries
         ],
-        "violations": [list(s) for s in audit.violations],
+        "violations": audit.violations,
     }

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import sys
@@ -378,6 +379,8 @@ def test_tabulate_microdata_reads_multiline_quoted_labels(tmp_path, levels, reco
 @pytest.mark.parametrize("text, clean", [
     # four batches of at most two distinct lines, two of them with a blank line
     ('place,band\na,x\nb,x\n\na,y\nb,y\na,x\n\r\nb,z\n', True),
+    # every blank form CSV reads as no record, a final lone carriage return included
+    ('place,band\na,x\n\r\r\nb,x\n\na,y\n\r\nb,y\na,x\n\r', True),
     # the record "a\nb" opens on the last line of the first batch
     ('place,band\na,x\n"a\nb",y\nb,y\n"a\nb",y\n', False),
 ])
@@ -608,6 +611,23 @@ def test_analyze_logs_the_table_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "log_transform", counted)
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+def test_written_rows_leave_the_garbage_collector(tmp_path, monkeypatch):
+    """Per-subset rows hold only atoms and tuples, so a collection untracks
+    them and later collections stop walking them."""
+    table = random_adjusted_table(ps.generic_schema(6, 2), np.random.default_rng(7))
+    _, audit = ps.interaction_limit(table, ps.LimitSpec("order_limit", k_dagger=2))
+    rows = fileio.audit_to_dict(audit, table.schema, "order_limit(k=2)")["entries"]
+    argv = ["analyze", "--table", save_table(tmp_path, table), "--subset", "1,0",
+            "--out", str(tmp_path / "analysis.json")]
+    payloads = []
+    monkeypatch.setattr(fileio, "atomic_write_json", lambda path, payload: payloads.append(payload))
+    assert main(argv) == 0
+    histogram = payloads[0]["histogram"]
+    gc.collect()
+    assert len(rows) == 63 and not any(map(gc.is_tracked, rows))
+    assert len(histogram) == 16 and not any(map(gc.is_tracked, histogram))
 
 
 def test_analyze_bad_subset_is_usage_error(tmp_path, rng):
