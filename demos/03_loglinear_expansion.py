@@ -19,7 +19,7 @@ log_table = ps.log_transform(table)
 # Fit and reconstruct: an identity.
 beta = ps.fit_beta(log_table)
 rebuilt = ps.reconstruct(beta, schema)
-print("coefficient tensor:", beta.coef.shape, "=", beta.total_coefficients, "coefficients")
+print("coefficient tensor:", beta.coef.shape, "=", beta.coef.size, "coefficients")
 print("round-trip error:", np.abs(rebuilt.values - log_table.values).max())
 
 # Blocks are views of the tensor: a subset takes the contrast column on its

@@ -42,12 +42,12 @@ _PUBLIC = {
         "BasisColumn", "ProjectionResult", "Psi", "SubspaceBasis", "full_basis",
         "gm_projection_identity", "gm_projection_total_identity", "gram_schmidt_oracle",
         "hypercube_psi", "ortho_column", "orthogonal_complement_magnitude", "project_subset",
-        "raw_column", "reduced_basis", "reduced_subset_key", "subspace_basis",
+        "raw_column", "reduced_subset_key", "subspace_basis",
     ),
     "salience": ("SalienceReport", "SalienceValue", "ScanEntry", "psi", "psi_histogram", "scan"),
     "synthetic": ("correlated_pair_table", "planted_interaction_table", "random_adjusted_table"),
     "table": (
-        "AttributeSchema", "CellIndex", "ContingencyTable", "LogTable", "generic_schema",
+        "AttributeSchema", "ContingencyTable", "LogTable", "generic_schema",
         "lex_rank", "lex_unrank", "log_transform", "tabulate", "zero_adjust",
     ),
     "verify": ("VerificationReport", "run_verification"),

@@ -7,15 +7,16 @@ span leaves an orthogonal complement of dimension ``(M-1)**k`` for a
 subset of size ``k``.  Summed over all ``2**N`` subsets (constant term
 included) the dimensions add up to ``M**N`` exactly.
 
-This module keeps subset keys, ``2**N`` lattice vectors over them, and the
-per-attribute factors every subspace is a tensor product of.  The columns
-themselves, and a Gram-Schmidt pass to check them, are in :mod:`psalience.reference`.
+This module keeps subset keys, ``2**N`` lattice vectors over them, the
+per-attribute factors every subspace is a tensor product of, and the one
+Kronecker product that builds a column from them.  The columns themselves, and
+a Gram-Schmidt pass to check them, are in :mod:`psalience.reference`.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -118,3 +119,14 @@ def level_factor(m: int) -> tuple[np.ndarray, np.ndarray]:
     """``F = [1 | level_contrasts(m)]`` and its inverse ``diag(1/|col|^2) F^T``."""
     factor = np.hstack([np.ones((m, 1)), level_contrasts(m)])
     return freeze(factor), freeze(factor.T / np.einsum("ij,ij->j", factor, factor)[:, None])
+
+
+def _subset_kron(n: int, m: int, subset: SubsetKey, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product over attributes ``n-1`` down to ``0`` of ``factors[j]``
+    (``m`` rows) on the subset's ``j``-th attribute and a column of ones
+    elsewhere: ``m**n`` rows, one column per combination of factor columns."""
+    ones = np.ones((m, 1))
+    return reduce(np.kron, [
+        factors[subset.index(attribute)] if attribute in subset else ones
+        for attribute in range(n - 1, -1, -1)
+    ])

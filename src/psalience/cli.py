@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 verification failure (a ``verify`` suite failed,
 or a release's audit found contract violations or zeroed blocks that do
 not refit to zero; the release is then not written), 2 usage error (an
 ``ArgumentError``, whether this module or the library raises it), 3 data
-error.  Given the same inputs and seed every command is deterministic.
+error.  A usage error the arguments alone show is reported before any input
+file is read.  Given the same inputs and seed every command is deterministic.
 
 ``run`` is the process entry point (``python -m psalience.cli`` and the
 ``psalience`` script); in-process callers use ``main``.
@@ -125,11 +126,11 @@ def cmd_scan(args) -> int:
     from .fileio import atomic_write_json, report_to_dict
     from .salience import scan
 
-    table = _load_adjusted_table(args.table)
     if args.workers < 1:
         raise ArgumentError("workers must be at least 1")
     if not 0.0 <= args.threshold <= 1.0:
         raise ArgumentError("threshold must lie in [0, 1]")
+    table = _load_adjusted_table(args.table)
     amber = args.threshold
     red = max(DEFAULT_RED, amber)
     report = scan(table, args.k, workers=args.workers)
@@ -196,9 +197,9 @@ def cmd_depersonalize(args) -> int:
     from .depersonalize import REFIT_TOL, LimitSpec, interaction_limit, selective_zero
     from .fileio import atomic_write_json, audit_to_dict, save_table
 
-    table = _load_adjusted_table(args.table)
     if (args.max_order is None) == (args.zero is None):
         raise ArgumentError("choose exactly one of --max-order or --zero")
+    table = _load_adjusted_table(args.table)
     renormalize = not args.no_renormalize
     if args.max_order is not None:
         spec = LimitSpec("order_limit", k_dagger=args.max_order,

@@ -313,12 +313,14 @@ def report_to_dict(
     amber: float,
     red: float,
 ) -> dict:
-    """Scan report with warning bands and bar-plot series.
+    """Scan report with warning bands.
 
     Bands are configuration, not derived from any reference: green below
-    ``amber``, amber from there to ``red``, red above.  Each entry holds only
-    atoms and tuples (``json`` writes tuples as arrays), so the garbage
-    collector stops tracking it after its first collection.
+    ``amber``, amber from there to ``red``, red above.  A bar-plot series is
+    each entry's ``attributes`` joined by ``:`` against its ``Psi``, in entry
+    order; the file does not repeat it.  Each entry holds only atoms and
+    tuples (``json`` writes tuples as arrays), so the garbage collector stops
+    tracking it after its first collection.
     """
     entries = []
     for entry in report.entries:
@@ -344,10 +346,6 @@ def report_to_dict(
             "note": "configuration, not derived from any reference",
         },
         "entries": entries,
-        "bar_data": {
-            "labels": [":".join(e["attributes"]) for e in entries],
-            "values": [e["Psi"] for e in entries],
-        },
     }
 
 

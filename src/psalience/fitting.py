@@ -40,18 +40,6 @@ class BetaVector(Frozen):
     __slots__ = ("coef",)
 
     @property
-    def n_attributes(self) -> int:
-        return self.coef.ndim
-
-    @property
-    def n_levels(self) -> int:
-        return self.coef.shape[0]
-
-    @property
-    def total_coefficients(self) -> int:
-        return self.coef.size
-
-    @property
     def beta0(self) -> float:
         """Coefficient of the unit-norm constant direction."""
         return float(self.coef.flat[0]) * np.sqrt(self.coef.size)

@@ -2,24 +2,24 @@
 ``verify`` command check the pipeline against; no other command imports them.
 
 They are built only from 0/1 indicator columns, Kronecker products of
-per-attribute factors and means along axes of the cell tensor, and run none of
-the coefficient transform of :mod:`psalience.fitting` or the subset spectrum of
-:mod:`psalience.salience`: each subset's basis columns (unnormalised, squared
-norms alongside) and a Gram-Schmidt pass over the raw indicators to check them,
-the projection onto one subset's subspace by a sweep over the axes, both sides
-of the ``M**((N-k0)/2)`` projection-transfer identity, and Psi as the salience
-of a subset's geometric-mean table.
+per-attribute factors (:func:`psalience.basis._subset_kron`) and means along
+axes of the cell tensor, and run none of the coefficient transform of
+:mod:`psalience.fitting` or the subset spectrum of :mod:`psalience.salience`:
+each subset's basis columns (unnormalised, squared norms alongside) and a
+Gram-Schmidt pass over the raw indicators to check them, the projection onto
+one subset's subspace by a sweep over the axes, both sides of the
+``M**((N-k0)/2)`` projection-transfer identity, and Psi as the salience of a
+subset's geometric-mean table.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, all_subsets, check_subset, level_contrasts
+from .basis import SubsetKey, _subset_kron, all_subsets, check_subset, level_contrasts
 from .errors import ArgumentError, SizeGuardError
 from .fitting import centred_norm, row_norms
 from .marginal import complement_attributes, geometric_mean_subtable
@@ -28,17 +28,6 @@ from .table import (AttributeSchema, ContingencyTable, Frozen, LogTable, _read_i
                     log_transform)
 
 GRAM_SCHMIDT_CELL_LIMIT = 4096
-
-
-def _subset_kron(n: int, m: int, subset: SubsetKey, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product over attributes ``n-1`` down to ``0`` of ``factors[j]``
-    (``m`` rows) on the subset's ``j``-th attribute and a column of ones
-    elsewhere: ``m**n`` rows, one column per combination of factor columns."""
-    ones = np.ones((m, 1))
-    return reduce(np.kron, [
-        factors[subset.index(attribute)] if attribute in subset else ones
-        for attribute in range(n - 1, -1, -1)
-    ])
 
 
 def raw_column(subset: Sequence[int], levels: Sequence[int], schema: AttributeSchema) -> np.ndarray:
@@ -63,13 +52,8 @@ def _check_levels(levels: Sequence[int], k: int, m: int) -> tuple[int, ...]:
 
 
 class BasisColumn(Frozen):
-    """One generated column: its subset, the code it was generated from,
-    and the full-length entry vector.
-
-    For columns of a :class:`SubspaceBasis` the code indexes contrasts
-    (each in ``[0, M-1)``); for :func:`ortho_column` it echoes the
-    requested level vector.
-    """
+    """One generated column: its subset, the level vector it was generated
+    from, and the full-length entry vector."""
 
     __slots__ = ("subset", "level_code", "entries")
 
@@ -113,13 +97,6 @@ class SubspaceBasis(Frozen):
     def dimension(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def columns(self) -> tuple[BasisColumn, ...]:
-        return tuple(
-            BasisColumn(self.subset, code, self.matrix[:, i])
-            for i, code in enumerate(self.codes)
-        )
-
 
 def _subspace_arrays(n: int, m: int, subset: SubsetKey):
     if not subset:
@@ -142,17 +119,6 @@ def subspace_basis(subset: Sequence[int], schema: AttributeSchema) -> SubspaceBa
 def full_basis(schema: AttributeSchema) -> list[SubspaceBasis]:
     """Subspace bases for every subset in enumeration order (constant first)."""
     return [subspace_basis(s, schema) for s in all_subsets(schema.n_attributes)]
-
-
-def reduced_basis(k: int, m: int) -> list[SubspaceBasis]:
-    """Complete basis of a k-attribute, m-level table (dimension ``m**k``).
-
-    Same construction as :func:`full_basis` with N replaced by k; used to
-    analyse geometric-mean marginal tables in their own smaller space.
-    """
-    if _read_int(k, "attribute count k") < 1:
-        raise ArgumentError(f"need at least one attribute, got {k}")
-    return full_basis(generic_schema(k, m))
 
 
 def gram_schmidt_oracle(schema: AttributeSchema) -> list[BasisColumn]:

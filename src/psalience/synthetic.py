@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
-from .basis import check_subset, level_contrasts
+from .basis import _subset_kron, check_subset, level_contrasts
 from .errors import ArgumentError
 from .table import AttributeSchema, ContingencyTable, _read_int, zero_adjust
 
@@ -31,8 +29,8 @@ def planted_interaction_table(
     """Adjusted table whose log is a constant plus one scaled interaction column.
 
     The column is the subset's first basis column (all contrast codes zero):
-    the Kronecker product of the first level contrast on the subset's
-    attributes and ones elsewhere.  It is scaled to unit norm times
+    :func:`psalience.basis._subset_kron` of the first level contrast on the
+    subset's attributes and ones elsewhere.  It is scaled to unit norm times
     ``strength``, then shifted so the smallest count is exactly 1.  Every other subset's projection is
     exactly zero, so a scan must rank ``subset`` first.
     """
@@ -42,8 +40,7 @@ def planted_interaction_table(
     if strength <= 0:
         raise ArgumentError("strength must be positive")
     n, m = schema.n_attributes, schema.n_levels
-    contrast, ones = level_contrasts(m)[:, 0], np.ones(m)
-    column = reduce(np.kron, [contrast if a in members else ones for a in range(n - 1, -1, -1)])
+    column = _subset_kron(n, m, members, [level_contrasts(m)[:, [0]]] * len(members)).ravel()
     column = column / np.sqrt(column @ column)
     logs = strength * column
     logs = logs - logs.min()

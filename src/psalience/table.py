@@ -54,9 +54,6 @@ ABS_TOL = 1e-12
 ADJUSTED_MIN = 1.0 - REL_TOL
 """Smallest entry an adjusted table may hold: 1 under the package tolerance."""
 
-CellIndex = tuple[int, ...]
-"""Digit tuple ``(i_{N-1}, ..., i_0)`` identifying one cell."""
-
 
 def values_close(a: float, b: float) -> bool:
     """Equality under the package-wide tolerance policy."""
@@ -271,8 +268,9 @@ def lex_rank(index: Sequence[int], schema: AttributeSchema) -> int:
     return rank
 
 
-def lex_unrank(rank: int, schema: AttributeSchema) -> CellIndex:
-    """Digit tuple of the cell at flat position ``rank``; inverse of lex_rank."""
+def lex_unrank(rank: int, schema: AttributeSchema) -> tuple[int, ...]:
+    """Digit tuple ``(i_{N-1}, ..., i_0)`` of the cell at flat position ``rank``;
+    inverse of lex_rank."""
     n, m = schema.n_attributes, schema.n_levels
     rank = _read_int(rank, "rank", InvalidRankError)
     if not 0 <= rank < schema.n_cells:

@@ -169,11 +169,10 @@ def test_basis_orthogonality_within_and_across(n, m):
 
 def test_basis_columns_expose_metadata(schema33):
     basis = ps.subspace_basis((2, 0), schema33)
-    columns = basis.columns
-    assert len(columns) == 4
-    assert columns[0].subset == (2, 0)
-    assert columns[0].level_code == (0, 0)
-    assert np.allclose(columns[0].entries, basis.matrix[:, 0])
+    assert basis.subset == (2, 0)
+    assert basis.codes == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert basis.matrix.shape == (27, 4) == (27, basis.dimension)
+    assert np.array_equal(basis.norms_sq, np.einsum("ij,ij->j", basis.matrix, basis.matrix))
 
 
 def test_subspace_bases_compare_their_arrays_whole(schema33):
@@ -265,9 +264,9 @@ def test_zero_one_closed_form_degenerates_for_m2():
 # -------------------------------------------------------- reduced basis
 
 def test_reduced_basis_examples():
-    bases = ps.reduced_basis(2, 2)
+    bases = ps.full_basis(ps.generic_schema(2, 2))
     assert sum(b.dimension for b in bases) == 4
-    one_attr = ps.reduced_basis(1, 3)
+    one_attr = ps.full_basis(ps.generic_schema(1, 3))
     assert [b.dimension for b in one_attr] == [1, 2]
 
 
@@ -281,8 +280,3 @@ def test_reduced_basis_matches_sampled_full_columns(schema33):
     reduced = ps.subspace_basis((1, 0), reduced_schema)
     sampled_ranks = ps.conditional_subtable(table, subset, (0,)).cell_ranks
     assert np.allclose(full.matrix[sampled_ranks, :], reduced.matrix)
-
-
-def test_reduced_basis_rejects_zero_attributes():
-    with pytest.raises(ArgumentError):
-        ps.reduced_basis(0, 3)

@@ -451,6 +451,32 @@ def test_scan_uniform_all_green(tmp_path):
     assert report["warning_bands"]["note"] == "configuration, not derived from any reference"
 
 
+def test_scan_file_holds_each_score_once(tmp_path, rng):
+    table = random_adjusted_table(ps.generic_schema(4, 2), rng)
+    out = tmp_path / "report.json"
+    assert main(["scan", "--table", save_table(tmp_path, table), "--k", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert list(report) == ["kind", "k", "n_attributes", "warning_bands", "entries"]
+    assert len(report["entries"]) == 6
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--k", "1", "--workers", "0"], "workers must be at least 1"),
+    (["scan", "--k", "1", "--threshold", "1.5"], "threshold must lie in [0, 1]"),
+    (["depersonalize"], "choose exactly one of --max-order or --zero"),
+])
+def test_cli_usage_errors_are_refused_before_the_table_is_read(tmp_path, monkeypatch, capsys, argv, message):
+    def refuse(path):
+        raise AssertionError("the table was read")
+
+    monkeypatch.setattr(fileio, "load_table", refuse)
+    out = tmp_path / "out.json"
+    missing = str(tmp_path / "missing.json")
+    assert main([argv[0], "--table", missing, *argv[1:], "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_planted_pair_red_and_first(tmp_path):
     schema = ps.generic_schema(4, 3)
     table = correlated_pair_table(schema, (2, 0), weight=60.0)

@@ -436,7 +436,7 @@ def oracle_release(table, zeroed):
     """Unrenormalised release through the public coefficient tensor, zeroing
     each subset's block by its own slice."""
     beta = ps.fit_beta(ps.log_transform(table))
-    n = beta.n_attributes
+    n = beta.coef.ndim
     coef = np.array(beta.coef)
     for subset in zeroed:
         coef[tuple(slice(1, None) if n - 1 - axis in subset else 0 for axis in range(n))] = 0.0

@@ -18,7 +18,7 @@ def test_fit_uniform_table(schema22):
     assert math.isclose(beta.beta0, 1.7 * 2.0, rel_tol=1e-12)
     for subset, block in beta.blocks.items():
         assert np.abs(block).max() < 1e-12, subset
-    assert beta.total_coefficients == 4
+    assert beta.coef.size == 4
 
 
 def test_fit_single_basis_column(schema22):

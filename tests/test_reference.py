@@ -2,6 +2,7 @@
 pipeline's transforms, and the literal Psi is accurate where its geometric
 mean of many logs used to cancel."""
 
+import functools
 import math
 import sys
 
@@ -24,7 +25,6 @@ def reference_calls(table):
         "ortho_column": lambda: ps.ortho_column((2, 0), (1, 0), schema),
         "subspace_basis": lambda: ps.subspace_basis((2, 1), schema),
         "full_basis": lambda: ps.full_basis(schema),
-        "reduced_basis": lambda: ps.reduced_basis(2, schema.n_levels),
         "gram_schmidt_oracle": lambda: ps.gram_schmidt_oracle(schema),
         "project_subset": lambda: ps.project_subset(log_table, (2, 0)),
         "orthogonal_complement_magnitude": lambda: ps.orthogonal_complement_magnitude(log_table),
@@ -106,3 +106,17 @@ def test_planted_column_is_the_first_basis_column_bit_for_bit(n, m):
         logs = 3.0 * (column / np.sqrt(column @ column))
         counts = np.exp(logs - logs.min())
         assert np.array_equal(planted_interaction_table(schema, subset).counts, counts), subset
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (4, 3), (6, 2)])
+@pytest.mark.parametrize("strength", [1.0, 3.0])
+def test_planted_column_equals_the_literal_kronecker_chain(n, m, strength):
+    schema = ps.generic_schema(n, m)
+    contrast, ones = ps.level_contrasts(m)[:, 0], np.ones(m)
+    for subset in ps.all_subsets(n)[1:]:
+        column = functools.reduce(np.kron, [contrast if a in subset else ones for a in range(n - 1, -1, -1)])
+        logs = strength * (column / np.sqrt(column @ column))
+        counts = np.exp(logs - logs.min())
+        got = planted_interaction_table(schema, subset, strength=strength)
+        assert np.array_equal(got.counts, counts), subset
+        assert got.n_total == float(counts.sum()), subset

@@ -468,7 +468,6 @@ def test_integer_arguments_refuse_floats_booleans_and_strings(schema32, value):
         (ArgumentError, lambda: ps.conditional_subtable(table, (1, 0), (value,))),
         (ArgumentError, lambda: ps.raw_column((1,), (value,), schema32)),
         (ArgumentError, lambda: ps.ortho_column((1,), (value,), schema32)),
-        (ArgumentError, lambda: ps.reduced_basis(value, 2)),
         (ArgumentError, lambda: ps.random_adjusted_table(schema32, np.random.default_rng(0), n_total=value)),
         (ArgumentError, lambda: ps.hypercube_psi(value, 4)),
         (ArgumentError, lambda: ps.hypercube_psi(1, value)),
