@@ -159,9 +159,9 @@ def cmd_analyze(args) -> int:
     from .salience import psi_histogram, subset_salience
     from .table import log_transform
 
+    subset = _parse_subset(args.subset)
     table = _load_adjusted_table(args.table)
     schema = table.schema
-    subset = _parse_subset(args.subset)
     logs = log_transform(table)  # taken once, for all three analyses
     gm = geometric_mean_subtable(logs, subset)
     # the spectrum scan reads, so both commands report the same Psi
@@ -199,6 +199,7 @@ def cmd_depersonalize(args) -> int:
 
     if (args.max_order is None) == (args.zero is None):
         raise ArgumentError("choose exactly one of --max-order or --zero")
+    seeds = None if args.zero is None else tuple(_parse_subset(text) for text in args.zero)
     table = _load_adjusted_table(args.table)
     renormalize = not args.no_renormalize
     if args.max_order is not None:
@@ -207,7 +208,6 @@ def cmd_depersonalize(args) -> int:
         released, audit = interaction_limit(table, spec)
         mode = f"order_limit(k={args.max_order})"
     else:
-        seeds = tuple(_parse_subset(text) for text in args.zero)
         spec = LimitSpec("selective", zero_subsets=seeds,
                          renormalize=renormalize, round_counts=args.round_counts)
         released, audit = selective_zero(table, spec)

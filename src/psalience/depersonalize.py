@@ -20,7 +20,8 @@ coefficients a little, which is the price of an integer release.
 A zero set is a boolean lattice vector over all ``2**N`` subsets.  A release
 and its audit cost four transforms plus ``O(N * 2**N)`` lattice operations.
 The audit keeps its lattice vectors; Python objects are built only when its
-``entries``, ``zeroed_blocks`` or ``violations`` are read.
+``entries``, ``zeroed_blocks`` or ``violations`` are read.  The audit file is
+written from the vectors in one lattice walk and reads none of the three.
 """
 
 from __future__ import annotations
@@ -258,16 +259,15 @@ def audit(
 
     Covers every non-empty subset.  Salience is evaluated on the log counts
     directly, so releases whose entries dipped below 1 can still be audited.
-    When the zeroed blocks are known, unchanged-versus-decreased contracts
-    are classified per subset; otherwise only salience increases are flagged.
-    The report's ``zeroed`` mask is the upward closure of ``zeroed_blocks``.
-    A zero set holding ``()`` is refused.
+    When the zeroed blocks are known, an empty set included, unchanged-versus-
+    decreased contracts are classified per subset; with ``zeroed_blocks=None``
+    (unknown) only salience increases are flagged and ``refit_residual`` is
+    ``None``.  The report's ``zeroed`` mask is the upward closure of
+    ``zeroed_blocks``.  A zero set holding ``()`` is refused.
     """
     if original.schema != released.schema:
         raise ShapeError("audit needs two tables over the same schema")
-    # an array's truth value is ambiguous, so emptiness is tested on a tuple
-    blocks = () if zeroed_blocks is None else tuple(zeroed_blocks)
-    above = _zero_set(blocks, original.schema.n_attributes) if blocks else None
+    above = None if zeroed_blocks is None else _zero_set(zeroed_blocks, original.schema.n_attributes)
     return _audit_log_values(
         LogTable(original.schema, np.log(np.maximum(original.counts, np.finfo(float).tiny))),
         LogTable(original.schema, np.log(np.maximum(released.counts, np.finfo(float).tiny))),

@@ -358,27 +358,26 @@ def classify_warning(value: float, amber: float, red: float) -> str:
 
 
 def audit_to_dict(audit: ReleaseAudit, schema: AttributeSchema, mode: str) -> dict:
-    # each view walks the subset lattice on every read; the zeroed blocks are
-    # the entries containing one, so one walk serves both.  Rows hold only atoms
-    # and tuples, as in report_to_dict, so later collections stop walking them.
-    entries = audit.entries
+    # One lattice walk gives the rows' keys and indices; the masks pick zeroed_blocks and
+    # violations from those keys.  Rows hold only atoms and tuples, as in report_to_dict, and
+    # no size, delta or contains_zeroed: their other fields and zeroed_blocks give those.
+    from .basis import marked_subsets  # here, so tabulate does not load the lattice module
+    index, subsets = marked_subsets(np.arange(audit.zeroed.size) > 0)
+    before, after = audit.psi_before[index].tolist(), audit.psi_after[index].tolist()
     return {
         "kind": "release_audit",
         "mode": mode,
-        "zeroed_blocks": tuple(e.subset for e in entries if e.contains_zeroed),
+        "zeroed_blocks": tuple(itertools.compress(subsets, audit.zeroed[index].tolist())),
         "total_drift": audit.total_drift,
         "refit_residual": audit.refit_residual,
         "entries": [
             {
-                "subset": e.subset,
-                "attributes": tuple(map(schema.attribute_name, e.subset)),
-                "size": len(e.subset),
-                "psi_before": e.psi_before,
-                "psi_after": e.psi_after,
-                "delta": e.delta,
-                "contains_zeroed": e.contains_zeroed,
+                "subset": subset,
+                "attributes": tuple(map(schema.attribute_name, subset)),
+                "psi_before": psi_before,
+                "psi_after": psi_after,
             }
-            for e in entries
+            for subset, psi_before, psi_after in zip(subsets, before, after)
         ],
-        "violations": audit.violations,
+        "violations": tuple(itertools.compress(subsets, audit.violated[index].tolist())),
     }

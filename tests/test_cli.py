@@ -464,6 +464,8 @@ def test_scan_file_holds_each_score_once(tmp_path, rng):
     (["scan", "--k", "1", "--workers", "0"], "workers must be at least 1"),
     (["scan", "--k", "1", "--threshold", "1.5"], "threshold must lie in [0, 1]"),
     (["depersonalize"], "choose exactly one of --max-order or --zero"),
+    (["analyze", "--subset", "a,b"], "subset 'a,b' is not a comma-separated list of integers"),
+    (["depersonalize", "--zero", "1,x"], "subset '1,x' is not a comma-separated list of integers"),
 ])
 def test_cli_usage_errors_are_refused_before_the_table_is_read(tmp_path, monkeypatch, capsys, argv, message):
     def refuse(path):
@@ -676,7 +678,7 @@ def test_depersonalize_identity_at_full_order(tmp_path, rng):
     assert np.abs(released.counts - table.counts).max() < 1e-9
     audit = json.loads((tmp_path / "released.audit.json").read_text())
     assert audit["zeroed_blocks"] == []
-    assert all(abs(e["delta"]) < 1e-9 for e in audit["entries"])
+    assert all(abs(e["psi_after"] - e["psi_before"]) < 1e-9 for e in audit["entries"])
 
 
 def test_depersonalize_order_limit_writes_audit(tmp_path, rng):
@@ -694,6 +696,51 @@ def test_depersonalize_order_limit_writes_audit(tmp_path, rng):
     for subset, block in refit.blocks.items():
         if len(subset) > 1:
             assert np.linalg.norm(block) <= 1e-9
+
+
+@pytest.mark.parametrize("n, m, k_dagger", [(4, 3, 1), (4, 3, 2), (6, 2, 2), (6, 2, 4)])
+def test_audit_file_states_each_fact_once(tmp_path, n, m, k_dagger):
+    """Rows hold no size, delta or contains_zeroed: the file's other fields give
+    them bit for bit, as the library's audit entries hold them."""
+    path = save_table(tmp_path, random_adjusted_table(ps.generic_schema(n, m), np.random.default_rng(n)))
+    out = tmp_path / "released.json"
+    assert main(["depersonalize", "--table", path, "--max-order", str(k_dagger), "--out", str(out)]) == 0
+    written = json.loads(out.with_suffix(".audit.json").read_text(encoding="utf-8"))
+    assert list(written) == ["kind", "mode", "zeroed_blocks", "total_drift", "refit_residual",
+                             "entries", "violations"]
+    _, audit = ps.interaction_limit(fileio.load_table(path), ps.LimitSpec("order_limit", k_dagger=k_dagger))
+    assert len(written["entries"]) == len(audit.entries) == 2 ** n - 1
+    zeroed = set(map(tuple, written["zeroed_blocks"]))
+    for row, entry in zip(written["entries"], audit.entries):
+        assert list(row) == ["subset", "attributes", "psi_before", "psi_after"]
+        assert tuple(row["subset"]) == entry.subset
+        assert row["psi_after"] - row["psi_before"] == entry.delta  # bit for bit
+        assert (entry.subset in zeroed) == entry.contains_zeroed
+
+
+def test_audit_file_is_written_from_one_lattice_walk(monkeypatch, rng):
+    from psalience import basis
+    from psalience.depersonalize import ReleaseAudit
+
+    table = random_adjusted_table(ps.generic_schema(4, 3), rng)
+    released, _ = ps.interaction_limit(table, ps.LimitSpec("order_limit", k_dagger=1))
+    audit = ps.audit(table, released, zeroed_blocks=[(3, 1)])  # the other pairs' moves are violations
+    expected = fileio.audit_to_dict(audit, table.schema, "selective(1 seeds)")
+    walk, calls = basis.marked_subsets, []
+
+    def counted(mask):
+        calls.append(mask.size)
+        return walk(mask)
+
+    def refuse(self):
+        raise AssertionError("an audit view was read")
+
+    monkeypatch.setattr(basis, "marked_subsets", counted)
+    for view in ("entries", "zeroed_blocks", "violations"):
+        monkeypatch.setattr(ReleaseAudit, view, property(refuse))
+    payload = fileio.audit_to_dict(audit, table.schema, "selective(1 seeds)")
+    assert calls == [16] and payload == expected
+    assert payload["zeroed_blocks"] and payload["violations"]  # both masks are read
 
 
 def test_depersonalize_selective_reports_closure(tmp_path, rng):

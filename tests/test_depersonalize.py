@@ -341,7 +341,22 @@ def test_audit_reads_an_integer_array_zero_set(rng):
     released, _ = ps.interaction_limit(table, order_spec(1))
     assert ps.audit(table, released, zeroed_blocks=np.array([[1, 0]])) == ps.audit(
         table, released, zeroed_blocks=[(1, 0)])
-    assert ps.audit(table, released, zeroed_blocks=np.zeros((0, 2), int)) == ps.audit(table, released)
+    assert ps.audit(table, released, zeroed_blocks=np.zeros((0, 2), int)) == ps.audit(
+        table, released, zeroed_blocks=())
+
+
+def test_an_empty_zero_set_is_known():
+    # None leaves the zero set unknown; an empty one says nothing was zeroed, so any move is a violation
+    table = random_adjusted_table(ps.generic_schema(4, 3), np.random.default_rng(1))
+    released, _ = ps.interaction_limit(table, order_spec(2))
+    for empty in ((), []):
+        known = ps.audit(table, released, zeroed_blocks=empty)
+        assert known.violations and known.refit_residual == 0.0 and known.zeroed_blocks == ()
+        moved = tuple(e.subset for e in known.entries if abs(e.delta) > ps.depersonalize.PSI_DRIFT_TOL)
+        assert known.violations == moved
+    unknown = ps.audit(table, released)
+    assert unknown.violations == () and unknown.refit_residual is None
+    assert len(ps.audit(table, released, zeroed_blocks=[(3, 2, 1)]).violations) == 13
 
 
 def test_a_release_walks_the_subset_lattice_once(monkeypatch, rng):
