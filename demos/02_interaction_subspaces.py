@@ -20,9 +20,9 @@ print("pairs in order:", ps.enumerate_subsets(n, 2))
 # Dimensions per subset and their total.
 total = 0
 for subset in ps.all_subsets(n):
-    basis = ps.subspace_basis(subset, schema)
-    total += basis.dimension
-    print(f"  subset {str(subset):>10}  dimension {basis.dimension}")
+    dimension = ps.subspace_basis(subset, schema).shape[1]
+    total += dimension
+    print(f"  subset {str(subset):>10}  dimension {dimension}")
 print(f"total {total} = {m}**{n} = {m ** n}")
 
 # Raw columns are 0/1 indicators of the subset's digit values ...
@@ -32,24 +32,22 @@ print("\nraw column ones:", int(raw.sum()), "of", raw.size)
 # ... and their component inside the subset's own subspace sums to zero
 # and is constant on every block of cells sharing the subset digits.
 column = ps.ortho_column((1, 0), (2, 1), schema)
-print("ortho column sum:", column.entries.sum(), " norm^2:", round(column.norm_sq, 4))
+print("ortho column sum:", column.sum(), " norm^2:", round(column @ column, 4))
 
-# All generated columns are mutually orthogonal, across subsets too.
-stacked = np.hstack([
-    b.matrix / np.sqrt(b.norms_sq) for b in ps.full_basis(schema)
-])
+# The whole basis is one Kronecker product of [1 | contrasts] per attribute;
+# a column belongs to the subset of attributes that carry a contrast, and all
+# columns are mutually orthogonal, across subsets too.
+matrix, lattice = ps.full_basis(schema)
+stacked = matrix / np.linalg.norm(matrix, axis=0)
 gram = stacked.T @ stacked
 print("worst off-diagonal dot:", np.abs(gram - np.eye(gram.shape[0])).max())
 
 # The literal one-column-at-a-time orthogonalisation of the raw columns
 # spans the same subspaces (here checked for one pair via projectors).
-reference = {}
-for col in ps.gram_schmidt_oracle(schema):
-    reference.setdefault(col.subset, []).append(col.entries)
-basis = ps.subspace_basis((2, 1), schema)
-mine = (basis.matrix / basis.norms_sq) @ basis.matrix.T
-ref = np.column_stack(reference[(2, 1)])
-norms = np.einsum("ij,ij->j", ref, ref)
-theirs = (ref / norms) @ ref.T
+reference, reference_lattice = ps.gram_schmidt_oracle(schema)
+pair = ps.basis.subset_index((2, 1))
+mine = stacked[:, lattice == pair] @ stacked[:, lattice == pair].T
+ref = reference[:, reference_lattice == pair]  # orthonormal columns
+theirs = ref @ ref.T
 print("projector mismatch vs sequential orthogonalisation:",
       np.abs(mine - theirs).max())

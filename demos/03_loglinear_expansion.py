@@ -33,7 +33,7 @@ norm_sq = float(log_table.values @ log_table.values)
 print(f"\n{'subset':>12} {'magnitude^2':>12}  share")
 running = 0.0
 for subset in ps.all_subsets(schema.n_attributes):
-    magnitude = ps.project_subset(log_table, subset).magnitude
+    magnitude = np.linalg.norm(ps.project_subset(log_table, subset))
     running += magnitude ** 2
     if len(subset) <= 2:
         print(f"{str(subset):>12} {magnitude ** 2:12.4f}  {magnitude ** 2 / norm_sq:6.1%}")
@@ -42,16 +42,16 @@ print("sum of all blocks vs |T|^2:", running, "vs", norm_sq)
 # The component orthogonal to the uniform vector collects every
 # non-constant block.
 non_constant = sum(
-    ps.project_subset(log_table, s).magnitude ** 2
+    np.linalg.norm(ps.project_subset(log_table, s)) ** 2
     for s in ps.all_subsets(schema.n_attributes) if s
 )
 print("orthogonal-complement magnitude:",
-      ps.orthogonal_complement_magnitude(log_table),
+      np.linalg.norm(log_table.values - log_table.values.mean()),
       "= sqrt(non-constant energy):", np.sqrt(non_constant))
 
 # Rescaling all counts moves only the constant block: interaction
 # structure is scale-free.
 scaled = ps.ContingencyTable(schema, table.counts * 10, table.n_total * 10, adjusted=True)
-before = ps.project_subset(log_table, (3, 1)).magnitude
-after = ps.project_subset(ps.log_transform(scaled), (3, 1)).magnitude
+before = np.linalg.norm(ps.project_subset(log_table, (3, 1)))
+after = np.linalg.norm(ps.project_subset(ps.log_transform(scaled), (3, 1)))
 print("pair magnitude before/after x10 rescale:", before, after)

@@ -147,6 +147,8 @@ def _load_json(path) -> dict:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IngestionError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise IngestionError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def atomic_write_json(path, payload) -> None:

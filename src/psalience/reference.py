@@ -4,12 +4,15 @@
 They are built only from 0/1 indicator columns, Kronecker products of
 per-attribute factors (:func:`psalience.basis._subset_kron`) and means along
 axes of the cell tensor, and run none of the coefficient transform of
-:mod:`psalience.fitting` or the subset spectrum of :mod:`psalience.salience`:
-each subset's basis columns (unnormalised, squared norms alongside) and a
-Gram-Schmidt pass over the raw indicators to check them, the projection onto
-one subset's subspace by a sweep over the axes, both sides of the
-``M**((N-k0)/2)`` projection-transfer identity, and Psi as the salience of a
-subset's geometric-mean table.
+:mod:`psalience.fitting` or the subset spectrum of :mod:`psalience.salience`.
+They hold no records: the whole basis is one array, the Kronecker product of
+the factors ``[1 | level_contrasts(M)]``, with the lattice index of the subset
+each column belongs to; then come one subset's unnormalised columns; a
+Gram-Schmidt pass over the raw indicators to check them; the projection ``chi``
+onto one subset's subspace by a sweep over the axes (its magnitude is
+``np.linalg.norm(chi)``); both sides of the ``M**((N-k0)/2)``
+projection-transfer identity; and Psi as the salience of a subset's
+geometric-mean table.
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, _subset_kron, all_subsets, check_subset, level_contrasts
+from .basis import SubsetKey, _subset_kron, all_subsets, check_subset, level_contrasts, subset_index
 from .errors import ArgumentError, SizeGuardError
 from .fitting import centred_norm, row_norms
 from .marginal import complement_attributes, geometric_mean_subtable
 from .salience import SalienceValue
-from .table import (AttributeSchema, ContingencyTable, Frozen, LogTable, _read_int, freeze, generic_schema,
-                    log_transform)
+from .table import AttributeSchema, ContingencyTable, LogTable, _read_int, generic_schema, log_transform
 
 GRAM_SCHMIDT_CELL_LIMIT = 4096
 
@@ -51,21 +53,7 @@ def _check_levels(levels: Sequence[int], k: int, m: int) -> tuple[int, ...]:
     return codes
 
 
-class BasisColumn(Frozen):
-    """One generated column: its subset, the level vector it was generated
-    from, and the full-length entry vector."""
-
-    __slots__ = ("subset", "level_code", "entries")
-
-    def __init__(self, subset: SubsetKey, level_code: tuple[int, ...], entries):
-        super().__init__(subset, level_code, freeze(entries))
-
-    @property
-    def norm_sq(self) -> float:
-        return float(self.entries @ self.entries)
-
-
-def ortho_column(subset: Sequence[int], levels: Sequence[int], schema: AttributeSchema) -> BasisColumn:
+def ortho_column(subset: Sequence[int], levels: Sequence[int], schema: AttributeSchema) -> np.ndarray:
     """Component of ``raw_column`` lying in the subset's own subspace.
 
     Tensor product of ``(e_level - 1/M)`` over the subset's attributes and
@@ -79,57 +67,51 @@ def ortho_column(subset: Sequence[int], levels: Sequence[int], schema: Attribute
     if not members:
         raise ArgumentError("ortho_column needs a non-empty subset")
     codes = _check_levels(levels, len(members), m)
-    entries = _subset_kron(n, m, members, [np.eye(m)[:, [c]] - 1.0 / m for c in codes])
-    return BasisColumn(members, codes, entries.ravel())
+    return _subset_kron(n, m, members, [np.eye(m)[:, [c]] - 1.0 / m for c in codes]).ravel()
 
 
-class SubspaceBasis(Frozen):
-    """Orthogonal, unnormalised columns spanning one subset's subspace.
-
-    ``matrix`` is ``M**N x (M-1)**k`` with squared column norms in
-    ``norms_sq``; ``codes`` lists the contrast code of each column.  The
-    empty subset gets the single unit-norm constant direction.
-    """
-
-    __slots__ = ("subset", "codes", "matrix", "norms_sq")
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[1]
-
-
-def _subspace_arrays(n: int, m: int, subset: SubsetKey):
-    if not subset:
-        m_t = m ** n
-        return ((),), freeze(np.full((m_t, 1), 1.0 / np.sqrt(m_t))), freeze(np.ones(1))
-    codes = tuple(itertools.product(range(m - 1), repeat=len(subset)))
-    # column order of a Kronecker product of matrices is radix order of the codes
-    matrix = _subset_kron(n, m, subset, [level_contrasts(m)] * len(subset))
+def subspace_basis(subset: Sequence[int], schema: AttributeSchema) -> np.ndarray:
+    """The ``(M-1)**k`` mutually orthogonal, unnormalised columns of one subset's
+    subspace, read-only, in radix order of their contrast codes; the empty
+    subset gives the all-ones column."""
+    n, m = schema.n_attributes, schema.n_levels
+    members = check_subset(subset, n)
+    matrix = _subset_kron(n, m, members, [level_contrasts(m)] * len(members))
     matrix.setflags(write=False)
-    return codes, matrix, freeze(np.einsum("ij,ij->j", matrix, matrix))
+    return matrix
 
 
-def subspace_basis(subset: Sequence[int], schema: AttributeSchema) -> SubspaceBasis:
-    """The ``(M-1)**k`` mutually orthogonal columns of one subset's subspace."""
-    members = check_subset(subset, schema.n_attributes)
-    codes, matrix, norms = _subspace_arrays(schema.n_attributes, schema.n_levels, members)
-    return SubspaceBasis(members, codes, matrix, norms)
+def full_basis(schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray]:
+    """Every subspace's columns as one ``M**N x M**N`` Kronecker product of
+    ``[1 | level_contrasts(M)]`` over the attributes, and the lattice index
+    (:func:`psalience.basis.subset_index`) of the subset each column belongs
+    to: the attributes whose factor column is a contrast.
+
+    A subset's columns, taken in order, are :func:`subspace_basis` bit for bit.
+    The matrix is the caller's to normalise in place.
+    """
+    n, m = schema.n_attributes, schema.n_levels
+    # built here, not read from the cached basis.level_factor: at N=1 the
+    # product is the factor itself, and it must be a fresh, writable array
+    factor = np.hstack([np.ones((m, 1)), level_contrasts(m)])
+    matrix = _subset_kron(n, m, tuple(range(n - 1, -1, -1)), [factor] * n)
+    lattice = np.zeros(1, dtype=np.intp)
+    for _ in range(n):  # attribute n-1 first: its bit ends up most significant
+        lattice = (2 * lattice[:, None] + (np.arange(m) > 0)).ravel()
+    return matrix, lattice
 
 
-def full_basis(schema: AttributeSchema) -> list[SubspaceBasis]:
-    """Subspace bases for every subset in enumeration order (constant first)."""
-    return [subspace_basis(s, schema) for s in all_subsets(schema.n_attributes)]
-
-
-def gram_schmidt_oracle(schema: AttributeSchema) -> list[BasisColumn]:
+def gram_schmidt_oracle(schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray]:
     """Sequential Gram-Schmidt over the raw indicator columns.
 
     Processes the constant column and then every subset's raw columns in
     enumeration order (level codes counted in radix M), projecting each
     candidate against everything accepted so far and dropping dependent
-    candidates.  This is the reference construction the tensor-product
-    generator is tested against; it materialises the full basis, so it is
-    refused beyond ``GRAM_SCHMIDT_CELL_LIMIT`` cells.
+    candidates.  Returns the ``M**N`` orthonormal columns in the order they
+    were accepted and the lattice index of the subset each came from.  This
+    is the reference construction the tensor-product generator is tested
+    against; it materialises the full basis, so it is refused beyond
+    ``GRAM_SCHMIDT_CELL_LIMIT`` cells.
     """
     m_t = schema.n_cells
     if m_t > GRAM_SCHMIDT_CELL_LIMIT:
@@ -138,8 +120,8 @@ def gram_schmidt_oracle(schema: AttributeSchema) -> list[BasisColumn]:
         )
     n, m = schema.n_attributes, schema.n_levels
     accepted = np.empty((m_t, m_t))
+    lattice = np.empty(m_t, dtype=np.intp)
     count = 0
-    out: list[BasisColumn] = []
     for subset in all_subsets(n):
         for code in itertools.product(range(m), repeat=len(subset)):
             candidate = raw_column(subset, code, schema)
@@ -151,26 +133,17 @@ def gram_schmidt_oracle(schema: AttributeSchema) -> list[BasisColumn]:
             norm_sq = float(residual @ residual)
             if norm_sq > 1e-20 * float(candidate @ candidate):
                 accepted[:, count] = residual / np.sqrt(norm_sq)
+                lattice[count] = subset_index(subset)
                 count += 1
-                out.append(BasisColumn(subset, code, residual))
     if count != m_t:
         raise AssertionError(f"orthogonalisation produced {count} columns, expected {m_t}")
-    return out
+    return accepted, lattice
 
 
-class ProjectionResult(Frozen):
-    """Projection of a log table onto one subset's subspace."""
-
-    __slots__ = ("subset", "chi", "magnitude")
-
-    def __init__(self, subset: SubsetKey, chi, magnitude: float):
-        super().__init__(subset, freeze(chi), magnitude)
-
-
-def project_subset(log_table: LogTable, subset: Sequence[int]) -> ProjectionResult:
-    """Orthogonal projection of the log table onto one subset's subspace, by one
-    sweep over the axes: a member's axis loses its mean, and every other axis is
-    averaged away and broadcast back at the end."""
+def project_subset(log_table: LogTable, subset: Sequence[int]) -> np.ndarray:
+    """Orthogonal projection ``chi`` of the log table onto one subset's subspace,
+    by one sweep over the axes: a member's axis loses its mean, and every other
+    axis is averaged away and broadcast back at the end."""
     n, m = log_table.schema.n_attributes, log_table.schema.n_levels
     members = check_subset(subset, n)
     x = log_table.reshaped()
@@ -179,13 +152,7 @@ def project_subset(log_table: LogTable, subset: Sequence[int]) -> ProjectionResu
         x = x - mean if n - 1 - axis in members else mean
     chi = np.zeros((m,) * n)
     chi += x
-    return ProjectionResult(members, chi.ravel(), float(np.linalg.norm(chi)))
-
-
-def orthogonal_complement_magnitude(log_table: LogTable) -> float:
-    """Norm of the log table's component orthogonal to the uniform vector,
-    the combined magnitude of every non-constant block."""
-    return float(centred_norm(log_table.values))
+    return chi.ravel()
 
 
 def reduced_subset_key(outer: SubsetKey, inner: SubsetKey) -> SubsetKey:
@@ -226,11 +193,11 @@ def gm_projection_identity(
     if not set(inner_key) <= set(outer_key):
         raise ArgumentError(f"inner subset {inner_key} must be contained in outer {outer_key}")
 
-    lhs = project_subset(log_transform(table), inner_key).magnitude
+    lhs = float(np.linalg.norm(project_subset(log_transform(table), inner_key)))
 
     k0 = len(outer_key)
     gamma = LogTable(generic_schema(k0, m), geometric_mean_subtable(table, outer_key).log_values)
-    reduced = project_subset(gamma, reduced_subset_key(outer_key, inner_key)).magnitude
+    reduced = float(np.linalg.norm(project_subset(gamma, reduced_subset_key(outer_key, inner_key))))
     rhs = m ** ((n - k0) / 2.0) * reduced
     return lhs, rhs
 
@@ -255,12 +222,12 @@ def gm_projection_total_identity(
     total = 0.0
     for size in range(1, len(outer_key) + 1):
         for inner in itertools.combinations(outer_key, size):
-            total += project_subset(log_table, inner).magnitude ** 2
+            total += float(np.linalg.norm(project_subset(log_table, inner))) ** 2
     lhs = float(np.sqrt(total))
 
     k0 = len(outer_key)
     gamma = LogTable(generic_schema(k0, m), geometric_mean_subtable(table, outer_key).log_values)
-    rhs = m ** ((n - k0) / 2.0) * orthogonal_complement_magnitude(gamma)
+    rhs = m ** ((n - k0) / 2.0) * float(centred_norm(gamma.values))
     return lhs, rhs
 
 

@@ -31,6 +31,7 @@ CLI command would pay for.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Iterable, Sequence
 
@@ -56,8 +57,10 @@ ADJUSTED_MIN = 1.0 - REL_TOL
 
 
 def values_close(a: float, b: float) -> bool:
-    """Equality under the package-wide tolerance policy."""
-    return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
+    """Equality under the package-wide tolerance policy.  A value that is not
+    finite is close to nothing: its tolerance would be infinite too."""
+    tolerance = max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
+    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tolerance
 
 
 def freeze(array) -> np.ndarray:
@@ -216,7 +219,8 @@ class ContingencyTable(Frozen):
             raise ShapeError("counts must be finite and non-negative")
         if not 0 < n_total < np.inf:
             raise ShapeError(f"population total must be positive and finite, got {n_total!r}")
-        total = float(counts.sum())
+        with np.errstate(over="ignore"):  # a sum past the largest float is refused, not warned of
+            total = float(counts.sum())
         if not values_close(total, n_total):
             raise ShapeError(f"counts sum to {total!r}, declared total is {n_total!r}")
         if adjusted and counts.min() < ADJUSTED_MIN:

@@ -6,10 +6,14 @@ and energy conservation on seeded random tables, the salience spectrum
 that ``scan`` and every release audit read against the literal
 geometric-mean Psi of every non-empty subset, the closed-form salience of
 a spike of every radius, and agreement with the sequential Gram-Schmidt
-reference construction, which is skipped above 256 cells.  The seeded
-generator draws only the random tables.  A deliberate-perturbation mode
-corrupts one basis column first, to prove the checker reports failures
-rather than rubber-stamping.
+reference construction, which is skipped above 256 cells.  The basis is
+built once, as the single Kronecker-product matrix of
+:func:`psalience.reference.full_basis`, and normalised in place; the
+orthogonality, dimension and Gram-Schmidt suites read that matrix and the
+lattice index of each of its columns.  The seeded generator draws only the
+random tables.  A deliberate-perturbation mode corrupts one basis column
+after the Gram-Schmidt comparison, to prove the orthogonality checker
+reports failures rather than rubber-stamping.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import marked_subsets, subset_sizes
+from .basis import all_subsets, marked_subsets, subset_index, subset_sizes
 from .errors import ArgumentError
 from .fitting import fit_beta, reconstruct, subset_energies
 from .reference import Psi, full_basis, gram_schmidt_oracle, hypercube_psi
@@ -68,44 +72,33 @@ class VerificationReport(NamedTuple):
         return out
 
 
-def _suite_orthogonality(schema, bases, perturb):
-    # row j holds normalised column j, so a band of columns is a contiguous block
-    # of rows; each band meets the columns from its own start onward, which
-    # compares every column pair once
-    m_t = schema.n_cells
-    columns = np.empty((m_t, m_t))
-    start = 0
-    for basis in bases:
-        stop = start + basis.dimension
-        np.divide(basis.matrix.T, np.sqrt(basis.norms_sq)[:, None], out=columns[start:stop])
-        start = stop
+def _suite_orthogonality(schema, matrix, perturb):
+    # each band of normalised columns meets the columns from its own start
+    # onward, which compares every column pair once
     if perturb:
-        columns[1] += 1e-6
+        matrix[:, 1] += 1e-6
     worst = 0.0
-    for band in range(0, m_t, _GRAM_BAND):
-        rows = columns[band:band + _GRAM_BAND]
-        gram = rows @ columns[band:].T
-        gram[:, :len(rows)] -= np.eye(len(rows))
+    for band in range(0, schema.n_cells, _GRAM_BAND):
+        columns = matrix[:, band:band + _GRAM_BAND]
+        gram = columns.T @ matrix[:, band:]
+        gram[:, :columns.shape[1]] -= np.eye(columns.shape[1])
         worst = max(worst, float(np.abs(gram).max()))
     passed = worst < ORTHO_TOL
-    checked = len(bases) * (len(bases) + 1) // 2
+    blocks = 2 ** schema.n_attributes
     return SuiteResult(
-        "orthogonality", passed, checked, f"max normalised off-diagonal dot {worst:.3e}",
+        "orthogonality", passed, blocks * (blocks + 1) // 2,
+        f"max normalised off-diagonal dot {worst:.3e}",
         {"max_offdiagonal": worst},
     )
 
 
-def _suite_dimensions(schema, bases):
+def _suite_dimensions(schema, lattice):
     n, m = schema.n_attributes, schema.n_levels
-    per_subset_ok = True
-    total = 0
-    for basis in bases:
-        total += basis.dimension
-        if basis.dimension != (m - 1) ** len(basis.subset):
-            per_subset_ok = False
-    passed = per_subset_ok and total == m ** n
+    dimensions = np.bincount(lattice, minlength=2 ** n)
+    total = int(dimensions.sum())
+    passed = np.array_equal(dimensions, (m - 1) ** subset_sizes(n).astype(int)) and total == m ** n
     return SuiteResult(
-        "dimensions", passed, len(bases),
+        "dimensions", passed, 2 ** n,
         f"total columns {total} (expected {m ** n})",
         {"total_columns": total},
     )
@@ -165,35 +158,33 @@ def _suite_spikes(schema):
     )
 
 
-def _suite_gram_schmidt(schema, bases):
+def _suite_gram_schmidt(schema, matrix, lattice):
     m_t = schema.n_cells
     if m_t > _GS_SUITE_LIMIT:
         return SuiteResult(
             "gram-schmidt", True, 0, f"skipped ({m_t} cells > {_GS_SUITE_LIMIT})",
             {"skipped": True},
         )
-    reference: dict = {}
-    for column in gram_schmidt_oracle(schema):
-        reference.setdefault(column.subset, []).append(column.entries)
+    reference, reference_lattice = gram_schmidt_oracle(schema)
     # equal dimensions plus containment of the reference columns in the
     # generated span is subspace equality, without dense projectors
+    subsets = all_subsets(schema.n_attributes)
     worst = 0.0
-    for basis in bases:
-        subset = basis.subset
-        ref_matrix = np.column_stack(reference[subset])
-        if ref_matrix.shape[1] != basis.dimension:
+    for subset in subsets:
+        i = subset_index(subset)
+        mine, ref_matrix = matrix[:, lattice == i], reference[:, reference_lattice == i]
+        if ref_matrix.shape[1] != mine.shape[1]:
             return SuiteResult(
-                "gram-schmidt", False, len(reference),
-                f"dimension mismatch at {subset}: {ref_matrix.shape[1]} vs {basis.dimension}",
+                "gram-schmidt", False, len(subsets),
+                f"dimension mismatch at {subset}: {ref_matrix.shape[1]} vs {mine.shape[1]}",
                 {"subset": subset},
             )
-        coef = (basis.matrix.T @ ref_matrix) / basis.norms_sq[:, None]
-        residual = ref_matrix - basis.matrix @ coef
+        residual = ref_matrix - mine @ (mine.T @ ref_matrix)
         ratios = np.linalg.norm(residual, axis=0) / np.linalg.norm(ref_matrix, axis=0)
         worst = max(worst, float(ratios.max()))
     passed = worst < ORTHO_TOL
     return SuiteResult(
-        "gram-schmidt", passed, len(bases), f"worst span residual {worst:.3e}",
+        "gram-schmidt", passed, len(subsets), f"worst span residual {worst:.3e}",
         {"worst_gap": worst},
     )
 
@@ -222,14 +213,17 @@ def run_verification(
     if trials < 1:
         raise ArgumentError(f"trials must be at least 1, got {trials}")
     schema = generic_schema(n, m)
-    bases = full_basis(schema)
+    matrix, lattice = full_basis(schema)
+    matrix /= np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
+    # Gram-Schmidt reads the basis before the self-test corrupts it
+    gram_schmidt = _suite_gram_schmidt(schema, matrix, lattice)
     rng = np.random.default_rng(seed)
     suites = (
-        _suite_orthogonality(schema, bases, perturb),
-        _suite_dimensions(schema, bases),
+        _suite_orthogonality(schema, matrix, perturb),
+        _suite_dimensions(schema, lattice),
         _suite_expansion(schema, rng, trials),
         _suite_gm_identity(schema, rng, max(1, trials // 4)),
         _suite_spikes(schema),
-        _suite_gram_schmidt(schema, bases),
+        gram_schmidt,
     )
     return VerificationReport(n, m, seed, trials, suites)

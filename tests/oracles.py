@@ -72,15 +72,21 @@ def closed_form_zero_one(subset, n, m):
     return kron_chain(factors) / m ** len(subset)
 
 
-def projector(matrix, norms_sq):
+def norms_sq(matrix):
+    """Squared norm of each column of ``matrix``."""
+    return np.einsum("ij,ij->j", matrix, matrix)
+
+
+def projector(matrix):
     """Dense projector sum(c c^T / |c|^2) over the columns of ``matrix``."""
-    return (matrix / norms_sq) @ matrix.T
+    return (matrix / norms_sq(matrix)) @ matrix.T
 
 
-def residual_outside_span(vector, basis):
-    """Component of ``vector`` left after projecting onto a SubspaceBasis."""
-    coef = (basis.matrix.T @ vector) / basis.norms_sq
-    return vector - basis.matrix @ coef
+def residual_outside_span(vector, matrix):
+    """Component of ``vector`` left after projecting onto the span of the
+    mutually orthogonal columns of ``matrix``."""
+    coef = (matrix.T @ vector) / norms_sq(matrix)
+    return vector - matrix @ coef
 
 
 def axis_mean_psi(log_values, n, m, subset):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -105,9 +106,9 @@ def test_raw_column_bad_level(schema22):
 
 def test_ortho_column_examples(schema22):
     main = ps.ortho_column((0,), (0,), schema22)
-    assert np.allclose(main.entries, [0.5, -0.5, 0.5, -0.5])
+    assert np.allclose(main, [0.5, -0.5, 0.5, -0.5])
     pair = ps.ortho_column((1, 0), (0, 0), schema22)
-    assert np.allclose(pair.entries, 0.25 * np.array([1, -1, -1, 1]))
+    assert np.allclose(pair, 0.25 * np.array([1, -1, -1, 1]))
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (4, 3)])
@@ -117,8 +118,8 @@ def test_ortho_columns_sum_to_zero(n, m):
         for subset in ps.enumerate_subsets(n, k):
             for levels in itertools.product(range(m), repeat=k):
                 column = ps.ortho_column(subset, levels, schema)
-                assert abs(column.entries.sum()) < 1e-12
-                assert column.norm_sq > 0
+                assert abs(column.sum()) < 1e-12
+                assert column @ column > 0
 
 
 def test_ortho_column_block_structure(schema33):
@@ -129,7 +130,7 @@ def test_ortho_column_block_structure(schema33):
     for rank in range(schema33.n_cells):
         digits = ps.lex_unrank(rank, schema33)
         key = tuple(digits[schema33.n_attributes - 1 - a] for a in subset)
-        groups.setdefault(key, set()).add(float(column.entries[rank]))
+        groups.setdefault(key, set()).add(float(column[rank]))
     assert all(len(values) == 1 for values in groups.values())
     assert len(groups) == 9
 
@@ -146,81 +147,82 @@ def test_subspace_dimensions(n, m):
     schema = ps.generic_schema(n, m)
     total = 0
     for subset in ps.all_subsets(n):
-        basis = ps.subspace_basis(subset, schema)
-        assert basis.dimension == (m - 1) ** len(subset)
-        total += basis.dimension
+        dimension = ps.subspace_basis(subset, schema).shape[1]
+        assert dimension == (m - 1) ** len(subset)
+        total += dimension
     assert total == m ** n
 
 
 def test_subspace_dimension_examples():
-    assert ps.subspace_basis((1, 0), ps.generic_schema(2, 2)).dimension == 1
-    assert ps.subspace_basis((2, 1), ps.generic_schema(3, 3)).dimension == 4
+    assert ps.subspace_basis((1, 0), ps.generic_schema(2, 2)).shape[1] == 1
+    assert ps.subspace_basis((2, 1), ps.generic_schema(3, 3)).shape[1] == 4
 
 
 @pytest.mark.parametrize("n,m", SMALL_GRID)
 def test_basis_orthogonality_within_and_across(n, m):
     schema = ps.generic_schema(n, m)
-    stacked = np.hstack(
-        [b.matrix / np.sqrt(b.norms_sq) for b in ps.full_basis(schema)]
-    )
+    matrix, _ = ps.full_basis(schema)
+    stacked = matrix / np.linalg.norm(matrix, axis=0)
     gram = stacked.T @ stacked
     assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-9
 
 
 def test_basis_columns_expose_metadata(schema33):
+    # columns in radix order of their contrast codes, read-only
     basis = ps.subspace_basis((2, 0), schema33)
-    assert basis.subset == (2, 0)
-    assert basis.codes == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert basis.matrix.shape == (27, 4) == (27, basis.dimension)
-    assert np.array_equal(basis.norms_sq, np.einsum("ij,ij->j", basis.matrix, basis.matrix))
+    contrasts, ones = ps.level_contrasts(3), np.ones(3)
+    codes = list(itertools.product(range(2), repeat=2))
+    assert codes == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for j, (c2, c0) in enumerate(codes):
+        assert np.array_equal(basis[:, j], np.kron(np.kron(contrasts[:, c2], ones), contrasts[:, c0]))
+    assert basis.shape == (27, 4)
+    assert not basis.flags.writeable
 
 
-def test_subspace_bases_compare_their_arrays_whole(schema33):
-    basis = ps.subspace_basis((1,), schema33)
-    assert basis == ps.subspace_basis((1,), schema33)
-    assert not basis != ps.subspace_basis((1,), schema33)
-    assert basis != ps.subspace_basis((2,), schema33)
-    assert basis != ps.SubspaceBasis(basis.subset, basis.codes, basis.matrix, basis.norms_sq * 2.0)
-    with pytest.raises(TypeError):
-        hash(basis)
-
-
-def test_constant_subspace_is_normalised(schema22):
+def test_constant_subspace_is_the_ones_column(schema22):
     basis = ps.subspace_basis((), schema22)
-    assert basis.dimension == 1
-    assert np.allclose(basis.matrix[:, 0], 0.5)
-    assert np.allclose(basis.norms_sq, [1.0])
+    assert basis.shape == (4, 1)
+    assert np.array_equal(basis[:, 0], np.ones(4))
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (3, 2), (4, 3), (12, 2)])
+def test_full_basis_columns_of_each_subset_are_its_subspace_basis(n, m):
+    schema = ps.generic_schema(n, m)
+    matrix, lattice = ps.full_basis(schema)
+    assert matrix.shape == (m ** n, m ** n) and lattice.shape == (m ** n,)
+    contrasts, ones = ps.level_contrasts(m), np.ones((m, 1))
+    for subset in ps.all_subsets(n)[1:]:
+        columns = matrix[:, lattice == subset_index(subset)]
+        literal = functools.reduce(np.kron, [contrasts if a in subset else ones for a in range(n - 1, -1, -1)])
+        assert np.array_equal(columns, ps.subspace_basis(subset, schema)), subset
+        assert np.array_equal(columns, literal), subset
 
 
 # --------------------------------------------------- gram-schmidt oracle
 
 def test_gram_schmidt_first_column_is_all_ones(schema22):
-    columns = ps.gram_schmidt_oracle(schema22)
-    assert columns[0].subset == ()
-    ratio = columns[0].entries / columns[0].entries[0]
+    columns, lattice = ps.gram_schmidt_oracle(schema22)
+    assert lattice[0] == subset_index(())
+    ratio = columns[:, 0] / columns[0, 0]
     assert np.allclose(ratio, 1.0)
 
 
 def test_gram_schmidt_spans_whole_space(schema22):
-    columns = ps.gram_schmidt_oracle(schema22)
-    assert len(columns) == 4
-    matrix = np.column_stack([c.entries for c in columns])
-    assert np.linalg.matrix_rank(matrix) == 4
+    columns, lattice = ps.gram_schmidt_oracle(schema22)
+    assert columns.shape == (4, 4) and lattice.shape == (4,)
+    assert np.linalg.matrix_rank(columns) == 4
 
 
 @pytest.mark.parametrize("n,m", SMALL_GRID)
 def test_gram_schmidt_projector_equality(n, m):
     schema = ps.generic_schema(n, m)
-    reference = {}
-    for column in ps.gram_schmidt_oracle(schema):
-        reference.setdefault(column.subset, []).append(column.entries)
+    reference, lattice = ps.gram_schmidt_oracle(schema)
     for subset in ps.all_subsets(n):
         basis = ps.subspace_basis(subset, schema)
-        mine = projector(basis.matrix, basis.norms_sq)
-        ref_matrix = np.column_stack(reference[subset])
-        ref_norms = np.einsum("ij,ij->j", ref_matrix, ref_matrix)
-        assert ref_matrix.shape[1] == basis.dimension
-        assert np.abs(mine - projector(ref_matrix, ref_norms)).max() < 1e-9
+        mine = projector(basis)
+        ref_matrix = reference[:, lattice == subset_index(subset)]
+        assert ref_matrix.shape[1] == basis.shape[1]
+        assert np.abs(mine - projector(ref_matrix)).max() < 1e-9
 
 
 def test_gram_schmidt_size_guard():
@@ -264,10 +266,10 @@ def test_zero_one_closed_form_degenerates_for_m2():
 # -------------------------------------------------------- reduced basis
 
 def test_reduced_basis_examples():
-    bases = ps.full_basis(ps.generic_schema(2, 2))
-    assert sum(b.dimension for b in bases) == 4
-    one_attr = ps.full_basis(ps.generic_schema(1, 3))
-    assert [b.dimension for b in one_attr] == [1, 2]
+    _, lattice = ps.full_basis(ps.generic_schema(2, 2))
+    assert np.bincount(lattice).sum() == 4
+    _, one_attr = ps.full_basis(ps.generic_schema(1, 3))
+    assert np.bincount(one_attr).tolist() == [1, 2]
 
 
 def test_reduced_basis_matches_sampled_full_columns(schema33):
@@ -279,4 +281,4 @@ def test_reduced_basis_matches_sampled_full_columns(schema33):
     reduced_schema = ps.generic_schema(2, 3)
     reduced = ps.subspace_basis((1, 0), reduced_schema)
     sampled_ranks = ps.conditional_subtable(table, subset, (0,)).cell_ranks
-    assert np.allclose(full.matrix[sampled_ranks, :], reduced.matrix)
+    assert np.allclose(full[sampled_ranks, :], reduced)

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -909,14 +910,13 @@ def test_verify_perturbation_fails_across_gram_bands():
 @pytest.mark.parametrize("n, m", [(6, 4), (11, 2)])
 def test_verify_fails_one_corrupted_pair_of_non_constant_blocks(monkeypatch, n, m):
     def corrupted(schema):
-        bases = ps.full_basis(schema)
-        # tilt one column of the last block towards the block before it: only
-        # that pair of blocks stops being orthogonal
-        tilted = bases[-1].matrix.copy()
-        tilted[:, 0] += 1e-6 * bases[-2].matrix[:, 0]
-        last = bases[-1]
-        bases[-1] = ps.SubspaceBasis(last.subset, last.codes, tilted, last.norms_sq)
-        return bases
+        matrix, lattice = ps.full_basis(schema)
+        # tilt one column of the last block (every attribute) towards the block
+        # before it (every attribute but n-1): only that pair stops being orthogonal
+        last = np.flatnonzero(lattice == 2 ** n - 1)[0]
+        before = np.flatnonzero(lattice == 2 ** (n - 1) - 1)[0]
+        matrix[:, last] += 1e-6 * matrix[:, before]
+        return matrix, lattice
 
     monkeypatch.setattr(ps.verify, "full_basis", corrupted)
     report = ps.run_verification(n, m, trials=1)
@@ -1024,16 +1024,19 @@ def test_verify_marks_gram_schmidt_above_its_limit_as_skip(capsys):
 
 
 def test_verify_builds_each_subspace_once(monkeypatch):
-    built = []
-    original = ps.reference._subspace_arrays
+    # every subspace comes out of one Kronecker product of the full factors
+    shapes = []
+    original = ps.reference._subset_kron
 
-    def counting(n, m, subset):
-        built.append(subset)
-        return original(n, m, subset)
+    def counting(*args):
+        out = original(*args)
+        shapes.append(out.shape)
+        return out
 
-    monkeypatch.setattr(ps.reference, "_subspace_arrays", counting)
+    monkeypatch.setattr(ps.reference, "_subset_kron", counting)
     assert ps.run_verification(3, 2, trials=1).passed
-    assert sorted(built) == sorted(ps.all_subsets(3))
+    assert shapes.count((8, 8)) == 1
+    assert set(shapes) == {(8, 8), (8, 1)}  # the rest are Gram-Schmidt's raw indicator columns
 
 
 # ------------------------------------------------------------- round trip
@@ -1098,6 +1101,33 @@ def test_malformed_json_is_data_error(tmp_path):
     bad = tmp_path / "table.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["scan", "--table", str(bad), "--k", "1", "--out", str(tmp_path / "r.json")]) == 3
+
+
+@pytest.mark.parametrize("command", ["scan", "analyze", "depersonalize", "tabulate"])
+def test_deeply_nested_json_is_data_error(tmp_path, capsys, command):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    argv = {
+        "scan": ["--table", str(nested), "--k", "1"],
+        "analyze": ["--table", str(nested), "--subset", "1,0"],
+        "depersonalize": ["--table", str(nested), "--max-order", "1"],
+        "tabulate": ["--schema", str(nested), "--input", write_csv(tmp_path / "micro.csv", ["north,lo"])],
+    }[command]
+    assert main([command, *argv, "--out", str(tmp_path / "out.json")]) == 3
+    assert capsys.readouterr().err == f"error: {nested}: JSON nested too deeply to read\n"
+
+
+@pytest.mark.parametrize("command, option", [
+    ("scan", ["--k", "1"]), ("analyze", ["--subset", "1,0"]), ("depersonalize", ["--max-order", "1"]),
+], ids=["scan", "analyze", "depersonalize"])
+def test_table_whose_counts_sum_past_the_largest_float_is_data_error(tmp_path, capsys, command, option):
+    path = tmp_path / "table.json"
+    fileio.atomic_write_json(path, {"schema": SCHEMA, "counts": [1e308] * 4, "n_total": 1e308, "adjusted": True})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning included
+        assert main([command, "--table", str(path), *option, "--out", str(tmp_path / "out.json")]) == 3
+    assert capsys.readouterr().err == "error: counts sum to inf, declared total is 1e+308\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.json"]
 
 
 def test_tabulate_invalid_utf8_is_data_error(tmp_path, capsys):
