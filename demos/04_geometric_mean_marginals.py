@@ -23,15 +23,15 @@ n, m = schema.n_attributes, schema.n_levels
 subset = (3, 1)
 covered = []
 for combo in itertools.product(range(m), repeat=n - len(subset)):
-    sub = ps.conditional_subtable(table, subset, combo)
-    covered.extend(sub.cell_ranks.tolist())
+    _, cell_ranks = ps.conditional_subtable(table, subset, combo)
+    covered.extend(cell_ranks.tolist())
 print("partition covers every cell exactly once:",
       sorted(covered) == list(range(schema.n_cells)))
 
 # The geometric mean is computed in log space (mean of logs), which stays
-# stable however large the population is.
-gm = ps.geometric_mean_subtable(table, subset)
-print("geometric-mean table:", np.round(gm.counts, 3))
+# stable however large the population is; its exponential is the table.
+gm = np.exp(ps.geometric_mean_subtable(table, subset))
+print("geometric-mean table:", np.round(gm, 3))
 arithmetic = table.reshaped().mean(axis=(1, 3)).ravel()
 print("arithmetic marginal :", np.round(arithmetic, 3), "(never below the GM)")
 

@@ -34,10 +34,7 @@ _PUBLIC = {
         "SchemaError", "ShapeError", "SizeGuardError", "StateError",
     ),
     "fitting": ("BetaVector", "fit_beta", "reconstruct"),
-    "marginal": (
-        "ConditionalSubtable", "GeoMeanTable", "complement_attributes", "conditional_subtable",
-        "geometric_mean_subtable",
-    ),
+    "marginal": ("complement_attributes", "conditional_subtable", "geometric_mean_subtable"),
     "reference": (
         "Psi", "full_basis", "gm_projection_identity", "gm_projection_total_identity",
         "gram_schmidt_oracle", "hypercube_psi", "ortho_column", "project_subset", "raw_column",

@@ -10,7 +10,9 @@ or a release's audit found contract violations or zeroed blocks that do
 not refit to zero; the release is then not written), 2 usage error (an
 ``ArgumentError``, whether this module or the library raises it), 3 data
 error.  A usage error the arguments alone show is reported before any input
-file is read.  Given the same inputs and seed every command is deterministic.
+file is read; so is an output (``--out``, or the ``.audit.json`` beside a
+release) that is the same file as one of the command's inputs.  Given the
+same inputs and seed every command is deterministic.
 
 ``run`` is the process entry point (``python -m psalience.cli`` and the
 ``psalience`` script); in-process callers use ``main``.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -102,6 +105,21 @@ def _parse_subset(text: str):
         raise ArgumentError(f"subset {text!r} is not a comma-separated list of integers")
 
 
+def _refuse_input_as_output(args, *outputs) -> None:
+    """Refuse, as a usage error, an output that is the same file as an input,
+    which the write would replace.  Runs before any file is read."""
+    inputs = [(flag, getattr(args, flag)) for flag in ("table", "schema", "input") if hasattr(args, flag)]
+    for output in outputs:
+        for flag, path in inputs:
+            try:
+                same = os.path.samefile(output, path)
+            except OSError:  # either does not exist yet, so no write can replace the input
+                continue
+            if same:
+                raise ArgumentError(f"output {output} is the --{flag} input {path}; "
+                                    "choose another --out")
+
+
 def _load_adjusted_table(path):
     from .fileio import load_table
 
@@ -115,6 +133,7 @@ def cmd_tabulate(args) -> int:
     from .fileio import load_schema, save_table, tabulate_microdata
     from .table import zero_adjust
 
+    _refuse_input_as_output(args, args.out)
     schema = load_schema(args.schema)
     raw = tabulate_microdata(args.input, schema)
     save_table(args.out, zero_adjust(raw))
@@ -130,6 +149,7 @@ def cmd_scan(args) -> int:
         raise ArgumentError("workers must be at least 1")
     if not 0.0 <= args.threshold <= 1.0:
         raise ArgumentError("threshold must lie in [0, 1]")
+    _refuse_input_as_output(args, args.out)
     table = _load_adjusted_table(args.table)
     amber = args.threshold
     red = max(DEFAULT_RED, amber)
@@ -160,12 +180,13 @@ def cmd_analyze(args) -> int:
     from .table import log_transform
 
     subset = _parse_subset(args.subset)
+    _refuse_input_as_output(args, args.out)
     table = _load_adjusted_table(args.table)
     schema = table.schema
     logs = log_transform(table)  # taken once, for all three analyses
-    gm = geometric_mean_subtable(logs, subset)
+    gm_logs = geometric_mean_subtable(logs, subset)
     # the spectrum scan reads, so both commands report the same Psi
-    overall = float(subset_salience(logs)[0][subset_index(gm.subset)])
+    overall = float(subset_salience(logs)[0][subset_index(subset)])
     histogram = psi_histogram(logs, subset)
     values = np.array([value for _, value in histogram])
     distances = np.abs(values - overall)
@@ -181,7 +202,7 @@ def cmd_analyze(args) -> int:
         "attributes": [schema.attribute_name(i) for i in subset],
         "conditioning_attributes": [schema.attribute_name(i) for i in others],
         "Psi": overall,
-        "geo_mean": {"counts": gm.counts.tolist(), "log_values": gm.log_values.tolist()},
+        "geo_mean": {"counts": np.exp(gm_logs).tolist(), "log_values": gm_logs.tolist()},
         # rows keep psi_histogram's tuples, so the collector stops walking them
         "histogram": [{"conditioning": conditioning, "psi": value} for conditioning, value in histogram],
         "closest_to_gm": _entry(_first_close(distances, distances.min())),
@@ -200,6 +221,8 @@ def cmd_depersonalize(args) -> int:
     if (args.max_order is None) == (args.zero is None):
         raise ArgumentError("choose exactly one of --max-order or --zero")
     seeds = None if args.zero is None else tuple(_parse_subset(text) for text in args.zero)
+    audit_path = Path(args.out).with_suffix(".audit.json")
+    _refuse_input_as_output(args, args.out, audit_path)
     table = _load_adjusted_table(args.table)
     renormalize = not args.no_renormalize
     if args.max_order is not None:
@@ -212,7 +235,6 @@ def cmd_depersonalize(args) -> int:
                          renormalize=renormalize, round_counts=args.round_counts)
         released, audit = selective_zero(table, spec)
         mode = f"selective({len(seeds)} seeds)"
-    audit_path = Path(args.out).with_suffix(".audit.json")
     atomic_write_json(audit_path, audit_to_dict(audit, table.schema, mode))
     problems = []
     if audit.refit_residual > REFIT_TOL:

@@ -23,7 +23,9 @@ Microdata CSV:  UTF-8 (a leading byte-order mark is dropped), header row
 Written JSON is compact (no indentation, no spaces) and round-trips
 exactly: floats are serialised with enough digits to reproduce the
 double-precision value bit for bit.  All writes go through a temporary
-file in the target directory followed by a rename.
+file in the target directory followed by a rename, and the file takes
+the process umask as a newly opened one would.  A JSON file with a key
+repeated in any object is refused.
 """
 
 from __future__ import annotations
@@ -142,9 +144,17 @@ def save_table(path, table: ContingencyTable) -> None:
 
 
 def _load_json(path) -> dict:
+    def unique_keys(pairs: list) -> dict:
+        # json keeps a repeated key's last value silently; a disclosure tool refuses the file
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+            raise IngestionError(f"{path}: JSON object repeats the key {key!r}")
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IngestionError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
@@ -154,10 +164,14 @@ def _load_json(path) -> dict:
 def atomic_write_json(path, payload) -> None:
     """Serialise to a sibling temp file, then rename over the target.
 
-    An ``OSError`` names ``path``, never the temporary file the caller did not ask for.
+    The file gets the mode ``open(path, "w")`` gives a new file, ``0o666`` less
+    the umask; ``mkstemp`` alone would leave it ``0o600``.  An ``OSError``
+    names ``path``, never the temporary file the caller did not ask for.
     """
     path = Path(path)
     directory = path.parent if str(path.parent) else Path(".")
+    umask = os.umask(0)  # the only way to read it; set back at once
+    os.umask(umask)
     try:
         fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
         try:
@@ -165,6 +179,7 @@ def atomic_write_json(path, payload) -> None:
                 # one dumps call runs the C encoder; json.dump with indent runs the Python one
                 fh.write(json.dumps(payload, separators=(",", ":")))
                 fh.write("\n")  # a second write, so the whole text is not copied to append it
+            os.chmod(tmp_name, 0o666 & ~umask)
             os.replace(tmp_name, path)
         except BaseException:
             try:

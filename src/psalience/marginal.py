@@ -10,6 +10,9 @@ attributes, the projection magnitude of the full log table equals
 ``M**((N - k0)/2)`` times the projection magnitude of the log
 geometric-mean table in its own reduced basis.  Both sides of that
 relation are computed literally in :mod:`psalience.reference`.
+
+Both functions return plain read-only arrays: a subtable's counts and
+cell ranks, and the geometric-mean table's logs.
 """
 
 from __future__ import annotations
@@ -20,32 +23,7 @@ import numpy as np
 
 from .basis import SubsetKey, check_subset
 from .errors import ArgumentError
-from .table import ContingencyTable, Frozen, LogTable, _read_int, freeze, log_transform
-
-
-class ConditionalSubtable(Frozen):
-    """Counts of the cells whose conditioning digits are fixed.
-
-    Entries are ordered lexicographically by the subset digits with the
-    leftmost (largest-numbered) subset attribute most significant;
-    ``cell_ranks`` records where each entry sits in the full table.
-    """
-
-    __slots__ = ("subset", "conditioning_values", "counts", "cell_ranks")
-
-    def __init__(self, subset: SubsetKey, conditioning_values: tuple[int, ...], counts, cell_ranks):
-        ranks = np.array(cell_ranks, dtype=int, copy=True)
-        ranks.setflags(write=False)
-        super().__init__(subset, conditioning_values, freeze(counts), ranks)
-
-
-class GeoMeanTable(Frozen):
-    """Entrywise geometric mean over all conditioning combinations."""
-
-    __slots__ = ("subset", "counts", "log_values")
-
-    def __init__(self, subset: SubsetKey, counts, log_values):
-        super().__init__(subset, freeze(counts), freeze(log_values))
+from .table import ContingencyTable, LogTable, _read_int, freeze, log_transform
 
 
 def complement_attributes(subset: SubsetKey, n_attributes: int) -> SubsetKey:
@@ -55,12 +33,16 @@ def complement_attributes(subset: SubsetKey, n_attributes: int) -> SubsetKey:
 
 def conditional_subtable(
     table: ContingencyTable, subset: Sequence[int], conditioning: Sequence[int]
-) -> ConditionalSubtable:
+) -> tuple[np.ndarray, np.ndarray]:
     """Slice out the subtable with the complementary attributes fixed.
 
     ``conditioning`` lists one level per complementary attribute, largest
-    attribute first.  The slice itself is defined for any table; entries
-    are at least 1 whenever the source is adjusted.
+    attribute first.  Returns read-only ``(counts, cell_ranks)``: the
+    ``M**k`` counts in lexicographic order of the subset digits, leftmost
+    (largest-numbered) subset attribute most significant, and the rank of
+    each in the full table, so ``counts == table.counts[cell_ranks]``.  The
+    slice itself is defined for any table; entries are at least 1 whenever
+    the source is adjusted.
     """
     n, m = table.schema.n_attributes, table.schema.n_levels
     members = check_subset(subset, n)
@@ -78,20 +60,24 @@ def conditional_subtable(
     # the subtable's own digit grid, so no rank tensor of the whole table is built
     digits = np.ix_(*(range(m) if a in members else [by_attribute[a]] for a in range(n - 1, -1, -1)))
     ranks = np.ravel_multi_index(digits, (m,) * n).ravel()
-    return ConditionalSubtable(members, fixed, table.counts[ranks], ranks)
+    ranks.setflags(write=False)
+    return freeze(table.counts[ranks]), ranks
 
 
-def geometric_mean_subtable(table: ContingencyTable | LogTable, subset: Sequence[int]) -> GeoMeanTable:
-    """Geometric mean of the conditional subtables over all conditioning values.
+def geometric_mean_subtable(table: ContingencyTable | LogTable, subset: Sequence[int]) -> np.ndarray:
+    """Logs of the geometric mean of the conditional subtables over all
+    conditioning values.
 
-    Computed as ``exp(mean(log counts))`` to stay stable for large
-    populations; the logs come from :func:`log_transform`, so the table
-    must be adjusted.  A :class:`LogTable` passed as ``table`` is used as
-    those logs, so a caller that already has them does not log twice.
+    Returns the read-only ``M**k`` vector ``mean(log counts)`` over the
+    conditioning attributes, in the order of :func:`conditional_subtable`;
+    ``np.exp`` of it is the geometric-mean table, and staying in log space
+    keeps it stable for large populations.  The logs come from
+    :func:`log_transform`, so the table must be adjusted.  A
+    :class:`LogTable` passed as ``table`` is used as those logs, so a caller
+    that already has them does not log twice.
     """
     n = table.schema.n_attributes
     members = check_subset(subset, n)
     axes = tuple(n - 1 - a for a in complement_attributes(members, n))
     logs = table if isinstance(table, LogTable) else log_transform(table)
-    values = logs.reshaped().mean(axis=axes).ravel()
-    return GeoMeanTable(members, np.exp(values), values)
+    return freeze(logs.reshaped().mean(axis=axes).ravel())

@@ -196,7 +196,7 @@ def gm_projection_identity(
     lhs = float(np.linalg.norm(project_subset(log_transform(table), inner_key)))
 
     k0 = len(outer_key)
-    gamma = LogTable(generic_schema(k0, m), geometric_mean_subtable(table, outer_key).log_values)
+    gamma = LogTable(generic_schema(k0, m), geometric_mean_subtable(table, outer_key))
     reduced = float(np.linalg.norm(project_subset(gamma, reduced_subset_key(outer_key, inner_key))))
     rhs = m ** ((n - k0) / 2.0) * reduced
     return lhs, rhs
@@ -226,8 +226,7 @@ def gm_projection_total_identity(
     lhs = float(np.sqrt(total))
 
     k0 = len(outer_key)
-    gamma = LogTable(generic_schema(k0, m), geometric_mean_subtable(table, outer_key).log_values)
-    rhs = m ** ((n - k0) / 2.0) * float(centred_norm(gamma.values))
+    rhs = m ** ((n - k0) / 2.0) * float(centred_norm(geometric_mean_subtable(table, outer_key)))
     return lhs, rhs
 
 

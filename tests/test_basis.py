@@ -280,5 +280,5 @@ def test_reduced_basis_matches_sampled_full_columns(schema33):
     full = ps.subspace_basis(subset, schema33)
     reduced_schema = ps.generic_schema(2, 3)
     reduced = ps.subspace_basis((1, 0), reduced_schema)
-    sampled_ranks = ps.conditional_subtable(table, subset, (0,)).cell_ranks
+    _, sampled_ranks = ps.conditional_subtable(table, subset, (0,))
     assert np.allclose(full[sampled_ranks, :], reduced)

@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -1115,6 +1117,85 @@ def test_deeply_nested_json_is_data_error(tmp_path, capsys, command):
     }[command]
     assert main([command, *argv, "--out", str(tmp_path / "out.json")]) == 3
     assert capsys.readouterr().err == f"error: {nested}: JSON nested too deeply to read\n"
+
+
+TABLE_TEXT = ('{"schema": {"attributes": [{"name": "region", "levels": ["north", "south"]}, '
+              '{"name": "band", "levels": ["lo", "hi"]}]}, "counts": [1, 2, 3, 4], "n_total": 10, '
+              '"adjusted": true}')
+
+
+# each repeat comes first, so a reader keeping the last value would read a valid table
+@pytest.mark.parametrize("text, key", [
+    (TABLE_TEXT.replace('"counts"', '"counts": [9, 9, 9, 9], "counts"'), "counts"),
+    (TABLE_TEXT.replace('{"attributes": [', '{"attributes": [], "attributes": ['), "attributes"),
+    (TABLE_TEXT.replace('"name": "band"', '"name": "size", "name": "band"'), "name"),
+], ids=["top-level", "schema", "attribute"])
+def test_repeated_json_key_is_data_error(tmp_path, capsys, text, key):
+    path = tmp_path / "table.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["scan", "--table", str(path), "--k", "1", "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == f"error: {path}: JSON object repeats the key {key!r}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_output_files_take_the_umask(tmp_path):
+    schema_path = write_schema(tmp_path / "schema.json")
+    csv_path = write_csv(tmp_path / "micro.csv", ["north,lo"] * 3 + ["south,hi", "north,hi"])
+    table = str(tmp_path / "table.json")
+    runs = [
+        ["tabulate", "--schema", schema_path, "--input", csv_path, "--out", table],
+        ["scan", "--table", table, "--k", "1", "--out", str(tmp_path / "scan.json")],
+        ["analyze", "--table", table, "--subset", "1", "--out", str(tmp_path / "analysis.json")],
+        ["depersonalize", "--table", table, "--max-order", "1", "--out", str(tmp_path / "release.json")],
+    ]
+    # the umask is process-wide, so each setting runs in its own interpreter
+    code = ("import json, os, sys; from psalience.cli import main; os.umask(int(sys.argv[1], 8)); "
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[2])))")
+    src = os.path.dirname(os.path.dirname(ps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    written = ["table.json", "scan.json", "analysis.json", "release.json", "release.audit.json"]
+    for umask, mode in [("022", 0o644), ("077", 0o600)]:
+        for name in written:
+            (tmp_path / name).unlink(missing_ok=True)
+        proc = subprocess.run([sys.executable, "-c", code, umask, json.dumps(runs)],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert {name: oct((tmp_path / name).stat().st_mode & 0o777) for name in written} == {
+            name: oct(mode) for name in written}, umask
+
+
+@pytest.mark.parametrize("argv", [
+    ["tabulate", "--schema", "{schema}", "--input", "{micro}", "--out", "{schema}"],
+    ["tabulate", "--schema", "{schema}", "--input", "{micro}", "--out", "{micro}"],
+    ["scan", "--table", "{table}", "--k", "1", "--out", "{table}"],
+    ["scan", "--table", "{table}", "--k", "1", "--out", "{link}"],
+    ["analyze", "--table", "{table}", "--subset", "1", "--out", "{table}"],
+    ["depersonalize", "--table", "{table}", "--max-order", "1", "--out", "{table}"],
+    ["depersonalize", "--table", "{audit}", "--max-order", "1", "--out", "{release}"],
+], ids=["tabulate-schema", "tabulate-input", "scan", "scan-symlink", "analyze", "depersonalize",
+        "depersonalize-audit"])
+def test_output_that_is_an_input_is_refused_before_it_is_read(tmp_path, monkeypatch, capsys, argv):
+    paths = {
+        "schema": write_schema(tmp_path / "schema.json"),
+        "micro": write_csv(tmp_path / "micro.csv", ["north,lo", "south,hi"]),
+        "table": save_table(tmp_path, random_adjusted_table(ps.generic_schema(2, 2), np.random.default_rng(3))),
+        "audit": save_table(tmp_path, random_adjusted_table(ps.generic_schema(2, 2), np.random.default_rng(4)),
+                            "release.audit.json"),
+        "release": str(tmp_path / "release.json"),
+        "link": str(tmp_path / "link.json"),
+    }
+    os.symlink(paths["table"], paths["link"])
+    before = {name: (tmp_path / name).read_bytes() for name in sorted(os.listdir(tmp_path))}
+
+    def refuse(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(fileio, "_load_json", refuse)
+    monkeypatch.setattr(fileio, "tabulate_microdata", refuse)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output ") and "input" in err and err.count("\n") == 1, err
+    assert {name: (tmp_path / name).read_bytes() for name in sorted(os.listdir(tmp_path))} == before
 
 
 @pytest.mark.parametrize("command, option", [

@@ -111,7 +111,7 @@ def test_Psi_equals_psi_of_geometric_mean(rng):
     schema = ps.generic_schema(4, 2)
     table = random_adjusted_table(schema, rng)
     for subset in [(3,), (2, 0), (3, 2, 1)]:
-        direct = ps.psi(ps.geometric_mean_subtable(table, subset).counts).psi
+        direct = ps.psi(np.exp(ps.geometric_mean_subtable(table, subset))).psi
         assert math.isclose(ps.Psi(table, subset).psi, direct, rel_tol=1e-12)
 
 
@@ -249,7 +249,7 @@ def test_histogram_conditioning_order_is_lexicographic(rng):
 def test_histogram_rows_are_conditional_subtables(rng, subset):
     table = random_adjusted_table(ps.generic_schema(4, 3), rng)
     for combo, value in ps.psi_histogram(table, subset):
-        assert value == ps.psi(ps.conditional_subtable(table, subset, combo).counts).psi
+        assert value == ps.psi(ps.conditional_subtable(table, subset, combo)[0]).psi
 
 
 @pytest.mark.parametrize("subset", [(3,), (2, 0), (3, 2, 0)])
@@ -257,7 +257,7 @@ def test_analyses_of_a_log_table_equal_those_of_its_table(rng, subset):
     table = random_adjusted_table(ps.generic_schema(4, 3), rng)
     logs = ps.log_transform(table)
     assert ps.psi_histogram(logs, subset) == ps.psi_histogram(table, subset)
-    assert ps.geometric_mean_subtable(logs, subset) == ps.geometric_mean_subtable(table, subset)
+    assert np.array_equal(ps.geometric_mean_subtable(logs, subset), ps.geometric_mean_subtable(table, subset))
 
 
 def test_histogram_scores_every_row_without_calling_psi(rng, monkeypatch):
@@ -278,7 +278,7 @@ def test_histogram_of_constant_and_near_uniform_rows(rng, subset):
     combos = list(itertools.product(range(3), repeat=8 - len(subset)))
     layout = adjusted(schema, counts)  # a copy, read only for its cell ranks
     for i, combo in enumerate(combos):
-        cells = ps.conditional_subtable(layout, subset, combo).cell_ranks
+        _, cells = ps.conditional_subtable(layout, subset, combo)
         if i % 3 == 0:
             counts[cells] = 4.2
         elif i % 3 == 1:
@@ -288,7 +288,7 @@ def test_histogram_of_constant_and_near_uniform_rows(rng, subset):
     histogram = ps.psi_histogram(table, subset)
     assert [combo for combo, _ in histogram] == combos
     for i, (combo, value) in enumerate(histogram):
-        assert value == ps.psi(ps.conditional_subtable(table, subset, combo).counts).psi
+        assert value == ps.psi(ps.conditional_subtable(table, subset, combo)[0]).psi
         if i % 3 == 0:
             assert value == 0.0
         else:

@@ -319,8 +319,6 @@ def _records():
         "ContingencyTable": table,
         "LogTable": ps.log_transform(table),
         "BetaVector": ps.fit_beta(ps.log_transform(table)),
-        "ConditionalSubtable": ps.conditional_subtable(table, (1,), (0, 1)),
-        "GeoMeanTable": ps.geometric_mean_subtable(table, (1,)),
         "SalienceValue": ps.psi([1.0, 2.0]),
         "ScanEntry": report.entries[0],
         "SalienceReport": report,
@@ -343,6 +341,19 @@ def test_record_fields_cannot_be_assigned_or_deleted(name):
         delattr(record, field)
     with pytest.raises(AttributeError):
         record.unknown_field = None
+
+
+@pytest.mark.parametrize("name", ["conditional_subtable", "geometric_mean_subtable"])
+def test_marginal_results_are_read_only_arrays(name):
+    table = ps.ContingencyTable(ps.generic_schema(3, 2), [2, 3, 4, 5, 6, 7, 8, 9], 44, adjusted=True)
+    calls = {
+        "conditional_subtable": lambda: ps.conditional_subtable(table, (1,), (0, 1)),
+        "geometric_mean_subtable": lambda: (ps.geometric_mean_subtable(table, (1,)),),
+    }
+    for array in calls[name]():
+        assert type(array) is np.ndarray and array.shape == (2,)
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def _array_field(record) -> int | None:
