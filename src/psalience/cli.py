@@ -142,7 +142,7 @@ def cmd_tabulate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .fileio import atomic_write_json, report_to_dict
+    from .fileio import atomic_write_json, classify_warning, report_to_dict
     from .salience import scan
 
     if args.workers < 1:
@@ -154,12 +154,12 @@ def cmd_scan(args) -> int:
     amber = args.threshold
     red = max(DEFAULT_RED, amber)
     report = scan(table, args.k, workers=args.workers)
-    payload = report_to_dict(report, table.schema, amber, red)
-    atomic_write_json(args.out, payload)
-    ranked = sorted(payload["entries"], key=lambda e: e["rank"])
+    atomic_write_json(args.out, report_to_dict(report, table.schema, amber, red))
+    ranked = sorted(report.entries, key=lambda e: e.rank)
     for entry in ranked[:10]:
-        print(f"  #{entry['rank']:<3} {':'.join(entry['attributes']):<24} "
-              f"Psi={entry['Psi']:.4f} [{entry['warning']}]")
+        psi = entry.salience.psi
+        print(f"  #{entry.rank:<3} {':'.join(map(table.schema.attribute_name, entry.subset)):<24} "
+              f"Psi={psi:.4f} [{classify_warning(psi, amber, red)}]")
     print(f"scan k={args.k}: {len(ranked)} subsets -> {args.out}")
     return 0
 

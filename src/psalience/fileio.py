@@ -3,7 +3,8 @@
 Schema file:    {"attributes": [{"name": ..., "levels": [...]}, ...]}
                 with at most MAX_CELLS = 2**24 cells (M**N), checked on load.
                 Names and labels are JSON strings or integers (read as
-                decimal strings) without surrounding whitespace.
+                decimal strings) without surrounding whitespace, and
+                encode as UTF-8.
 Table file:     {"schema": ..., "counts": [...], "n_total": ..., "adjusted": bool}
                 with counts in lexicographic cell order.
 Microdata CSV:  UTF-8 (a leading byte-order mark is dropped), header row
@@ -25,7 +26,8 @@ exactly: floats are serialised with enough digits to reproduce the
 double-precision value bit for bit.  All writes go through a temporary
 file in the target directory followed by a rename, and the file takes
 the process umask as a newly opened one would.  A JSON file with a key
-repeated in any object is refused.
+repeated in any object is refused, as is one holding an integer longer than
+Python's integer-string limit (4300 digits by default).
 """
 
 from __future__ import annotations
@@ -67,12 +69,18 @@ def schema_to_dict(schema: AttributeSchema) -> dict:
 def _schema_text(value, what: str) -> str:
     """A schema name or label as text: a JSON string, or an integer as its
     decimal string.  Surrounding whitespace is refused, because the CSV
-    readers strip it from every header name and label before the lookup."""
+    readers strip it from every header name and label before the lookup, and
+    so is text that is not UTF-8 (a lone surrogate escape such as ``\\ud800``),
+    which no UTF-8 CSV row can hold and no UTF-8 console can print."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise SchemaError(f"{what} must be a JSON string or integer, got {value!r}")
     text = str(value)
     if text != text.strip():
         raise SchemaError(f"{what} {text!r} has leading or trailing whitespace")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"{what} {text!r} is not valid UTF-8") from None
     return text
 
 
@@ -159,6 +167,10 @@ def _load_json(path) -> dict:
         raise IngestionError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise IngestionError(f"{path}: JSON nested too deeply to read") from exc
+    except IngestionError:
+        raise  # a repeated key, named by unique_keys
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits() allows
+        raise IngestionError(f"{path}: JSON number too long to read ({exc})") from exc
 
 
 def atomic_write_json(path, payload) -> None:
@@ -333,11 +345,12 @@ def report_to_dict(
     """Scan report with warning bands.
 
     Bands are configuration, not derived from any reference: green below
-    ``amber``, amber from there to ``red``, red above.  A bar-plot series is
-    each entry's ``attributes`` joined by ``:`` against its ``Psi``, in entry
-    order; the file does not repeat it.  Each entry holds only atoms and
-    tuples (``json`` writes tuples as arrays), so the garbage collector stops
-    tracking it after its first collection.
+    ``amber``, amber from there to ``red``, red above (:func:`classify_warning`
+    of an entry's ``Psi``).  The schema's names are written once, attribute
+    ``N-1`` first, so attribute ``a`` of a ``subset`` is named
+    ``attribute_names[N-1-a]``; rows repeat neither names nor bands.  Each
+    entry holds only atoms and tuples (``json`` writes tuples as arrays), so
+    the garbage collector stops tracking it after its first collection.
     """
     entries = []
     for entry in report.entries:
@@ -345,18 +358,16 @@ def report_to_dict(
         entries.append(
             {
                 "subset": entry.subset,
-                "attributes": tuple(map(schema.attribute_name, entry.subset)),
                 "Psi": value.psi,
                 "chi_magnitude": value.chi_magnitude,
                 "log_norm": value.log_norm,
                 "rank": entry.rank,
-                "warning": classify_warning(value.psi, amber, red),
             }
         )
     return {
         "kind": "salience_scan",
         "k": report.k,
-        "n_attributes": schema.n_attributes,
+        "attribute_names": schema.names,
         "warning_bands": {
             "amber": amber,
             "red": red,
@@ -377,23 +388,20 @@ def classify_warning(value: float, amber: float, red: float) -> str:
 def audit_to_dict(audit: ReleaseAudit, schema: AttributeSchema, mode: str) -> dict:
     # One lattice walk gives the rows' keys and indices; the masks pick zeroed_blocks and
     # violations from those keys.  Rows hold only atoms and tuples, as in report_to_dict, and
-    # no size, delta or contains_zeroed: their other fields and zeroed_blocks give those.
+    # no names, size, delta or contains_zeroed: attribute_names, their other fields and
+    # zeroed_blocks give those.
     from .basis import marked_subsets  # here, so tabulate does not load the lattice module
     index, subsets = marked_subsets(np.arange(audit.zeroed.size) > 0)
     before, after = audit.psi_before[index].tolist(), audit.psi_after[index].tolist()
     return {
         "kind": "release_audit",
         "mode": mode,
+        "attribute_names": schema.names,
         "zeroed_blocks": tuple(itertools.compress(subsets, audit.zeroed[index].tolist())),
         "total_drift": audit.total_drift,
         "refit_residual": audit.refit_residual,
         "entries": [
-            {
-                "subset": subset,
-                "attributes": tuple(map(schema.attribute_name, subset)),
-                "psi_before": psi_before,
-                "psi_after": psi_after,
-            }
+            {"subset": subset, "psi_before": psi_before, "psi_after": psi_after}
             for subset, psi_before, psi_after in zip(subsets, before, after)
         ],
         "violations": tuple(itertools.compress(subsets, audit.violated[index].tolist())),

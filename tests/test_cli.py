@@ -449,18 +449,28 @@ def test_scan_uniform_all_green(tmp_path):
     out = tmp_path / "report.json"
     assert main(["scan", "--table", table_path, "--k", "2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert all(e["warning"] == "green" for e in report["entries"])
+    bands = report["warning_bands"]
+    classes = {fileio.classify_warning(e["Psi"], bands["amber"], bands["red"]) for e in report["entries"]}
+    assert classes == {"green"}
     assert all(e["Psi"] == 0.0 for e in report["entries"])
-    assert report["warning_bands"]["note"] == "configuration, not derived from any reference"
+    assert bands["note"] == "configuration, not derived from any reference"
 
 
 def test_scan_file_holds_each_score_once(tmp_path, rng):
-    table = random_adjusted_table(ps.generic_schema(4, 2), rng)
+    """Names are written once, attribute N-1 first; a row holds only its own numbers."""
+    schema = ps.AttributeSchema([("age", ("y", "o")), ("sex", ("f", "m")),
+                                 ("zip", ("1", "2")), ("job", ("a", "b"))])
+    table = random_adjusted_table(schema, rng)
     out = tmp_path / "report.json"
     assert main(["scan", "--table", save_table(tmp_path, table), "--k", "2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert list(report) == ["kind", "k", "n_attributes", "warning_bands", "entries"]
+    assert list(report) == ["kind", "k", "attribute_names", "warning_bands", "entries"]
+    assert report["attribute_names"] == ["age", "sex", "zip", "job"]
     assert len(report["entries"]) == 6
+    for row, entry in zip(report["entries"], ps.scan(table, 2).entries):
+        assert list(row) == ["subset", "Psi", "chi_magnitude", "log_norm", "rank"]
+        assert [report["attribute_names"][3 - a] for a in row["subset"]] == list(
+            map(schema.attribute_name, entry.subset))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -482,7 +492,7 @@ def test_cli_usage_errors_are_refused_before_the_table_is_read(tmp_path, monkeyp
     assert not out.exists()
 
 
-def test_scan_planted_pair_red_and_first(tmp_path):
+def test_scan_planted_pair_red_and_first(tmp_path, capsys):
     schema = ps.generic_schema(4, 3)
     table = correlated_pair_table(schema, (2, 0), weight=60.0)
     out = tmp_path / "report.json"
@@ -491,12 +501,14 @@ def test_scan_planted_pair_red_and_first(tmp_path):
     report = json.loads(out.read_text())
     top = min(report["entries"], key=lambda e: e["rank"])
     assert top["subset"] == [2, 0]
-    assert top["warning"] == "red"
     assert math.isclose(top["Psi"], math.sqrt(2 / 3), rel_tol=1e-9)
-    assert [e["warning"] for e in report["entries"] if e["subset"] != [2, 0]] == ["green"] * 5
+    # the printed rows name and classify each subset; the file leaves both to its readers
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 7 and printed[0].split()[:2] == ["#1", "a2:a0"] and printed[0].endswith("[red]")
+    assert all(line.endswith("[green]") for line in printed[1:6])
 
 
-def test_scan_threshold_moves_amber_band(tmp_path):
+def test_scan_threshold_moves_amber_band(tmp_path, capsys):
     schema = ps.generic_schema(5, 3)
     table = planted_interaction_table(schema, (3, 1), strength=4.0)
     out = tmp_path / "report.json"
@@ -505,7 +517,10 @@ def test_scan_threshold_moves_amber_band(tmp_path):
     report = json.loads(out.read_text())
     top = min(report["entries"], key=lambda e: e["rank"])
     assert top["subset"] == [3, 1]
-    assert top["warning"] == "amber"  # 0.707 is above 0.2 but below red 0.8
+    assert report["warning_bands"]["amber"] == 0.2 and report["warning_bands"]["red"] == 0.8
+    # 0.707 is above 0.2 but below red 0.8
+    assert fileio.classify_warning(top["Psi"], 0.2, 0.8) == "amber"
+    assert capsys.readouterr().out.splitlines()[0].endswith("[amber]")
 
 
 def test_scan_k_out_of_range_is_usage_error(tmp_path, rng):
@@ -703,19 +718,20 @@ def test_depersonalize_order_limit_writes_audit(tmp_path, rng):
 
 @pytest.mark.parametrize("n, m, k_dagger", [(4, 3, 1), (4, 3, 2), (6, 2, 2), (6, 2, 4)])
 def test_audit_file_states_each_fact_once(tmp_path, n, m, k_dagger):
-    """Rows hold no size, delta or contains_zeroed: the file's other fields give
-    them bit for bit, as the library's audit entries hold them."""
+    """Rows hold no names, size, delta or contains_zeroed: the file's other fields
+    give them bit for bit, as the library's audit entries hold them."""
     path = save_table(tmp_path, random_adjusted_table(ps.generic_schema(n, m), np.random.default_rng(n)))
     out = tmp_path / "released.json"
     assert main(["depersonalize", "--table", path, "--max-order", str(k_dagger), "--out", str(out)]) == 0
     written = json.loads(out.with_suffix(".audit.json").read_text(encoding="utf-8"))
-    assert list(written) == ["kind", "mode", "zeroed_blocks", "total_drift", "refit_residual",
-                             "entries", "violations"]
+    assert list(written) == ["kind", "mode", "attribute_names", "zeroed_blocks", "total_drift",
+                             "refit_residual", "entries", "violations"]
+    assert written["attribute_names"] == [f"a{a}" for a in range(n - 1, -1, -1)]
     _, audit = ps.interaction_limit(fileio.load_table(path), ps.LimitSpec("order_limit", k_dagger=k_dagger))
     assert len(written["entries"]) == len(audit.entries) == 2 ** n - 1
     zeroed = set(map(tuple, written["zeroed_blocks"]))
     for row, entry in zip(written["entries"], audit.entries):
-        assert list(row) == ["subset", "attributes", "psi_before", "psi_after"]
+        assert list(row) == ["subset", "psi_before", "psi_after"]
         assert tuple(row["subset"]) == entry.subset
         assert row["psi_after"] - row["psi_before"] == entry.delta  # bit for bit
         assert (entry.subset in zeroed) == entry.contains_zeroed
@@ -1136,6 +1152,54 @@ def test_repeated_json_key_is_data_error(tmp_path, capsys, text, key):
     assert main(["scan", "--table", str(path), "--k", "1", "--out", str(tmp_path / "r.json")]) == 3
     assert capsys.readouterr().err == f"error: {path}: JSON object repeats the key {key!r}\n"
     assert not (tmp_path / "r.json").exists()
+
+
+def run_on_hostile_text(tmp_path, command, text):
+    """Run ``command`` on ``text`` as its JSON input: the table, or for tabulate the
+    schema (the text's schema object), with a CSV that matches the valid schema."""
+    path = tmp_path / "input.json"
+    if command == "tabulate":
+        text = text[len('{"schema": '):text.index(', "counts"')]
+        argv = ["--schema", str(path), "--input", write_csv(tmp_path / "micro.csv", ["south,lo", "north,lo"] * 3)]
+    else:
+        argv = {"scan": ["--k", "1"], "analyze": ["--subset", "1"], "depersonalize": ["--max-order", "1"]}[command]
+        argv = ["--table", str(path), *argv]
+    path.write_text(text, encoding="utf-8")
+    code = main([command, *argv, "--out", str(tmp_path / "out.json")])
+    return code, path
+
+
+COMMANDS = ["scan", "analyze", "depersonalize", "tabulate"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="before 3.10.7 Python reads integers of any length")
+@pytest.mark.parametrize("command, old, new", [
+    *((command, '"n_total": 10', '"n_total": ' + "1" * 5000) for command in COMMANDS[:3]),
+    *((command, '"band"', "1" * 5001) for command in COMMANDS),  # an attribute name
+], ids=[f"n_total-{command}" for command in COMMANDS[:3]] + [f"name-{command}" for command in COMMANDS])
+def test_json_integer_past_the_digit_limit_is_data_error(tmp_path, capsys, command, old, new):
+    """json.load raises a plain ValueError for an integer above Python's
+    integer-string limit (4300 digits); it exits 3 naming the file."""
+    code, path = run_on_hostile_text(tmp_path, command, TABLE_TEXT.replace(old, new))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: JSON number too long to read (") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("old, new, what", [
+    ('"region"', '"re\\ud800gion"', "attribute name 're\\ud800gion'"),
+    ('"hi"', '"\\udfff"', "level of attribute 'band' '\\udfff'"),
+], ids=["name", "label"])
+def test_name_or_label_that_is_not_utf8_is_data_error(tmp_path, capsys, command, old, new, what):
+    """A lone surrogate escape decodes to text no UTF-8 stream holds, so the
+    schema refuses it, as the CSV readers refuse such a row."""
+    code, _ = run_on_hostile_text(tmp_path, command, TABLE_TEXT.replace(old, new))
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {what} is not valid UTF-8\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_output_files_take_the_umask(tmp_path):
