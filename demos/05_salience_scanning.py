@@ -30,9 +30,10 @@ print("power invariance:", ps.psi(values).psi, ps.psi(values ** 3.7).psi)
 schema = ps.generic_schema(5, 3)
 table = ps.planted_interaction_table(schema, (3, 1), strength=4.0)
 report = ps.scan(table, 2, workers=4)
+pairs = ps.enumerate_subsets(5, 2)  # the report's arrays are in this order
 print("\nrank  subset   Psi")
-for entry in sorted(report.entries, key=lambda e: e.rank)[:5]:
-    print(f"  {entry.rank:>2}   {str(entry.subset):>7}  {entry.salience.psi:.4f}")
+for i in np.argsort(report.rank)[:5]:
+    print(f"  {report.rank[i]:>2}   {str(pairs[i]):>7}  {report.psi[i]:.4f}")
 
 # Per-conditioning detail for the winning pair: one salience value per
 # combination of the remaining attributes' levels.

@@ -155,12 +155,12 @@ def cmd_scan(args) -> int:
     red = max(DEFAULT_RED, amber)
     report = scan(table, args.k, workers=args.workers)
     atomic_write_json(args.out, report_to_dict(report, table.schema, amber, red))
-    ranked = sorted(report.entries, key=lambda e: e.rank)
-    for entry in ranked[:10]:
-        psi = entry.salience.psi
-        print(f"  #{entry.rank:<3} {':'.join(map(table.schema.attribute_name, entry.subset)):<24} "
-              f"Psi={psi:.4f} [{classify_warning(psi, amber, red)}]")
-    print(f"scan k={args.k}: {len(ranked)} subsets -> {args.out}")
+    top = np.flatnonzero(report.rank <= 10)  # ranks are 1..len: one pass, and only ten are sorted
+    rows = zip(*(a[top].tolist() for a in (report.rank, report.psi, report.index)))
+    for rank, psi, i in sorted(rows):  # i is the subset's lattice index: bit a holds attribute a
+        names = (table.schema.attribute_name(a) for a in reversed(range(i.bit_length())) if i >> a & 1)
+        print(f"  #{rank:<3} {':'.join(names):<24} Psi={psi:.4f} [{classify_warning(psi, amber, red)}]")
+    print(f"scan k={args.k}: {report.rank.size} subsets -> {args.out}")
     return 0
 
 
@@ -169,7 +169,7 @@ def _first_close(values: np.ndarray, extreme: float) -> int:
     last-ulp noise cannot choose among subtables that tie in exact arithmetic."""
     from .table import values_close
 
-    return next(i for i, value in enumerate(values.tolist()) if values_close(value, extreme))
+    return int(np.flatnonzero(values_close(values, extreme))[0])
 
 
 def cmd_analyze(args) -> int:

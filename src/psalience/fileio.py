@@ -25,9 +25,10 @@ Written JSON is compact (no indentation, no spaces) and round-trips
 exactly: floats are serialised with enough digits to reproduce the
 double-precision value bit for bit.  All writes go through a temporary
 file in the target directory followed by a rename, and the file takes
-the process umask as a newly opened one would.  A JSON file with a key
-repeated in any object is refused, as is one holding an integer longer than
-Python's integer-string limit (4300 digits by default).
+the process umask as a newly opened one would.  JSON files are read as
+UTF-8, and a leading byte-order mark is dropped, as from a CSV.  A JSON file
+with a key repeated in any object is refused, as is one holding an integer
+longer than Python's integer-string limit (4300 digits by default).
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _load_json(path) -> dict:
         return obj
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IngestionError(f"{path}: not valid JSON ({exc})") from exc
@@ -349,21 +350,12 @@ def report_to_dict(
     of an entry's ``Psi``).  The schema's names are written once, attribute
     ``N-1`` first, so attribute ``a`` of a ``subset`` is named
     ``attribute_names[N-1-a]``; rows repeat neither names nor bands.  Each
-    entry holds only atoms and tuples (``json`` writes tuples as arrays), so
-    the garbage collector stops tracking it after its first collection.
+    row, read from the report's arrays, holds only atoms and tuples (``json``
+    writes tuples as arrays), so the garbage collector stops tracking it.
     """
-    entries = []
-    for entry in report.entries:
-        value = entry.salience
-        entries.append(
-            {
-                "subset": entry.subset,
-                "Psi": value.psi,
-                "chi_magnitude": value.chi_magnitude,
-                "log_norm": value.log_norm,
-                "rank": entry.rank,
-            }
-        )
+    from .basis import enumerate_subsets  # here, so tabulate does not load the lattice module
+    columns = zip(enumerate_subsets(schema.n_attributes, report.k), report.psi.tolist(),
+                  report.chi_magnitude.tolist(), report.log_norm.tolist(), report.rank.tolist())
     return {
         "kind": "salience_scan",
         "k": report.k,
@@ -373,7 +365,10 @@ def report_to_dict(
             "red": red,
             "note": "configuration, not derived from any reference",
         },
-        "entries": entries,
+        "entries": [
+            {"subset": subset, "Psi": psi, "chi_magnitude": chi, "log_norm": norm, "rank": rank}
+            for subset, psi, chi, norm, rank in columns
+        ],
     }
 
 

@@ -193,10 +193,11 @@ def gm_projection_identity(
     if not set(inner_key) <= set(outer_key):
         raise ArgumentError(f"inner subset {inner_key} must be contained in outer {outer_key}")
 
-    lhs = float(np.linalg.norm(project_subset(log_transform(table), inner_key)))
+    log_table = log_transform(table)  # taken once, for both sides
+    lhs = float(np.linalg.norm(project_subset(log_table, inner_key)))
 
     k0 = len(outer_key)
-    gamma = LogTable(generic_schema(k0, m), geometric_mean_subtable(table, outer_key))
+    gamma = LogTable(generic_schema(k0, m), geometric_mean_subtable(log_table, outer_key))
     reduced = float(np.linalg.norm(project_subset(gamma, reduced_subset_key(outer_key, inner_key))))
     rhs = m ** ((n - k0) / 2.0) * reduced
     return lhs, rhs
@@ -226,7 +227,7 @@ def gm_projection_total_identity(
     lhs = float(np.sqrt(total))
 
     k0 = len(outer_key)
-    rhs = m ** ((n - k0) / 2.0) * float(centred_norm(geometric_mean_subtable(table, outer_key)))
+    rhs = m ** ((n - k0) / 2.0) * float(centred_norm(geometric_mean_subtable(log_table, outer_key)))
     return lhs, rhs
 
 

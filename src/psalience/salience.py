@@ -31,11 +31,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, check_subset, marked_subsets, subset_sizes, subset_sums
+from .basis import SubsetKey, check_subset, enumerate_subsets, subset_sizes, subset_sums
 from .errors import ArgumentError, DomainError
 from .fitting import centred_norm, row_norms, subset_energies
 from .marginal import complement_attributes
-from .table import ADJUSTED_MIN, ContingencyTable, LogTable, _read_int, log_transform
+from .table import ADJUSTED_MIN, ContingencyTable, Frozen, LogTable, _read_int, log_transform
 
 
 class SalienceValue(NamedTuple):
@@ -102,14 +102,19 @@ class ScanEntry(NamedTuple):
     rank: int
 
 
-class SalienceReport(NamedTuple):
-    """Per-subset scores of one scan, in enumeration order, with ranks.
+class SalienceReport(Frozen):
+    """Scores of one scan: read-only arrays over the size-k subsets' lattice indices
+    ``index``, in enumeration order.  Ranks are 1-based, descending in Psi; ties keep
+    enumeration order.  ``entries`` builds one :class:`ScanEntry` per subset on each read."""
 
-    Ranks are 1-based, descending in Psi; ties keep enumeration order.
-    """
+    __slots__ = ("k", "index", "psi", "chi_magnitude", "log_norm", "rank")
 
-    k: int
-    entries: tuple[ScanEntry, ...]
+    @property
+    def entries(self) -> tuple[ScanEntry, ...]:
+        # the first subset holds attribute N-1, so its lattice index has N bits
+        subsets = enumerate_subsets(int(self.index[0]).bit_length(), self.k)
+        values = map(SalienceValue, self.psi.tolist(), self.chi_magnitude.tolist(), self.log_norm.tolist())
+        return tuple(map(ScanEntry, subsets, values, self.rank.tolist()))
 
 
 def scan(table: ContingencyTable, k: int, workers: int | None = None) -> SalienceReport:
@@ -122,12 +127,14 @@ def scan(table: ContingencyTable, k: int, workers: int | None = None) -> Salienc
     k = _read_int(k, "subset size k")
     if not 1 <= k < n:
         raise ArgumentError(f"subset size {k} out of range [1, {n - 1}]")
-    index, subsets = marked_subsets(subset_sizes(n) == k)
+    # descending lattice indices of size k are in enumerate_subsets(n, k) order
+    index = np.flatnonzero(subset_sizes(n) == k)[::-1]
     psi_k, chi, norm = (a[index] for a in subset_salience(log_transform(table)))
     ranks = np.empty(index.size, dtype=int)
     ranks[np.argsort(-psi_k, kind="stable")] = np.arange(1, index.size + 1)
-    values = map(SalienceValue, psi_k.tolist(), chi.tolist(), norm.tolist())
-    return SalienceReport(k=k, entries=tuple(map(ScanEntry, subsets, values, ranks.tolist())))
+    for array in (index, psi_k, chi, norm, ranks):
+        array.setflags(write=False)
+    return SalienceReport(k, index, psi_k, chi, norm, ranks)
 
 
 def psi_histogram(

@@ -31,7 +31,6 @@ CLI command would pay for.
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Iterable, Sequence
 
@@ -56,11 +55,15 @@ ADJUSTED_MIN = 1.0 - REL_TOL
 """Smallest entry an adjusted table may hold: 1 under the package tolerance."""
 
 
-def values_close(a: float, b: float) -> bool:
-    """Equality under the package-wide tolerance policy.  A value that is not
-    finite is close to nothing: its tolerance would be infinite too."""
-    tolerance = max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
-    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tolerance
+def values_close(a, b) -> bool | np.ndarray:
+    """Equality under the package-wide tolerance policy, element by element on
+    arrays, without numpy warnings.  A value that is not finite is close to
+    nothing: its tolerance would be infinite too."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or a difference past the range
+        tolerance = np.maximum(REL_TOL * np.maximum(np.abs(a), np.abs(b)), ABS_TOL)
+        close = np.isfinite(a) & np.isfinite(b) & (np.abs(a - b) <= tolerance)
+    return close if close.ndim else bool(close)
 
 
 def freeze(array) -> np.ndarray:

@@ -473,6 +473,41 @@ def test_scan_file_holds_each_score_once(tmp_path, rng):
             map(schema.attribute_name, entry.subset))
 
 
+def test_scan_writes_and_prints_without_a_record_per_subset(tmp_path, capsys, monkeypatch):
+    """The file's rows and the top-ten printout come from the report's arrays."""
+    table = random_adjusted_table(ps.generic_schema(6, 2), np.random.default_rng(7))
+    argv = ["scan", "--table", save_table(tmp_path, table), "--k", "2", "--out", str(tmp_path / "scan.json")]
+    runs = []
+    for patched in (False, True):
+        if patched:
+            def refuse(*args):
+                raise AssertionError("scan built a per-subset record")
+
+            monkeypatch.setattr(ps.salience, "ScanEntry", refuse)
+            monkeypatch.setattr(ps.salience, "SalienceValue", refuse)
+        assert main(argv) == 0
+        runs.append(((tmp_path / "scan.json").read_bytes(), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    lines = runs[1][1].out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == [f"#{r}" for r in range(1, 11)]
+    assert lines[-1] == f"scan k=2: 15 subsets -> {tmp_path / 'scan.json'}"
+
+
+def test_scan_and_its_file_rows_peak_memory():
+    """Seed-7 (16,2), k=8: 12 870 rows, read from the report's arrays.  Building a
+    record per subset first peaked at 6.77 MiB; the arrays peak at 5.90 MiB."""
+    table = random_adjusted_table(ps.generic_schema(16, 2), np.random.default_rng(7))
+    ps.scan(table, 1)  # first-call costs stay out of the measurement
+    tracemalloc.start()
+    try:
+        payload = fileio.report_to_dict(ps.scan(table, 8), table.schema, 0.5, 0.8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(payload["entries"]) == 12_870
+    assert peak <= 6.3 * 2**20, f"scan and rows peak {peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["scan", "--k", "1", "--workers", "0"], "workers must be at least 1"),
     (["scan", "--k", "1", "--threshold", "1.5"], "threshold must lie in [0, 1]"),
@@ -1154,7 +1189,7 @@ def test_repeated_json_key_is_data_error(tmp_path, capsys, text, key):
     assert not (tmp_path / "r.json").exists()
 
 
-def run_on_hostile_text(tmp_path, command, text):
+def run_on_hostile_text(tmp_path, command, text, encoding="utf-8"):
     """Run ``command`` on ``text`` as its JSON input: the table, or for tabulate the
     schema (the text's schema object), with a CSV that matches the valid schema."""
     path = tmp_path / "input.json"
@@ -1164,7 +1199,7 @@ def run_on_hostile_text(tmp_path, command, text):
     else:
         argv = {"scan": ["--k", "1"], "analyze": ["--subset", "1"], "depersonalize": ["--max-order", "1"]}[command]
         argv = ["--table", str(path), *argv]
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding=encoding)
     code = main([command, *argv, "--out", str(tmp_path / "out.json")])
     return code, path
 
@@ -1199,6 +1234,36 @@ def test_name_or_label_that_is_not_utf8_is_data_error(tmp_path, capsys, command,
     code, _ = run_on_hostile_text(tmp_path, command, TABLE_TEXT.replace(old, new))
     assert code == 3
     assert capsys.readouterr().err == f"error: {what} is not valid UTF-8\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_input_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, command):
+    """A leading UTF-8 byte-order mark is dropped, as the CSV readers drop it
+    (RFC 8259 section 8.1), so the command writes and prints what it would
+    without one."""
+    results = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        code, path = run_on_hostile_text(tmp_path, command, TABLE_TEXT, encoding)
+        assert code == 0, capsys.readouterr().err
+        results.append(((tmp_path / "out.json").read_bytes(), capsys.readouterr()))
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("old, new, encoding", [
+    ('{"name": "band"', '\ufeff{"name": "band"', "utf-8"),
+    ('{"name": "band"', '\ufeff{"name": "band"', "utf-8-sig"),
+    ('"north"', '"n\u00f6rth"', "latin-1"),
+    ('"north"', '"north"', "utf-16"),
+], ids=["inner-mark", "second-mark", "latin-1", "utf-16"])
+def test_json_byte_order_mark_elsewhere_or_bytes_not_utf8_are_data_errors(
+        tmp_path, capsys, command, old, new, encoding):
+    code, path = run_on_hostile_text(tmp_path, command, TABLE_TEXT.replace(old, new), encoding)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1, err
     assert not (tmp_path / "out.json").exists()
 
 

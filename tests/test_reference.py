@@ -100,6 +100,28 @@ def test_gm_projection_logs_each_table_once(monkeypatch):
     assert len(calls) == 3  # where logging per Psi call makes 3 * 16
 
 
+@pytest.mark.parametrize("identity, args", [
+    ("gm_projection_identity", ((3, 1, 0), (1, 0))),
+    ("gm_projection_total_identity", ((3, 1, 0),)),
+])
+def test_projection_identities_log_each_table_once(monkeypatch, identity, args):
+    """Both sides of an identity read one log of the table."""
+    table = random_adjusted_table(ps.generic_schema(4, 3), np.random.default_rng(2))
+    expected = getattr(ps, identity)(table, *args)
+    real = ps.table.log_transform
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("psalience.") and getattr(m, "log_transform", None) is real]:
+        monkeypatch.setattr(module, "log_transform", counted)
+    assert getattr(ps, identity)(table, *args) == expected
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (5, 3)])
 def test_planted_column_is_the_first_basis_column_bit_for_bit(n, m):
     schema = ps.generic_schema(n, m)

@@ -209,6 +209,55 @@ def test_scan_builds_subset_keys_only_for_its_size(rng, monkeypatch):
     assert [e.subset for e in report.entries] == ps.enumerate_subsets(6, 2)
 
 
+def _entries_from_the_spectrum(table, k):
+    """Scan entries built one record per subset, as scan built them before it
+    returned arrays: keys from marked_subsets, values from the salience
+    spectrum, ranks by a stable sort on descending Psi."""
+    n = table.schema.n_attributes
+    index, subsets = ps.basis.marked_subsets(ps.basis.subset_sizes(n) == k)
+    psi_k, chi, norm = (a[index].tolist() for a in subset_salience(ps.log_transform(table)))
+    ranks = [0] * len(subsets)
+    for rank, i in enumerate(sorted(range(len(subsets)), key=lambda i: -psi_k[i]), start=1):
+        ranks[i] = rank
+    return tuple(ps.ScanEntry(s, ps.SalienceValue(p, c, v), r)
+                 for s, p, c, v, r in zip(subsets, psi_k, chi, norm, ranks))
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (6, 3), (12, 2)])
+def test_scan_entries_view_equals_per_subset_records(n, m):
+    table = random_adjusted_table(ps.generic_schema(n, m), np.random.default_rng(n * m))
+    for k in range(1, n):
+        entries = ps.scan(table, k).entries
+        expected = _entries_from_the_spectrum(table, k)
+        assert entries == expected, k
+        for entry in entries:
+            assert type(entry) is ps.ScanEntry and type(entry.salience) is ps.SalienceValue
+            assert type(entry.subset) is tuple and type(entry.rank) is int
+            assert all(type(a) is int for a in entry.subset)
+            assert all(type(v) is float for v in entry.salience)
+
+
+@pytest.mark.parametrize("n, m, k", [(3, 2, 1), (6, 3, 2), (12, 2, 6)])
+def test_scan_report_holds_read_only_arrays(n, m, k):
+    table = random_adjusted_table(ps.generic_schema(n, m), np.random.default_rng(5))
+    report = ps.scan(table, k)
+    assert not isinstance(report, tuple) and report.k == k
+    size = math.comb(n, k)
+    assert np.array_equal(report.index, [ps.basis.subset_index(s) for s in ps.enumerate_subsets(n, k)])
+    assert sorted(report.rank.tolist()) == list(range(1, size + 1))
+    for name, kind in (("index", "i"), ("psi", "f"), ("chi_magnitude", "f"),
+                       ("log_norm", "f"), ("rank", "i")):
+        array = getattr(report, name)
+        assert type(array) is np.ndarray and array.shape == (size,), name
+        assert array.dtype.kind == kind and array.dtype.itemsize == 8, name
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert report.entries is not report.entries  # built afresh on each read
+    with pytest.raises(TypeError):
+        hash(report)
+
+
 # ------------------------------------------------------------ histograms
 
 def test_histogram_uniform_all_zero(schema33):

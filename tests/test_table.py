@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -22,7 +23,7 @@ from psalience.errors import (
     ShapeError,
     StateError,
 )
-from psalience.table import Frozen, _record_rank, values_close
+from psalience.table import ABS_TOL, REL_TOL, Frozen, _record_rank, values_close
 
 
 # ---------------------------------------------------------------- schema
@@ -290,6 +291,27 @@ def test_values_close_is_false_for_a_value_that_is_not_finite():
     assert values_close(1e308, 1e308) and values_close(8.0, 8.0 + 1e-12)
     for a, b in [(math.inf, 8.0), (8.0, math.inf), (math.inf, math.inf), (-math.inf, 1e308), (math.nan, math.nan)]:
         assert not values_close(a, b), (a, b)
+
+
+def _scalar_rule(a: float, b: float) -> bool:
+    tolerance = max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
+    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tolerance
+
+
+def test_values_close_on_arrays_is_the_scalar_rule_element_by_element():
+    edge = [0.0, ABS_TOL, -ABS_TOL, np.nextafter(ABS_TOL, 1.0), 2 * ABS_TOL, 1.0, 1.0 + REL_TOL,
+            1.0 + 2 * REL_TOL, 1e308, -1e308, np.finfo(float).max, 5e-324, math.inf, -math.inf, math.nan]
+    a, b = (np.array(v) for v in zip(*itertools.product(edge, repeat=2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow and invalid-value warnings included
+        close = values_close(a, b)
+        scalars = [values_close(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert close.dtype == bool and close.shape == a.shape
+    assert close.tolist() == scalars == [_scalar_rule(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert all(type(c) is bool for c in scalars)
+    assert close.any() and not close.all()
+    assert values_close(a.reshape(15, 15), 1.0).tolist() == [[_scalar_rule(x, 1.0) for x in row]
+                                                             for row in a.reshape(15, 15).tolist()]
 
 
 def test_table_refuses_counts_that_sum_past_the_largest_float():
