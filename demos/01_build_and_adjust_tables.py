@@ -19,10 +19,12 @@ schema = ps.AttributeSchema((
 print(f"{schema.n_attributes} attributes x {schema.n_levels} levels "
       f"= {schema.n_cells} cells")
 
-# Cell bookkeeping: digits <-> flat rank, both directions.
+# Cell bookkeeping: a cell is a position in the (M,)*N shape, so digits and
+# flat rank convert both ways as C-order multi-indices.
+shape = (schema.n_levels,) * schema.n_attributes
 for digits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-    rank = ps.lex_rank(digits, schema)
-    print(f"  digits {digits} -> rank {rank} -> {ps.lex_unrank(rank, schema)}")
+    rank = int(np.ravel_multi_index(digits, shape))
+    print(f"  digits {digits} -> rank {rank} -> {tuple(map(int, np.unravel_index(rank, shape)))}")
 
 # Cross-tabulate raw records (order never matters).
 records = [("north", "lo")] * 5 + [("south", "hi")] * 2 + [("north", "hi")]

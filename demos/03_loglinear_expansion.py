@@ -17,16 +17,18 @@ table = ps.random_adjusted_table(schema, rng)
 log_table = ps.log_transform(table)
 
 # Fit and reconstruct: an identity.
-beta = ps.fit_beta(log_table)
-rebuilt = ps.reconstruct(beta, schema)
-print("coefficient tensor:", beta.coef.shape, "=", beta.coef.size, "coefficients")
+coef = ps.fit_beta(log_table)
+rebuilt = ps.reconstruct(coef, schema)
+print("coefficient tensor:", coef.shape, "=", coef.size, "coefficients")
 print("round-trip error:", np.abs(rebuilt.values - log_table.values).max())
 
-# Blocks are views of the tensor: a subset takes the contrast column on its
-# own axes (index 1 here, since M = 2) and the constant column elsewhere.
-# Axis 0 is attribute N-1, so the block of (3, 1) is coef[1, 0, 1, 0].
-print("block (3, 1):", beta.blocks[(3, 1)], "=", beta.coef[1, 0, 1, 0])
-print("beta0:", beta.beta0, "blocks:", len(beta.blocks))
+# A subset's block is the entries with the contrast column on its own axes
+# (index 1 here, since M = 2) and the constant column elsewhere; full_basis
+# names each entry's subset by its lattice index.  Axis 0 is attribute N-1,
+# so the block of (3, 1), lattice index 0b1010, is coef[1, 0, 1, 0].
+_, lattice = ps.full_basis(schema)
+print("block (3, 1):", coef.ravel()[lattice == 0b1010], "=", coef[1, 0, 1, 0])
+print("beta0:", coef.flat[0] * np.sqrt(coef.size), "blocks:", len(np.unique(lattice)) - 1)
 
 # Energy split: |T|^2 equals the sum of squared projection magnitudes.
 norm_sq = float(log_table.values @ log_table.values)

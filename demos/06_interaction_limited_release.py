@@ -23,8 +23,11 @@ print("released total:", released.counts.sum(), " original:", table.n_total)
 print("zeroed blocks:", len(audit.zeroed_blocks), " contract violations:", len(audit.violations))
 
 # Refitting the released table finds nothing above order 1.
-refit = ps.fit_beta(ps.LogTable(schema, np.log(released.counts)))
-worst = max(np.linalg.norm(b) for s, b in refit.blocks.items() if len(s) > 1)
+# full_basis names each coefficient's subset by its lattice index.
+refit = ps.fit_beta(ps.LogTable(schema, np.log(released.counts))).ravel()
+_, lattice = ps.full_basis(schema)
+worst = max(np.linalg.norm(refit[lattice == ps.basis.subset_index(s)])
+            for s in ps.all_subsets(schema.n_attributes) if len(s) > 1)
 print("largest refitted block above the cutoff:", worst)
 
 # Salience before/after: pairs (and everything larger) can only drop.

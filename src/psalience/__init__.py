@@ -30,10 +30,10 @@ _PUBLIC = {
     ),
     "errors": (
         "ArgumentError", "DegeneratePopulationError", "DomainError", "EmptyInputError",
-        "IngestionError", "InvalidIndexError", "InvalidRankError", "SalienceError",
-        "SchemaError", "ShapeError", "SizeGuardError", "StateError",
+        "IngestionError", "SalienceError", "SchemaError", "ShapeError", "SizeGuardError",
+        "StateError",
     ),
-    "fitting": ("BetaVector", "fit_beta", "reconstruct"),
+    "fitting": ("fit_beta", "reconstruct"),
     "marginal": ("complement_attributes", "conditional_subtable", "geometric_mean_subtable"),
     "reference": (
         "Psi", "full_basis", "gm_projection_identity", "gm_projection_total_identity",
@@ -43,8 +43,8 @@ _PUBLIC = {
     "salience": ("SalienceReport", "SalienceValue", "ScanEntry", "psi", "psi_histogram", "scan"),
     "synthetic": ("correlated_pair_table", "planted_interaction_table", "random_adjusted_table"),
     "table": (
-        "AttributeSchema", "ContingencyTable", "LogTable", "generic_schema",
-        "lex_rank", "lex_unrank", "log_transform", "tabulate", "zero_adjust",
+        "AttributeSchema", "ContingencyTable", "LogTable", "generic_schema", "log_transform",
+        "tabulate", "zero_adjust",
     ),
     "verify": ("VerificationReport", "run_verification"),
 }

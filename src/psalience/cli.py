@@ -9,10 +9,14 @@ Exit codes: 0 success, 1 verification failure (a ``verify`` suite failed,
 or a release's audit found contract violations or zeroed blocks that do
 not refit to zero; the release is then not written), 2 usage error (an
 ``ArgumentError``, whether this module or the library raises it), 3 data
-error.  A usage error the arguments alone show is reported before any input
-file is read; so is an output (``--out``, or the ``.audit.json`` beside a
-release) that is the same file as one of the command's inputs.  Given the
-same inputs and seed every command is deterministic.
+error.  The four usage errors only this module checks (``scan --workers``
+and ``--threshold``, ``depersonalize``'s choice of one mode, and the
+syntax of a subset argument) are reported before any input file is read;
+so is an output (``--out``, or the ``.audit.json`` beside a release) that
+is the same file as one of the command's inputs.  The library's own
+argument rules run after the table is loaded, so with a missing table
+``scan --k 0`` exits 3, not 2.  Given the same inputs and seed every
+command is deterministic.
 
 ``run`` is the process entry point (``python -m psalience.cli`` and the
 ``psalience`` script); in-process callers use ``main``.

@@ -19,14 +19,6 @@ class ArgumentError(SalienceError, ValueError):
     """An argument is outside its documented range or shape."""
 
 
-class InvalidIndexError(ArgumentError):
-    """A cell digit tuple is malformed or has a digit out of range."""
-
-
-class InvalidRankError(ArgumentError):
-    """A flat cell rank lies outside [0, M**N)."""
-
-
 class IngestionError(SalienceError, ValueError):
     """A record stream could not be turned into a table.
 

@@ -5,10 +5,15 @@ block of coefficients per non-empty attribute subset.  Basis columns are
 orthogonal tensor products, so every block comes from one mode-wise
 transform (Yates' algorithm, ``O(N * M**(N+1))`` time, ``O(M**N)`` floats)
 and the expansion is an identity: reconstructing returns the original table.
-The coefficients form one ``(M,)*N`` tensor indexed by level-factor column
-per attribute; a subset's block is the slice with contrast columns on its
-axes and the constant column elsewhere.  Fitting, reconstruction and a
-release's zeroing share one transform pair.
+The coefficients form one ``(M,)*N`` tensor.  Axis ``i`` belongs to
+attribute ``N-1-i``; along it, index 0 is the constant column of
+:func:`psalience.basis.level_factor` and index ``c >= 1`` its contrast column
+``c``.  Entry ``(0,)*N`` scales the constant direction, and the entries with
+a contrast on exactly a subset's axes, in C order, form that subset's
+length-``(M-1)**k`` block.  :func:`psalience.reference.full_basis` gives each
+entry's subset as a lattice index, so a block is
+``coef.ravel()[lattice == subset_index(subset)]``.  Fitting, reconstruction
+and a release's zeroing share one transform pair.
 
 Coefficients depend on the contrast choice in :mod:`psalience.basis` and are
 exposed for inspection only; the literal projection onto one subset's
@@ -17,62 +22,13 @@ subspace, which shares none of this transform, is in :mod:`psalience.reference`.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, all_subsets, level_factor
+from .basis import level_factor
 from .errors import ShapeError
-from .table import AttributeSchema, Frozen, LogTable, freeze
-
-
-class BetaVector(Frozen):
-    """Expansion coefficients as one ``(M,)*N`` tensor ``coef``.
-
-    Axis ``i`` belongs to attribute ``N-1-i``; along it, index 0 is the
-    constant column of :func:`psalience.basis.level_factor` and index
-    ``c >= 1`` its contrast column ``c``.  Entry ``(0,)*N`` scales the
-    constant direction, and the entries with a contrast on exactly a
-    subset's axes form that subset's length-``(M-1)**k`` block.
-    """
-
-    __slots__ = ("coef",)
-
-    @property
-    def beta0(self) -> float:
-        """Coefficient of the unit-norm constant direction."""
-        return float(self.coef.flat[0]) * np.sqrt(self.coef.size)
-
-    @property
-    def blocks(self) -> Mapping[SubsetKey, np.ndarray]:
-        """Read-only view: each non-empty subset, in :func:`all_subsets` order,
-        to a read-only copy of its block, sliced from ``coef`` on access."""
-        return _Blocks(self.coef)
-
-
-class _Blocks(Mapping):
-    def __init__(self, coef: np.ndarray):
-        self._coef = coef
-
-    def __getitem__(self, subset: SubsetKey) -> np.ndarray:
-        n = self._coef.ndim
-        # the keys: non-empty, strictly decreasing tuples of attribute indices
-        if not (isinstance(subset, tuple) and subset
-                and subset == tuple(sorted({*subset} & {*range(n)}, reverse=True))):
-            raise KeyError(subset)
-        return freeze(self._coef[_axis_picks(subset, n)].ravel())
-
-    def __iter__(self) -> Iterator[SubsetKey]:
-        return iter(all_subsets(self._coef.ndim)[1:])
-
-    def __len__(self) -> int:
-        return 2 ** self._coef.ndim - 1
-
-
-def _axis_picks(subset: SubsetKey, n: int) -> tuple[slice, ...]:
-    """Level-factor indices of a subset's block: contrasts on its axes, else the constant."""
-    return tuple(slice(1, None) if n - 1 - axis in subset else slice(0, 1) for axis in range(n))
+from .table import AttributeSchema, LogTable
 
 
 def _modewise(values: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -95,21 +51,20 @@ def _cells(coef: np.ndarray) -> np.ndarray:
     return _modewise(coef, [level_factor(coef.shape[0])[0]] * coef.ndim)
 
 
-def fit_beta(log_table: LogTable) -> BetaVector:
-    """Coefficients of the orthogonal expansion of ``log_table``.
-
-    Blockwise ``(column . T) / |column|^2``, all blocks from one transform
-    by the inverse level factor, held read-only.
+def fit_beta(log_table: LogTable) -> np.ndarray:
+    """The read-only ``(M,)*N`` coefficient tensor of the orthogonal expansion
+    of ``log_table``: entry by entry ``(column . T) / |column|^2``, all from one
+    transform by the inverse level factor.
     """
     coef = _coefficients(log_table)
     coef.setflags(write=False)
-    return BetaVector(coef)
+    return coef
 
 
-def reconstruct(beta: BetaVector, schema: AttributeSchema) -> LogTable:
-    """Assemble the log table encoded by ``beta`` in one transform."""
+def reconstruct(coef: np.ndarray, schema: AttributeSchema) -> LogTable:
+    """Assemble the log table encoded by the coefficient tensor ``coef`` in one transform."""
     n, m = schema.n_attributes, schema.n_levels
-    coef = np.asarray(beta.coef, dtype=float)
+    coef = np.asarray(coef, dtype=float)
     if coef.shape != (m,) * n:
         raise ShapeError(f"coefficient shape {coef.shape} does not fit a {n}-attribute, {m}-level table")
     return LogTable(schema, _cells(coef))

@@ -10,7 +10,9 @@ Conventions used throughout the package:
 * A cell is identified by a digit tuple ``(i_{N-1}, ..., i_0)`` with the
   digit of the highest-numbered attribute leftmost.  Its position in the
   flat count vector is the radix-M value ``sum_j i_j * M**j``: the digit
-  of attribute 0 varies fastest.
+  of attribute 0 varies fastest.  That is the C-order position in the
+  ``(M,)*N`` shape, so ``np.ravel_multi_index`` and ``np.unravel_index``
+  convert between the two.
 * Only the natural logarithm is used.  The salience measures downstream
   are ratios of norms of one and the same log vector, so any other base
   would cancel; no base option is exposed.
@@ -42,8 +44,6 @@ from .errors import (
     DomainError,
     EmptyInputError,
     IngestionError,
-    InvalidIndexError,
-    InvalidRankError,
     SchemaError,
     ShapeError,
     StateError,
@@ -73,15 +73,15 @@ def freeze(array) -> np.ndarray:
     return out
 
 
-def _read_int(value, name: str, error: type[ArgumentError] = ArgumentError) -> int:
+def _read_int(value, name: str) -> int:
     """``value`` as a Python int.  Python and numpy integers pass; a bool, a float or
-    anything else without ``__index__`` raises ``error`` naming ``name``."""
+    anything else without ``__index__`` raises :class:`ArgumentError` naming ``name``."""
     if not isinstance(value, (bool, np.bool_)):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise error(f"{name} must be an integer, got {value!r}")
+    raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 class Frozen:
@@ -253,40 +253,6 @@ class LogTable(Frozen):
     def reshaped(self) -> np.ndarray:
         m, n = self.schema.n_levels, self.schema.n_attributes
         return self.values.reshape((m,) * n)
-
-
-def lex_rank(index: Sequence[int], schema: AttributeSchema) -> int:
-    """Flat position of the cell with digits ``(i_{N-1}, ..., i_0)``.
-
-    Digit ``j`` is weighted by ``M**j``, so the rightmost digit varies
-    fastest when counting through the table.
-    """
-    n, m = schema.n_attributes, schema.n_levels
-    digits = tuple(_read_int(d, "digit", InvalidIndexError) for d in index)
-    if len(digits) != n:
-        raise InvalidIndexError(f"expected {n} digits, got {len(digits)}")
-    rank = 0
-    for position, digit in enumerate(digits):
-        if not 0 <= digit < m:
-            raise InvalidIndexError(
-                f"digit {digit} out of range [0, {m}) at position {position}"
-            )
-        rank = rank * m + digit
-    return rank
-
-
-def lex_unrank(rank: int, schema: AttributeSchema) -> tuple[int, ...]:
-    """Digit tuple ``(i_{N-1}, ..., i_0)`` of the cell at flat position ``rank``;
-    inverse of lex_rank."""
-    n, m = schema.n_attributes, schema.n_levels
-    rank = _read_int(rank, "rank", InvalidRankError)
-    if not 0 <= rank < schema.n_cells:
-        raise InvalidRankError(f"rank {rank} out of range [0, {schema.n_cells})")
-    digits = []
-    for _ in range(n):
-        digits.append(rank % m)
-        rank //= m
-    return tuple(reversed(digits))
 
 
 def _record_rank(labels: Sequence[str], schema: AttributeSchema, where: str, number: int) -> int:

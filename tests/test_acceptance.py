@@ -150,15 +150,17 @@ def test_criterion_6_depersonalisation_contract():
     rng = np.random.default_rng(99)
     for n, m in [(4, 2), (3, 3)]:
         schema = ps.generic_schema(n, m)
+        _, lattice = ps.full_basis(schema)
         for _ in range(10):
             table = random_adjusted_table(schema, rng)
             for k_dagger in range(1, n):
                 spec = ps.LimitSpec("order_limit", k_dagger=k_dagger, renormalize=False)
                 released, audit = ps.interaction_limit(table, spec)
 
-                refit = ps.fit_beta(ps.LogTable(schema, np.log(released.counts)))
-                for subset, block in refit.blocks.items():
+                refit = ps.fit_beta(ps.LogTable(schema, np.log(released.counts))).ravel()
+                for subset in ps.all_subsets(n):
                     if len(subset) > k_dagger:
+                        block = refit[lattice == subset_index(subset)]
                         assert np.linalg.norm(block) <= 1e-9, (subset, k_dagger)
 
                 assert audit.violations == ()

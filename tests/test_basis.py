@@ -128,7 +128,7 @@ def test_ortho_column_block_structure(schema33):
     column = ps.ortho_column(subset, (1, 2), schema33)
     groups = {}
     for rank in range(schema33.n_cells):
-        digits = ps.lex_unrank(rank, schema33)
+        digits = np.unravel_index(rank, (3,) * 3)
         key = tuple(digits[schema33.n_attributes - 1 - a] for a in subset)
         groups.setdefault(key, set()).add(float(column[rank]))
     assert all(len(values) == 1 for values in groups.values())

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import psalience as ps
 from psalience import cli, fileio
+from psalience.basis import subset_index
 from psalience.cli import main
 from psalience.synthetic import correlated_pair_table, planted_interaction_table, random_adjusted_table
 
@@ -591,7 +592,7 @@ def test_analyze_uniform_tie_breaks_to_first_combo(tmp_path):
 def test_analyze_identifies_spiked_slice(tmp_path):
     schema = ps.generic_schema(3, 3)
     counts = np.ones(27)
-    counts[ps.lex_rank((0, 2, 0), schema)] = 40.0
+    counts[np.ravel_multi_index((0, 2, 0), (3,) * 3)] = 40.0
     table = ps.ContingencyTable(schema, counts, float(counts.sum()), adjusted=True)
     out = tmp_path / "analysis.json"
     assert main(["analyze", "--table", save_table(tmp_path, table), "--subset", "2,0",
@@ -607,7 +608,7 @@ def twice_spiked_table():
     schema = ps.generic_schema(3, 3)
     counts = np.ones(27)
     for middle in (0, 2):
-        counts[ps.lex_rank((1, middle, 1), schema)] = 40.0
+        counts[np.ravel_multi_index((1, middle, 1), (3,) * 3)] = 40.0
     return ps.ContingencyTable(schema, counts, float(counts.sum()), adjusted=True)
 
 
@@ -745,10 +746,11 @@ def test_depersonalize_order_limit_writes_audit(tmp_path, rng):
     assert len(audit["zeroed_blocks"]) == 11  # all subsets of size >= 2 in N=4
     assert audit["violations"] == []
     released = fileio.load_table(out)
-    refit = ps.fit_beta(ps.LogTable(schema, np.log(released.counts)))
-    for subset, block in refit.blocks.items():
+    refit = ps.fit_beta(ps.LogTable(schema, np.log(released.counts))).ravel()
+    _, lattice = ps.full_basis(schema)
+    for subset in ps.all_subsets(4):
         if len(subset) > 1:
-            assert np.linalg.norm(block) <= 1e-9
+            assert np.linalg.norm(refit[lattice == subset_index(subset)]) <= 1e-9
 
 
 @pytest.mark.parametrize("n, m, k_dagger", [(4, 3, 1), (4, 3, 2), (6, 2, 2), (6, 2, 4)])

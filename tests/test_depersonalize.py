@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import axis_mean_psi
 
 import psalience as ps
+from psalience.basis import subset_index
 from psalience.depersonalize import _round_preserving_total
 from psalience.errors import ArgumentError, DomainError, StateError
 from psalience.synthetic import correlated_pair_table, random_adjusted_table
@@ -40,12 +41,13 @@ def test_uniform_table_unchanged(schema33):
 def test_refit_blocks_are_zero_after_limiting(rng):
     schema = ps.generic_schema(4, 2)
     table = random_adjusted_table(schema, rng)
+    _, lattice = ps.full_basis(schema)
     for renormalize in (False, True):
         released, _ = ps.interaction_limit(table, order_spec(1, renormalize=renormalize))
-        refit = ps.fit_beta(ps.LogTable(schema, np.log(released.counts)))
-        for subset, block in refit.blocks.items():
+        refit = ps.fit_beta(ps.LogTable(schema, np.log(released.counts))).ravel()
+        for subset in ps.all_subsets(4):
             if len(subset) > 1:
-                assert np.linalg.norm(block) <= 1e-9, subset
+                assert np.linalg.norm(refit[lattice == subset_index(subset)]) <= 1e-9, subset
 
 
 @pytest.mark.parametrize("n, m", [(4, 2), (3, 3), (6, 3)])
@@ -202,10 +204,11 @@ def test_selective_zero_applies_closure(rng, schema32):
     spec = ps.LimitSpec("selective", zero_subsets=((1, 0),), renormalize=False)
     released, audit = ps.selective_zero(table, spec)
     assert audit.zeroed_blocks == ((1, 0), (2, 1, 0))
-    refit = ps.fit_beta(ps.LogTable(schema32, np.log(released.counts)))
-    assert np.linalg.norm(refit.blocks[(1, 0)]) <= 1e-9
-    assert np.linalg.norm(refit.blocks[(2, 1, 0)]) <= 1e-9
-    assert np.linalg.norm(refit.blocks[(2, 0)]) > 1e-6  # untouched on a random table
+    refit = ps.fit_beta(ps.LogTable(schema32, np.log(released.counts))).ravel()
+    _, lattice = ps.full_basis(schema32)
+    assert np.linalg.norm(refit[lattice == subset_index((1, 0))]) <= 1e-9
+    assert np.linalg.norm(refit[lattice == subset_index((2, 1, 0))]) <= 1e-9
+    assert np.linalg.norm(refit[lattice == subset_index((2, 0))]) > 1e-6  # untouched on a random table
 
 
 def test_zeroing_all_pairs_equals_order_limit(rng):
@@ -440,7 +443,6 @@ def test_releases_never_fit_or_reconstruct(monkeypatch, rng):
     for module in (ps, ps.fitting, ps.depersonalize):
         for name in ("fit_beta", "reconstruct"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    monkeypatch.setattr(ps.fitting, "_axis_picks", refuse)
     table = random_adjusted_table(ps.generic_schema(4, 3), rng)
     released, _ = ps.interaction_limit(table, order_spec(2))
     ps.selective_zero(table, ps.LimitSpec("selective", zero_subsets=((2, 1),), round_counts=True))
@@ -450,12 +452,11 @@ def test_releases_never_fit_or_reconstruct(monkeypatch, rng):
 def oracle_release(table, zeroed):
     """Unrenormalised release through the public coefficient tensor, zeroing
     each subset's block by its own slice."""
-    beta = ps.fit_beta(ps.log_transform(table))
-    n = beta.coef.ndim
-    coef = np.array(beta.coef)
+    coef = np.array(ps.fit_beta(ps.log_transform(table)))
+    n = coef.ndim
     for subset in zeroed:
         coef[tuple(slice(1, None) if n - 1 - axis in subset else 0 for axis in range(n))] = 0.0
-    return np.exp(ps.reconstruct(ps.BetaVector(coef), table.schema).values)
+    return np.exp(ps.reconstruct(coef, table.schema).values)
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (4, 3), (5, 2), (6, 3), (8, 3), (7, 4), (10, 2), (12, 2)])

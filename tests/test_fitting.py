@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import psalience as ps
+from psalience.basis import subset_index
 from psalience.errors import ShapeError
 from psalience.fitting import centred_norm
 from psalience.synthetic import random_adjusted_table
@@ -14,21 +15,21 @@ GRID = [(n, m) for n in (2, 3, 4, 5) for m in (2, 3)]
 
 def test_fit_uniform_table(schema22):
     log_table = ps.LogTable(schema22, np.full(4, 1.7))
-    beta = ps.fit_beta(log_table)
-    # constant direction is unit-norm, so beta0 carries sqrt(M_T) * c
-    assert math.isclose(beta.beta0, 1.7 * 2.0, rel_tol=1e-12)
-    for subset, block in beta.blocks.items():
-        assert np.abs(block).max() < 1e-12, subset
-    assert beta.coef.size == 4
+    coef = ps.fit_beta(log_table)
+    assert coef.shape == (2, 2)
+    # the constant column's coefficient is c; on the unit-norm direction it is sqrt(M_T) * c
+    assert math.isclose(coef[0, 0] * np.sqrt(coef.size), 1.7 * 2.0, rel_tol=1e-12)
+    assert np.abs(coef.flat[1:]).max() < 1e-12
 
 
 def test_fit_single_basis_column(schema22):
     values = 0.25 * np.array([1.0, -1.0, -1.0, 1.0])
-    beta = ps.fit_beta(ps.LogTable(schema22, values))
-    assert abs(beta.beta0) < 1e-12
-    assert np.abs(beta.blocks[(1,)]).max() < 1e-12
-    assert np.abs(beta.blocks[(0,)]).max() < 1e-12
-    assert np.abs(beta.blocks[(1, 0)]).max() > 0.1
+    coef = ps.fit_beta(ps.LogTable(schema22, values)).ravel()
+    _, lattice = ps.full_basis(schema22)
+    assert np.abs(coef[lattice == subset_index(())]).max() < 1e-12
+    assert np.abs(coef[lattice == subset_index((1,))]).max() < 1e-12
+    assert np.abs(coef[lattice == subset_index((0,))]).max() < 1e-12
+    assert np.abs(coef[lattice == subset_index((1, 0))]).max() > 0.1
 
 
 @pytest.mark.parametrize("n,m", GRID)
@@ -41,27 +42,25 @@ def test_round_trip_identity(n, m, rng):
 
 
 def test_reconstruct_zero_coefficients(schema22):
-    beta = ps.BetaVector(np.zeros((2, 2)))
-    assert np.array_equal(ps.reconstruct(beta, schema22).values, np.zeros(4))
+    assert np.array_equal(ps.reconstruct(np.zeros((2, 2)), schema22).values, np.zeros(4))
 
 
 def test_reconstruct_single_unit_coefficient(schema33):
     coef = np.zeros((3, 3, 3))
     coef[1, 0, 1] = 1.0  # first entry of the (2, 0) block
-    beta = ps.BetaVector(coef)
-    assert np.array_equal(beta.blocks[(2, 0)], [1.0, 0.0, 0.0, 0.0])
-    rebuilt = ps.reconstruct(beta, schema33)
+    _, lattice = ps.full_basis(schema33)
+    assert np.array_equal(coef.ravel()[lattice == subset_index((2, 0))], [1.0, 0.0, 0.0, 0.0])
+    rebuilt = ps.reconstruct(coef, schema33)
     expected = ps.subspace_basis((2, 0), schema33)[:, 0]
     assert np.allclose(rebuilt.values, expected)
 
 
 def test_reconstruct_shape_errors(schema22, schema33):
-    beta = ps.fit_beta(ps.LogTable(schema22, np.ones(4)))
+    coef = ps.fit_beta(ps.LogTable(schema22, np.ones(4)))
     with pytest.raises(ShapeError):
-        ps.reconstruct(beta, schema33)
-    bad = ps.BetaVector(np.zeros((2, 3)))
+        ps.reconstruct(coef, schema33)
     with pytest.raises(ShapeError):
-        ps.reconstruct(bad, schema22)
+        ps.reconstruct(np.zeros((2, 3)), schema22)
 
 
 def test_projection_of_uniform_is_zero(schema33):
@@ -142,27 +141,15 @@ def test_scaling_moves_only_the_constant_component(rng):
 def test_blocks_match_generated_columns(n, m, rng):
     schema = ps.generic_schema(n, m)
     values = ps.log_transform(random_adjusted_table(schema, rng)).values
-    beta = ps.fit_beta(ps.LogTable(schema, values))
-    scale = np.linalg.norm(values)
-    constant = ps.subspace_basis((), schema)[:, 0]
-    assert math.isclose(beta.beta0, constant @ values / np.sqrt(constant @ constant), rel_tol=1e-12)
-    for subset, block in beta.blocks.items():
-        basis = ps.subspace_basis(subset, schema)
-        norms_sq = np.einsum("ij,ij->j", basis, basis)
-        expected = (basis.T @ values) / norms_sq
-        # relative to the largest coefficient a table of this norm can give
-        assert np.all(np.abs(block - expected) <= 1e-12 * scale / np.sqrt(norms_sq)), subset
-
-
-def test_beta_vectors_compare_their_blocks_whole(rng):
-    schema = ps.generic_schema(3, 3)
-    log_table = ps.log_transform(random_adjusted_table(schema, rng))
-    beta = ps.fit_beta(log_table)
-    assert beta == ps.fit_beta(log_table) and not beta != ps.fit_beta(log_table)
-    shifted = np.array(beta.coef)
-    shifted[0, 1:, 1:] += 1.0  # the (1, 0) block
-    assert beta != ps.BetaVector(shifted)
-    assert beta != ps.fit_beta(ps.log_transform(random_adjusted_table(schema, rng)))
+    coef = ps.fit_beta(ps.LogTable(schema, values))
+    assert coef.shape == (m,) * n
+    # full_basis's columns run in the tensor's C order
+    matrix, _ = ps.full_basis(schema)
+    norms_sq = np.einsum("ij,ij->j", matrix, matrix)
+    expected = (matrix.T @ values) / norms_sq
+    # relative to the largest coefficient a table of this norm can give
+    gap = np.abs(coef.ravel() - expected)
+    assert np.all(gap <= 1e-12 * np.linalg.norm(values) / np.sqrt(norms_sq)), gap.max()
 
 
 def test_expansion_never_builds_basis_columns(monkeypatch, rng):
@@ -216,7 +203,7 @@ def test_zero_blocks_peak_memory_stays_near_four_tables(rng):
         tracemalloc.stop()
     assert peak <= 4.3 * log_table.values.nbytes, peak / log_table.values.nbytes
     # at M=2 each axis's level-factor column is its lattice bit, so the mask indexes coef directly
-    assert np.abs(ps.fit_beta(limited).coef[mask.reshape((2,) * 16)]).max() <= 1e-9
+    assert np.abs(ps.fit_beta(limited)[mask.reshape((2,) * 16)]).max() <= 1e-9
 
 
 def test_expansion_holds_one_coefficient_tensor_at_sixteen_attributes(rng):

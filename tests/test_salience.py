@@ -278,7 +278,7 @@ def test_histogram_spiked_slice():
     schema = ps.generic_schema(3, 3)
     counts = np.ones(27)
     # spike one cell of the conditional subtable at conditioning a1 = 2
-    counts[ps.lex_rank((0, 2, 0), schema)] = 40.0
+    counts[np.ravel_multi_index((0, 2, 0), (3,) * 3)] = 40.0
     table = adjusted(schema, counts)
     histogram = ps.psi_histogram(table, (2, 0))
     expected = math.sqrt(1 - 1 / 9)
