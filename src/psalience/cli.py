@@ -168,51 +168,22 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _first_close(values: np.ndarray, extreme: float) -> int:
-    """First index whose value equals ``extreme`` under the package tolerance, so
-    last-ulp noise cannot choose among subtables that tie in exact arithmetic."""
-    from .table import values_close
-
-    return int(np.flatnonzero(values_close(values, extreme))[0])
-
-
 def cmd_analyze(args) -> int:
     from .basis import subset_index
-    from .fileio import atomic_write_json
-    from .marginal import complement_attributes, geometric_mean_subtable
+    from .fileio import analysis_to_dict, atomic_write_json
+    from .marginal import geometric_mean_subtable
     from .salience import psi_histogram, subset_salience
     from .table import log_transform
 
     subset = _parse_subset(args.subset)
     _refuse_input_as_output(args, args.out)
     table = _load_adjusted_table(args.table)
-    schema = table.schema
     logs = log_transform(table)  # taken once, for all three analyses
     gm_logs = geometric_mean_subtable(logs, subset)
     # the spectrum scan reads, so both commands report the same Psi
     overall = float(subset_salience(logs)[0][subset_index(subset)])
     histogram = psi_histogram(logs, subset)
-    values = np.array([value for _, value in histogram])
-    distances = np.abs(values - overall)
-
-    def _entry(i):
-        conditioning, value = histogram[i]
-        return {"index": i, "conditioning": conditioning, "psi": value}
-
-    others = complement_attributes(subset, schema.n_attributes)
-    payload = {
-        "kind": "salience_analysis",
-        "subset": list(subset),
-        "attributes": [schema.attribute_name(i) for i in subset],
-        "conditioning_attributes": [schema.attribute_name(i) for i in others],
-        "Psi": overall,
-        "geo_mean": {"counts": np.exp(gm_logs).tolist(), "log_values": gm_logs.tolist()},
-        # rows keep psi_histogram's tuples, so the collector stops walking them
-        "histogram": [{"conditioning": conditioning, "psi": value} for conditioning, value in histogram],
-        "closest_to_gm": _entry(_first_close(distances, distances.min())),
-        "max_psi": _entry(_first_close(values, values.max())),
-    }
-    atomic_write_json(args.out, payload)
+    atomic_write_json(args.out, analysis_to_dict(subset, table.schema, overall, gm_logs, histogram))
     print(f"analyze subset {list(subset)}: Psi={overall:.4f}, "
           f"{len(histogram)} conditional subtables -> {args.out}")
     return 0

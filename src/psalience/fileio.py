@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import EmptyInputError, IngestionError, SchemaError, ShapeError
-from .table import AttributeSchema, ContingencyTable, _record_rank, tabulate
+from .table import AttributeSchema, ContingencyTable, _record_rank, tabulate, values_close
 
 if TYPE_CHECKING:  # annotations only: tabulate and load_table need neither module
     from .depersonalize import ReleaseAudit
@@ -369,6 +369,32 @@ def report_to_dict(
             {"subset": subset, "Psi": psi, "chi_magnitude": chi, "log_norm": norm, "rank": rank}
             for subset, psi, chi, norm, rank in columns
         ],
+    }
+
+
+def analysis_to_dict(subset, schema: AttributeSchema, psi: float, gm_logs: np.ndarray,
+                     histogram: list) -> dict:
+    """One subset's analysis: its ``Psi``, the logs of its geometric-mean table
+    (``np.exp`` of them is the table) and one row per conditional subtable, in
+    :func:`psalience.salience.psi_histogram` order.  ``attribute_names`` is
+    written as in :func:`report_to_dict`; the conditioning attributes are those
+    outside ``subset``, largest first, the order of each row's ``conditioning``.
+    ``closest_to_gm`` and ``max_psi`` are the indices of the rows whose ``psi``
+    is closest to ``Psi`` and largest: the first of any rows that tie under
+    :func:`psalience.table.values_close`, so last-ulp noise cannot choose among
+    subtables that tie in exact arithmetic.  Rows hold only atoms and tuples.
+    """
+    values = np.array([value for _, value in histogram])
+    distances = np.abs(values - psi)
+    return {
+        "kind": "salience_analysis",
+        "subset": list(subset),
+        "attribute_names": schema.names,
+        "Psi": psi,
+        "geo_mean_logs": gm_logs.tolist(),
+        "histogram": [{"conditioning": conditioning, "psi": value} for conditioning, value in histogram],
+        "closest_to_gm": int(np.flatnonzero(values_close(distances, distances.min()))[0]),
+        "max_psi": int(np.flatnonzero(values_close(values, values.max()))[0]),
     }
 
 

@@ -585,8 +585,8 @@ def test_analyze_uniform_tie_breaks_to_first_combo(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["Psi"] == 0.0
     assert len(payload["histogram"]) == 2
-    assert payload["closest_to_gm"]["index"] == 0
-    assert payload["closest_to_gm"]["conditioning"] == [0]
+    assert payload["closest_to_gm"] == 0
+    assert payload["histogram"][0]["conditioning"] == [0]
 
 
 def test_analyze_identifies_spiked_slice(tmp_path):
@@ -599,8 +599,29 @@ def test_analyze_identifies_spiked_slice(tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert len(payload["histogram"]) == 3
-    assert payload["max_psi"]["conditioning"] == [2]
-    assert math.isclose(payload["max_psi"]["psi"], math.sqrt(1 - 1 / 9), rel_tol=1e-12)
+    top = payload["histogram"][payload["max_psi"]]
+    assert top["conditioning"] == [2]
+    assert math.isclose(top["psi"], math.sqrt(1 - 1 / 9), rel_tol=1e-12)
+
+
+def test_analysis_file_states_each_fact_once(tmp_path):
+    schema = ps.AttributeSchema([(name, ["x", "y", "z"]) for name in ("age", "sex", "job", "town")])
+    table = random_adjusted_table(schema, np.random.default_rng(3))
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--table", save_table(tmp_path, table), "--subset", "2,0",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert list(payload) == ["kind", "subset", "attribute_names", "Psi", "geo_mean_logs",
+                             "histogram", "closest_to_gm", "max_psi"]
+    # attribute a is attribute_names[N-1-a]; the conditioning attributes are the rest, largest first
+    assert payload["attribute_names"] == ["age", "sex", "job", "town"]
+    assert payload["geo_mean_logs"] == ps.geometric_mean_subtable(table, (2, 0)).tolist()
+    for i, row in enumerate(payload["histogram"]):
+        age, job = row["conditioning"]  # attributes 3 and 1
+        assert (age, job) == np.unravel_index(i, (3, 3))
+        assert math.isclose(row["psi"], ps.psi(table.reshaped()[age, :, job, :]).psi, rel_tol=1e-12)
+    for key in ("closest_to_gm", "max_psi"):
+        assert type(payload[key]) is int and 0 <= payload[key] < 9
 
 
 def twice_spiked_table():
@@ -630,9 +651,7 @@ def test_analyze_picks_match_a_first_index_loop(tmp_path, table, subset):
             closest_i = i
         if value > values[max_i]:
             max_i = i
-    for key, i in (("closest_to_gm", closest_i), ("max_psi", max_i)):
-        assert payload[key] == {"index": i, "conditioning": payload["histogram"][i]["conditioning"],
-                                "psi": values[i]}
+    assert (payload["closest_to_gm"], payload["max_psi"]) == (closest_i, max_i)
 
 
 def test_analyze_ties_within_tolerance_keep_the_first_index(tmp_path, monkeypatch):
@@ -648,8 +667,8 @@ def test_analyze_ties_within_tolerance_keep_the_first_index(tmp_path, monkeypatc
     assert main(["analyze", "--table", save_table(tmp_path, table), "--subset", "2",
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["closest_to_gm"]["index"] == 1
-    assert payload["max_psi"]["index"] == 4
+    assert payload["closest_to_gm"] == 1
+    assert payload["max_psi"] == 4
 
 
 def test_commands_accept_a_table_inside_the_adjusted_tolerance(tmp_path, floor_table):
