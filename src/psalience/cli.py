@@ -12,8 +12,10 @@ not refit to zero; the release is then not written), 2 usage error (an
 error.  The four usage errors only this module checks (``scan --workers``
 and ``--threshold``, ``depersonalize``'s choice of one mode, and the
 syntax of a subset argument) are reported before any input file is read;
-so is an output (``--out``, or the ``.audit.json`` beside a release) that
-is the same file as one of the command's inputs.  The library's own
+so are an integer flag or subset member that is not ASCII digits after an
+optional ``-``, an ``--out`` whose last path component is empty, ``.`` or
+``..``, and an output (``--out``, or the ``.audit.json`` beside a release)
+that is the same file as one of the command's inputs.  The library's own
 argument rules run after the table is loaded, so with a missing table
 ``scan --k 0`` exits 3, not 2.  Given the same inputs and seed every
 command is deterministic.
@@ -54,30 +56,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tabulate", help="cross-tabulate CSV microdata into an adjusted table")
     p.add_argument("--schema", required=True, help="schema JSON file")
     p.add_argument("--input", required=True, help="microdata CSV file")
-    p.add_argument("--out", required=True, help="output table JSON file")
+    p.add_argument("--out", required=True, type=_output, help="output table JSON file")
     p.set_defaults(func=cmd_tabulate)
 
     p = sub.add_parser("scan", help="rank all size-k attribute subsets by salience")
     p.add_argument("--table", required=True, help="adjusted table JSON file")
-    p.add_argument("--k", type=int, required=True, help="subset size, 1 <= k <= N-1")
+    p.add_argument("--k", type=_integer, required=True, help="subset size, 1 <= k <= N-1")
     p.add_argument("--threshold", type=float, default=DEFAULT_AMBER,
                    help=f"amber warning boundary (default {DEFAULT_AMBER})")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_integer, default=1,
                    help="accepted for compatibility (>= 1) but changes nothing: every "
                    "subset's score comes from one transform plus O(N*2**N) sums")
-    p.add_argument("--out", required=True, help="output report JSON file")
+    p.add_argument("--out", required=True, type=_output, help="output report JSON file")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("analyze", help="per-conditioning salience of one subset")
     p.add_argument("--table", required=True, help="adjusted table JSON file")
     p.add_argument("--subset", required=True,
                    help="comma-separated attribute indices, descending (e.g. 4,2,0)")
-    p.add_argument("--out", required=True, help="output analysis JSON file")
+    p.add_argument("--out", required=True, type=_output, help="output analysis JSON file")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("depersonalize", help="interaction-limited release of a table")
     p.add_argument("--table", required=True, help="adjusted table JSON file")
-    p.add_argument("--max-order", type=int, default=None,
+    p.add_argument("--max-order", type=_integer, default=None,
                    help="zero every block of size above this order")
     p.add_argument("--zero", action="append", default=None, metavar="SUBSET",
                    help="subset to zero (repeatable); closed upward automatically")
@@ -86,15 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--round-counts", action="store_true",
                    help="round released counts to integers, preserving the total exactly; "
                    "totals above 2**53 are refused (exit 3)")
-    p.add_argument("--out", required=True, help="released table JSON file; the audit "
+    p.add_argument("--out", required=True, type=_output, help="released table JSON file; the audit "
                    "is written alongside with an .audit.json suffix")
     p.set_defaults(func=cmd_depersonalize)
 
     p = sub.add_parser("verify", help="run the structural verification suites")
-    p.add_argument("--n", type=int, required=True, help="number of attributes")
-    p.add_argument("--m", type=int, required=True, help="levels per attribute")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--trials", type=int, default=20, help="random tables per suite (default 20)")
+    p.add_argument("--n", type=_integer, required=True, help="number of attributes")
+    p.add_argument("--m", type=_integer, required=True, help="levels per attribute")
+    p.add_argument("--seed", type=_integer, default=0, help="random seed (default 0)")
+    p.add_argument("--trials", type=_integer, default=20, help="random tables per suite (default 20)")
     p.add_argument("--self-test-perturb", action="store_true",
                    help="corrupt one basis column first; the run must then fail")
     p.set_defaults(func=cmd_verify)
@@ -102,10 +104,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer(text: str) -> int:
+    """An integer argument: ASCII digits after an optional ``-``, which the range checks
+    then refuse by name.  ``int`` alone also reads ``1_0``, ``+1``, padding and other
+    scripts' digits (``\u0661`` is 1)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def _output(text: str) -> str:
+    """An ``--out`` that names a file: its last path component is not empty, ``.`` or ``..``."""
+    if os.path.basename(text) in ("", ".", ".."):
+        raise argparse.ArgumentTypeError(f"{text!r} names no file")
+    return text
+
+
 def _parse_subset(text: str):
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(_integer(part) for part in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
         raise ArgumentError(f"subset {text!r} is not a comma-separated list of integers")
 
 

@@ -528,6 +528,46 @@ def test_cli_usage_errors_are_refused_before_the_table_is_read(tmp_path, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["depersonalize", "--table", "{missing}", "--max-order", "1", "--out", ""],
+    ["depersonalize", "--table", "{missing}", "--max-order", "1", "--out", "."],
+    ["depersonalize", "--table", "{missing}", "--zero", "1", "--out", "{tmp}/"],
+    ["scan", "--table", "{missing}", "--k", "1", "--out", ""],
+    ["analyze", "--table", "{missing}", "--subset", "1", "--out", "{tmp}/.."],
+    ["tabulate", "--schema", "{missing}", "--input", "{missing}", "--out", "/"],
+])
+def test_an_out_that_names_no_file_is_refused_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv):
+    """``Path.with_suffix`` raised a ``ValueError`` traceback (exit 1) for an empty or
+    ``.`` release path, and ``scan --out ""`` ran the scan, then failed to write ``.``."""
+    monkeypatch.setattr(fileio, "load_table", lambda path: pytest.fail("the table was read"))
+    argv = [arg.format(missing=tmp_path / "missing.json", tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    assert "names no file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--table", "{missing}", "--subset", "1_0", "--out", "{out}"],
+    ["analyze", "--table", "{missing}", "--subset", "\u0661,\u0660", "--out", "{out}"],
+    ["scan", "--table", "{missing}", "--k", "\u0661", "--out", "{out}"],
+    ["scan", "--table", "{missing}", "--k", "+1", "--out", "{out}"],
+    ["scan", "--table", "{missing}", "--k", " 1", "--out", "{out}"],
+    ["scan", "--table", "{missing}", "--k", "1", "--workers", "1_0", "--out", "{out}"],
+    ["depersonalize", "--table", "{missing}", "--max-order", "\uff11", "--out", "{out}"],
+    ["depersonalize", "--table", "{missing}", "--zero", "1,\u0660", "--out", "{out}"],
+    # verify reads no file, so only the refusal stops it from running
+    ["verify", "--n", "\u0663", "--m", "2", "--trials", "1"],
+], ids=["subset-underscore", "subset-arabic-indic", "k-arabic-indic", "k-plus", "k-space", "workers-underscore",
+        "max-order-fullwidth", "zero-arabic-indic", "verify-n-arabic-indic"])
+def test_integer_arguments_are_ascii_digits_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv):
+    """``int`` read ``--subset 1_0`` as attribute 10 and ``--k \u0661`` as 1."""
+    monkeypatch.setattr(fileio, "load_table", lambda path: pytest.fail("the table was read"))
+    out = tmp_path / "out.json"
+    assert main([arg.format(missing=tmp_path / "missing.json", out=out) for arg in argv]) == 2
+    assert "is not" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_planted_pair_red_and_first(tmp_path, capsys):
     schema = ps.generic_schema(4, 3)
     table = correlated_pair_table(schema, (2, 0), weight=60.0)
