@@ -88,15 +88,24 @@ def _zero_blocks(log_table: LogTable, mask: np.ndarray) -> LogTable:
 
 def subset_energies(log_table: LogTable) -> np.ndarray:
     """Squared projection magnitude of every subset's block as a lattice vector
-    (see :func:`psalience.basis.subset_index`); exactly 0 off the constant for a constant table."""
+    (see :func:`psalience.basis.subset_index`); exactly 0 off the constant for a constant table.
+
+    The logs are centred on their mean before the transform, so a contrast does not
+    difference values near the mean and its rounding scales with the centred part, not
+    with ``|T|`` (Chan, Golub & LeVeque 1983); the constant block's energy is
+    ``mean**2 * M**N``.
+    """
     n, m = log_table.schema.n_attributes, log_table.schema.n_levels
-    factor = level_factor(m)[0]
-    coef = _coefficients(log_table)
+    factor, inverse = level_factor(m)
+    mean = log_table.values.mean()
+    coef = _modewise(log_table.values - mean, [inverse] * n)
     if np.ptp(log_table.values) == 0.0:
-        coef.flat[1:] = 0.0
+        coef[:] = 0.0
     pool = np.zeros((2, m))  # per axis: each column's |col|^2, pooled into its lattice bit
     pool[_slots(m), np.arange(m)] = np.einsum("ij,ij->j", factor, factor)
-    return _modewise(np.square(coef, out=coef), [pool] * n)
+    energies = _modewise(np.square(coef, out=coef), [pool] * n)
+    energies[0] = mean * mean * float(m) ** n
+    return energies
 
 
 def row_norms(values: np.ndarray) -> np.ndarray:

@@ -6,12 +6,14 @@ and energy conservation on seeded random tables, the salience spectrum
 that ``scan`` and every release audit read against the literal
 geometric-mean Psi of every non-empty subset, the closed-form salience of
 a spike of every radius, and agreement with the sequential Gram-Schmidt
-reference construction, which is skipped above 256 cells.  The basis is
+reference construction, which is skipped above 256 cells.  The salience
+spectrum is also checked on three near-uniform tables, where rounding
+matters most.  The basis is
 built once, as the single Kronecker-product matrix of
 :func:`psalience.reference.full_basis`, and normalised in place; the
 orthogonality, dimension and Gram-Schmidt suites read that matrix and the
 lattice index of each of its columns.  The seeded generator draws only the
-random tables.  A deliberate-perturbation mode corrupts one basis column
+random tables and the near-uniform tables' two scaled cells.  A deliberate-perturbation mode corrupts one basis column
 after the Gram-Schmidt comparison, to prove the orthogonality checker
 reports failures rather than rubber-stamping.
 """
@@ -28,7 +30,7 @@ from .fitting import fit_beta, reconstruct, subset_energies
 from .reference import Psi, full_basis, gram_schmidt_oracle, hypercube_psi
 from .salience import psi, subset_salience
 from .synthetic import random_adjusted_table
-from .table import _read_int, generic_schema, log_transform
+from .table import ContingencyTable, _read_int, generic_schema, log_transform
 
 CELL_LIMIT = 4096
 _GRAM_BAND = 256           # columns per Gram product: 8 MiB of products at the cell limit
@@ -125,12 +127,19 @@ def _suite_expansion(schema, rng, trials):
 
 def _suite_gm_identity(schema, rng, trials):
     # the spectrum scan and every release audit read, against Psi of the
-    # literal geometric-mean table, for every non-empty subset
+    # literal geometric-mean table, for every non-empty subset: on random
+    # tables, and on all-5 tables with two drawn cells scaled by 1+eps and
+    # 1+3eps, whose scores a transform of the uncentred logs loses to rounding
     index, subsets = marked_subsets(subset_sizes(schema.n_attributes) > 0)
+    tables = [random_adjusted_table(schema, rng) for _ in range(trials)]
+    for eps in (1e-6, 1e-9, 1e-12):
+        counts = np.full(schema.n_cells, 5.0)
+        counts[rng.choice(schema.n_cells, size=2, replace=False)] *= (1 + eps, 1 + 3 * eps)
+        tables.append(ContingencyTable(schema, counts, float(counts.sum()), adjusted=True))
     worst = 0.0
     worst_subset = None
-    for _ in range(trials):
-        log_table = log_transform(random_adjusted_table(schema, rng))
+    for table in tables:
+        log_table = log_transform(table)
         spectrum = np.column_stack([a[index] for a in subset_salience(log_table)])
         literal = np.array([Psi(log_table, subset) for subset in subsets])
         gaps = (np.abs(spectrum - literal) / np.maximum(np.maximum(spectrum, literal), 1e-12)).max(axis=1)
@@ -139,7 +148,7 @@ def _suite_gm_identity(schema, rng, trials):
     passed = worst < IDENTITY_TOL
     where = "" if passed else f" at {worst_subset}"
     return SuiteResult(
-        "gm-projection", passed, trials * len(subsets), f"worst relative gap {worst:.3e}{where}",
+        "gm-projection", passed, len(tables) * len(subsets), f"worst relative gap {worst:.3e}{where}",
         {"worst_gap": worst},
     )
 

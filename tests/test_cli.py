@@ -1065,7 +1065,8 @@ def test_verify_checks_the_salience_spectrum_of_every_subset(monkeypatch, n, m):
     report = ps.run_verification(n, m, trials=4)
     gm = next(s for s in report.suites if s.name == "gm-projection")
     assert not report.passed and not gm.passed
-    assert gm.checked == 2 ** n - 1  # trials // 4 = 1 table, every non-empty subset
+    # trials // 4 = 1 random table and 3 near-uniform ones, every non-empty subset
+    assert gm.checked == 4 * (2 ** n - 1)
     assert gm.data["worst_gap"] > 1e-4 and f"at {tuple(range(n - 1, -1, -1))}" in gm.detail
 
 
@@ -1126,7 +1127,8 @@ def test_verify_checks_the_single_attribute_at_n_1(capsys):
     assert suite_status(out, "gm-projection") == "PASS"
     assert suite_status(out, "expansion") == "PASS"
     report = ps.run_verification(1, 2, trials=4)
-    assert next(s for s in report.suites if s.name == "gm-projection").checked == 1
+    # one random table and three near-uniform ones
+    assert next(s for s in report.suites if s.name == "gm-projection").checked == 4
 
 
 def test_verify_marks_gram_schmidt_above_its_limit_as_skip(capsys):

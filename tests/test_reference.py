@@ -96,8 +96,9 @@ def test_gm_projection_logs_each_table_once(monkeypatch):
                    if name.startswith("psalience.") and getattr(m, "log_transform", None) is real]:
         monkeypatch.setattr(module, "log_transform", counted)
     suite = verify._suite_gm_identity(ps.generic_schema(4, 2), np.random.default_rng(0), 3)
-    assert suite.passed and suite.checked == 3 * 15
-    assert len(calls) == 3  # where logging per Psi call makes 3 * 16
+    # 3 random tables and 3 near-uniform ones
+    assert suite.passed and suite.checked == 6 * 15
+    assert len(calls) == 6  # where logging per Psi call makes 6 * 16
 
 
 @pytest.mark.parametrize("identity, args", [

@@ -387,6 +387,24 @@ def test_scan_keeps_the_score_of_a_near_uniform_table(n, m):
             assert math.isclose(entry.salience.psi, reference, rel_tol=1e-5), entry
 
 
+@pytest.mark.parametrize("n, m", [(6, 3), (8, 3), (5, 5), (12, 2)])
+def test_spectrum_is_as_accurate_as_the_literal_Psi_near_uniformity(n, m):
+    """Two cells of an all-5 table scaled by 1+eps and 1+3eps.  Transformed
+    uncentred, the spectrum's coefficients differenced logs near log 5, and its
+    worst relative gap to the literal Psi reached 7.9e-3 at (6,3), eps = 1e-12."""
+    index, subsets = ps.basis.marked_subsets(ps.basis.subset_sizes(n) > 0)
+    for eps in (1e-6, 1e-9, 1e-12):
+        counts = np.full(m ** n, 5.0)
+        counts[3] *= 1 + eps
+        counts[m ** n - 2] *= 1 + 3 * eps
+        logs = ps.log_transform(adjusted(ps.generic_schema(n, m), counts))
+        spectrum = subset_salience(logs)[0][index]
+        literal = np.array([ps.Psi(logs, subset).psi for subset in subsets])
+        assert literal.min() > 0.0
+        gap = np.abs(spectrum - literal) / literal
+        assert gap.max() <= 1e-12, (eps, subsets[int(gap.argmax())], gap.max())
+
+
 @pytest.mark.parametrize("n, m", [(2, 2), (4, 3), (8, 3), (12, 2)])
 def test_scan_of_a_constant_table_is_exactly_zero_at_every_k(n, m):
     table = adjusted(ps.generic_schema(n, m), np.full(m ** n, 3.7))
