@@ -142,7 +142,9 @@ def _suite_gm_identity(schema, rng, trials):
         log_table = log_transform(table)
         spectrum = np.column_stack([a[index] for a in subset_salience(log_table)])
         literal = np.array([Psi(log_table, subset) for subset in subsets])
-        gaps = (np.abs(spectrum - literal) / np.maximum(np.maximum(spectrum, literal), 1e-12)).max(axis=1)
+        # relative throughout: near-uniform scores lie far below any absolute floor
+        scale = np.maximum(spectrum, literal)
+        gaps = np.divide(np.abs(spectrum - literal), scale, out=np.zeros_like(scale), where=scale > 0.0).max(axis=1)
         if gaps.max() > worst:
             worst, worst_subset = float(gaps.max()), subsets[int(gaps.argmax())]
     passed = worst < IDENTITY_TOL
