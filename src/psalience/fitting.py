@@ -100,7 +100,7 @@ def subset_energies(log_table: LogTable) -> np.ndarray:
     mean = log_table.values.mean()
     coef = _modewise(log_table.values - mean, [inverse] * n)
     if np.ptp(log_table.values) == 0.0:
-        coef[:] = 0.0
+        coef.fill(0.0)
     pool = np.zeros((2, m))  # per axis: each column's |col|^2, pooled into its lattice bit
     pool[_slots(m), np.arange(m)] = np.einsum("ij,ij->j", factor, factor)
     energies = _modewise(np.square(coef, out=coef), [pool] * n)

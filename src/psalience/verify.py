@@ -8,14 +8,14 @@ geometric-mean Psi of every non-empty subset, the closed-form salience of
 a spike of every radius, and agreement with the sequential Gram-Schmidt
 reference construction, which is skipped above 256 cells.  The salience
 spectrum is also checked on three near-uniform tables, where rounding
-matters most.  The basis is
-built once, as the single Kronecker-product matrix of
-:func:`psalience.reference.full_basis`, and normalised in place; the
-orthogonality, dimension and Gram-Schmidt suites read that matrix and the
-lattice index of each of its columns.  The seeded generator draws only the
-random tables and the near-uniform tables' two scaled cells.  A deliberate-perturbation mode corrupts one basis column
-after the Gram-Schmidt comparison, to prove the orthogonality checker
-reports failures rather than rubber-stamping.
+matters most.  The basis is built once, as the single Kronecker-product
+matrix of :func:`psalience.reference.full_basis`, and normalised in place;
+the orthogonality, dimension and Gram-Schmidt suites read that matrix and
+the lattice index of each of its columns.  The seeded generator draws only
+the random tables and the near-uniform tables' two scaled cells.  A
+deliberate-perturbation mode corrupts one basis column after the
+Gram-Schmidt comparison, to prove the orthogonality checker reports
+failures rather than rubber-stamping.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def _suite_gm_identity(schema, rng, trials):
         literal = np.array([Psi(log_table, subset) for subset in subsets])
         # relative throughout: near-uniform scores lie far below any absolute floor
         scale = np.maximum(spectrum, literal)
-        gaps = np.divide(np.abs(spectrum - literal), scale, out=np.zeros_like(scale), where=scale > 0.0).max(axis=1)
+        gaps = np.divide(np.abs(spectrum - literal), scale, out=np.zeros_like(scale), where=scale > 0.0)
+        gaps = gaps.max(axis=1)
         if gaps.max() > worst:
             worst, worst_subset = float(gaps.max()), subsets[int(gaps.argmax())]
     passed = worst < IDENTITY_TOL

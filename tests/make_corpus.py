@@ -35,7 +35,8 @@ SCHEMA = {"attributes": [{"name": "region", "levels": ["north", "south"]},
 
 
 def _cases():
-    yield "tabulate", ["tabulate", "--schema", "schema.json", "--input", "micro.csv", "--out", "tabulate.json"]
+    yield "tabulate", ["tabulate", "--schema", "schema.json", "--input", "micro.csv",
+                       "--out", "tabulate.json"]
     for t in TABLES:
         table = ["--table", f"{t}.json"]
         for k in (1, 2):
