@@ -23,6 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
+import psalience as ps
+from psalience.cli import main as cli_main
+from psalience.fileio import save_table
+from psalience.synthetic import random_adjusted_table
+
 CORPUS = Path(__file__).parent / "corpus"
 
 # name: (N, M, seed) of a random_adjusted_table
@@ -56,19 +61,13 @@ CASES = dict(_cases())
 
 def run_case(argv: list[str]) -> tuple[int, str]:
     """``cli.main(argv)`` in the working directory: its exit code and stdout."""
-    from psalience.cli import main
-
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        code = cli_main(argv)
     return code, out.getvalue()
 
 
 def write_inputs(directory: Path) -> None:
-    import psalience as ps
-    from psalience.fileio import save_table
-    from psalience.synthetic import random_adjusted_table
-
     for name, (n, m, seed) in TABLES.items():
         save_table(directory / f"{name}.json",
                    random_adjusted_table(ps.generic_schema(n, m), np.random.default_rng(seed)))
