@@ -10,11 +10,11 @@ or a release's audit found contract violations or zeroed blocks that do
 not refit to zero; the release is then not written), 2 usage error (an
 ``ArgumentError``, whether this module or the library raises it), 3 data
 error.  The four usage errors only this module checks (``scan --workers``
-and ``--threshold``, ``depersonalize``'s choice of one mode, and the
-syntax of a subset argument) are reported before any input file is read;
-so are an integer flag or subset member that is not ASCII digits after an
-optional ``-``, an ``--out`` whose last path component is empty, ``.`` or
-``..``, and an output (``--out``, or the ``.audit.json`` beside a release)
+and ``--threshold``, ``depersonalize``'s choice of one mode, and the syntax
+of a subset argument) are reported before any input file is read; so are a
+number that is not ASCII digits after an optional ``-`` (one ``.`` allowed
+in ``--threshold``), an ``--out`` whose last path component is empty, ``.``
+or ``..``, and an output (``--out``, or the ``.audit.json`` beside a release)
 that is the same file as one of the command's inputs.  The library's own
 argument rules run after the table is loaded, so with a missing table
 ``scan --k 0`` exits 3, not 2.  Given the same inputs and seed every
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="rank all size-k attribute subsets by salience")
     p.add_argument("--table", required=True, help="adjusted table JSON file")
     p.add_argument("--k", type=_integer, required=True, help="subset size, 1 <= k <= N-1")
-    p.add_argument("--threshold", type=float, default=DEFAULT_AMBER,
+    p.add_argument("--threshold", type=_decimal, default=DEFAULT_AMBER,
                    help=f"amber warning boundary (default {DEFAULT_AMBER})")
     p.add_argument("--workers", type=_integer, default=1,
                    help="accepted for compatibility (>= 1) but changes nothing: every "
@@ -112,6 +112,15 @@ def _integer(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     return int(text)
+
+
+def _decimal(text: str) -> float:
+    """A decimal argument: ASCII digits with at most one ``.``, after an optional ``-``.  ``float``
+    alone also reads ``0.0_5``, padding, exponents, ``nan`` and other scripts' digits."""
+    digits = (text[1:] if text.startswith("-") else text).replace(".", "", 1)
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal number")
+    return float(text)
 
 
 def _output(text: str) -> str:

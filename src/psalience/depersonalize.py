@@ -18,7 +18,8 @@ line bounds by :data:`REFIT_TOL`: rounding necessarily perturbs the refitted
 coefficients a little, which is the price of an integer release.
 
 A zero set is a boolean lattice vector over all ``2**N`` subsets.  A release
-and its audit cost four transforms plus ``O(N * 2**N)`` lattice operations.
+fits once, for its zeroing and its before-spectrum, and transforms the released
+logs once more: five mode-wise passes plus ``O(N * 2**N)`` lattice operations.
 The audit keeps its lattice vectors; Python objects are built only when its
 ``entries``, ``zeroed_blocks`` or ``violations`` are read.  The audit file is
 written from the vectors in one lattice walk and reads none of the three.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .basis import SubsetKey, check_subset, marked_subsets, subset_index, subset_sizes, subset_sums
 from .errors import ArgumentError, DomainError, ShapeError, StateError
-from .fitting import _zero_blocks, subset_energies
+from .fitting import _coefficients, _energies, _zero_blocks, subset_energies
 from .salience import _spectrum_salience
 from .table import ADJUSTED_MIN, ContingencyTable, Frozen, LogTable, _read_int, log_transform
 
@@ -183,8 +184,9 @@ def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSp
         raise StateError("de-personalisation needs an adjusted table")
     if spec.round_counts and spec.renormalize:
         _rounded_total(table.n_total)  # the release keeps this total: refuse it before any transform
-    logs = log_transform(table)
-    limited = _zero_blocks(logs, zero_mask)
+    coef, mean = _coefficients(log_transform(table))
+    energies_before = _energies(np.square(coef), mean)  # read before the zeroing overwrites coef
+    limited = LogTable(table.schema, _zero_blocks(coef, mean, zero_mask))
     counts = np.exp(limited.values)
     if spec.renormalize:
         counts = counts * (table.n_total / counts.sum())
@@ -201,7 +203,7 @@ def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSp
         adjusted=bool(counts.min() >= ADJUSTED_MIN),
     )
     audit_result = _audit_log_values(
-        logs,
+        energies_before,
         limited,
         zero_mask,
         total_drift=float(counts.sum() - table.n_total),
@@ -209,11 +211,11 @@ def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSp
     return released, audit_result
 
 
-def _audit_log_values(logs_before: LogTable, logs_after: LogTable, above, total_drift):
-    """``above`` marks subsets containing a zeroed block, which for a release is its zero
-    set; ``None`` (zero set unknown) flags only increases and leaves no refit residual."""
-    m = logs_before.schema.n_levels
-    psi_before = _spectrum_salience(subset_energies(logs_before), m)[0]
+def _audit_log_values(energies_before: np.ndarray, logs_after: LogTable, above, total_drift):
+    """``energies_before`` is the original's :func:`subset_energies`.  ``above`` marks subsets holding a
+    zeroed block (a release's zero set); ``None`` (unknown) flags only increases, with no refit residual."""
+    m = logs_after.schema.n_levels
+    psi_before = _spectrum_salience(energies_before, m)[0]
     energies = subset_energies(logs_after)
     psi_after = _spectrum_salience(energies, m)[0]
     broken = psi_after > psi_before + PSI_DRIFT_TOL
@@ -268,9 +270,7 @@ def audit(
     if original.schema != released.schema:
         raise ShapeError("audit needs two tables over the same schema")
     above = None if zeroed_blocks is None else _zero_set(zeroed_blocks, original.schema.n_attributes)
-    return _audit_log_values(
-        LogTable(original.schema, np.log(np.maximum(original.counts, np.finfo(float).tiny))),
-        LogTable(original.schema, np.log(np.maximum(released.counts, np.finfo(float).tiny))),
-        above,
-        total_drift=float(released.counts.sum() - original.n_total),
-    )
+    before, after = (LogTable(original.schema, np.log(np.maximum(t.counts, np.finfo(float).tiny)))
+                     for t in (original, released))
+    return _audit_log_values(subset_energies(before), after, above,
+                             total_drift=float(released.counts.sum() - original.n_total))

@@ -12,8 +12,8 @@ attribute ``N-1-i``; along it, index 0 is the constant column of
 a contrast on exactly a subset's axes, in C order, form that subset's
 length-``(M-1)**k`` block.  :func:`psalience.reference.full_basis` gives each
 entry's subset as a lattice index, so a block is
-``coef.ravel()[lattice == subset_index(subset)]``.  Fitting, reconstruction
-and a release's zeroing share one transform pair.
+``coef.ravel()[lattice == subset_index(subset)]``.  The fit, the spectrum and
+a release read one forward transform of the centred logs and share one inverse.
 
 Coefficients depend on the contrast choice in :mod:`psalience.basis` and are
 exposed for inspection only; the literal projection onto one subset's
@@ -40,10 +40,16 @@ def _modewise(values: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     return x.ravel()
 
 
-def _coefficients(log_table: LogTable) -> np.ndarray:
-    """A fresh ``(M,)*N`` coefficient tensor: the inverse level factor along every axis."""
+def _coefficients(log_table: LogTable) -> tuple[np.ndarray, np.float64]:
+    """A fresh ``(M,)*N`` coefficient tensor of the logs centred on their mean (exactly 0 for a
+    constant table), and that mean.  Centred, a contrast does not difference values near the mean,
+    so its rounding scales with the centred part, not with ``|T|`` (Chan, Golub & LeVeque 1983)."""
     n, m = log_table.schema.n_attributes, log_table.schema.n_levels
-    return _modewise(log_table.values, [level_factor(m)[1]] * n).reshape((m,) * n)
+    mean = log_table.values.mean()
+    coef = _modewise(log_table.values - mean, [level_factor(m)[1]] * n).reshape((m,) * n)
+    if np.ptp(log_table.values) == 0.0:
+        coef.fill(0.0)
+    return coef, mean
 
 
 def _cells(coef: np.ndarray) -> np.ndarray:
@@ -52,11 +58,10 @@ def _cells(coef: np.ndarray) -> np.ndarray:
 
 
 def fit_beta(log_table: LogTable) -> np.ndarray:
-    """The read-only ``(M,)*N`` coefficient tensor of the orthogonal expansion
-    of ``log_table``: entry by entry ``(column . T) / |column|^2``, all from one
-    transform by the inverse level factor.
-    """
-    coef = _coefficients(log_table)
+    """The read-only ``(M,)*N`` coefficient tensor of the orthogonal expansion of ``log_table``:
+    entry by entry ``(column . T) / |column|^2``, the :func:`_coefficients` with the mean added back."""
+    coef, mean = _coefficients(log_table)
+    coef[(0,) * coef.ndim] += mean
     coef.setflags(write=False)
     return coef
 
@@ -75,37 +80,33 @@ def _slots(m: int) -> np.ndarray:
     return np.minimum(np.arange(m), 1)
 
 
-def _zero_blocks(log_table: LogTable, mask: np.ndarray) -> LogTable:
-    """``log_table`` without the blocks of the subsets ``mask`` marks on the subset lattice."""
-    coef = _coefficients(log_table)
+def _zero_blocks(coef: np.ndarray, mean: np.float64, mask: np.ndarray) -> np.ndarray:
+    """Flat cells of a :func:`_coefficients` pair less the blocks ``mask`` marks; overwrites ``coef``."""
     # lattice bit N-1-a is axis a of the (2,)*N view, as attribute N-1-a is axis a of coef
     zeroed = mask.reshape((2,) * coef.ndim)
     for a in range(coef.ndim):
         zeroed = zeroed.take(_slots(coef.shape[0]), axis=a)
     coef[zeroed] = 0.0
-    return LogTable(log_table.schema, _cells(coef))
+    coef[(0,) * coef.ndim] += mean
+    return _cells(coef)
+
+
+def _energies(squares: np.ndarray, mean: np.float64) -> np.ndarray:
+    """:func:`subset_energies` from the squares of a :func:`_coefficients` tensor and its mean:
+    each square times its column's ``|col|^2``, pooled by subset; the constant's is ``mean**2 * M**N``."""
+    n, m = squares.ndim, squares.shape[0]
+    pool = np.zeros((2, m))  # per axis: each column's |col|^2, pooled into its lattice bit
+    pool[_slots(m), np.arange(m)] = np.square(level_factor(m)[0]).sum(axis=0)
+    energies = _modewise(squares, [pool] * n)
+    energies[0] = mean * mean * float(m) ** n
+    return energies
 
 
 def subset_energies(log_table: LogTable) -> np.ndarray:
     """Squared projection magnitude of every subset's block as a lattice vector
-    (see :func:`psalience.basis.subset_index`); exactly 0 off the constant for a constant table.
-
-    The logs are centred on their mean before the transform, so a contrast does not
-    difference values near the mean and its rounding scales with the centred part, not
-    with ``|T|`` (Chan, Golub & LeVeque 1983); the constant block's energy is
-    ``mean**2 * M**N``.
-    """
-    n, m = log_table.schema.n_attributes, log_table.schema.n_levels
-    factor, inverse = level_factor(m)
-    mean = log_table.values.mean()
-    coef = _modewise(log_table.values - mean, [inverse] * n)
-    if np.ptp(log_table.values) == 0.0:
-        coef.fill(0.0)
-    pool = np.zeros((2, m))  # per axis: each column's |col|^2, pooled into its lattice bit
-    pool[_slots(m), np.arange(m)] = np.einsum("ij,ij->j", factor, factor)
-    energies = _modewise(np.square(coef, out=coef), [pool] * n)
-    energies[0] = mean * mean * float(m) ** n
-    return energies
+    (see :func:`psalience.basis.subset_index`); exactly 0 off the constant for a constant table."""
+    coef, mean = _coefficients(log_table)
+    return _energies(np.square(coef, out=coef), mean)
 
 
 def row_norms(values: np.ndarray) -> np.ndarray:

@@ -528,6 +528,18 @@ def test_cli_usage_errors_are_refused_before_the_table_is_read(tmp_path, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold", ["0.0_5", "\u0660.\u0665", " 0.5"],
+                         ids=["underscore", "arabic-indic", "space"])
+def test_threshold_is_ascii_decimal_text_before_any_input_is_read(tmp_path, monkeypatch, capsys, threshold):
+    """``float`` read ``--threshold 0.0_5`` as 0.05 and ran the scan with that amber band."""
+    monkeypatch.setattr(fileio, "load_table", lambda path: pytest.fail("the table was read"))
+    out = tmp_path / "out.json"
+    assert main(["scan", "--table", str(tmp_path / "missing.json"), "--k", "1",
+                 "--threshold", threshold, "--out", str(out)]) == 2
+    assert "is not a decimal number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["depersonalize", "--table", "{missing}", "--max-order", "1", "--out", ""],
     ["depersonalize", "--table", "{missing}", "--max-order", "1", "--out", "."],
@@ -912,10 +924,10 @@ def test_depersonalize_round_counts(tmp_path, rng):
 def test_depersonalize_that_breaks_its_contract_exits_1(tmp_path, rng, monkeypatch, capsys):
     from psalience import depersonalize
 
-    def leaky(log_table, mask):  # moves one cell, so subsets outside the zero set move too
-        values = np.array(zero_blocks(log_table, mask).values)
+    def leaky(coef, mean, mask):  # moves one cell, so subsets outside the zero set move too
+        values = zero_blocks(coef, mean, mask)
         values[0] += 0.1
-        return ps.LogTable(log_table.schema, values)
+        return values
 
     zero_blocks = depersonalize._zero_blocks
     monkeypatch.setattr(depersonalize, "_zero_blocks", leaky)
@@ -933,10 +945,10 @@ def test_depersonalize_whose_zeroed_blocks_survive_exits_1(tmp_path, monkeypatch
     from psalience import depersonalize
     from psalience.basis import subset_index
 
-    def leaky(log_table, mask):  # keeps the top block, which moves no salience the audit flags
+    def leaky(coef, mean, mask):  # keeps the top block, which moves no salience the audit flags
         mask = mask.copy()
         mask[subset_index((2, 1, 0))] = False
-        return zero_blocks(log_table, mask)
+        return zero_blocks(coef, mean, mask)
 
     zero_blocks = depersonalize._zero_blocks
     monkeypatch.setattr(depersonalize, "_zero_blocks", leaky)

@@ -30,6 +30,37 @@ def test_full_order_limit_is_identity(rng):
     assert audit.violations == ()
 
 
+@pytest.mark.parametrize("n, m", [(4, 7), (5, 5), (6, 3), (12, 2)])
+def test_release_of_a_constant_table_is_exactly_constant(n, m):
+    schema = ps.generic_schema(n, m)
+    table = ps.ContingencyTable(schema, np.full(schema.n_cells, 1234.5), 1234.5 * schema.n_cells, adjusted=True)
+    released, audit = ps.interaction_limit(table, order_spec(1))
+    assert np.ptp(released.counts) == 0.0
+    assert audit.refit_residual == 0.0 and not audit.psi_after.any()
+    assert not ps.fit_beta(ps.LogTable(schema, np.log(released.counts))).ravel()[1:].any()
+
+
+def test_a_release_makes_five_full_size_modewise_passes_and_a_scan_two(monkeypatch, rng):
+    # a release fits once for its zeroing and its before-spectrum, inverts, and the
+    # after-spectrum transforms the released logs afresh; each spectrum pools once
+    from psalience import fitting
+
+    sizes = []
+    modewise = fitting._modewise
+
+    def counted(values, factors):
+        sizes.append(values.size)
+        return modewise(values, factors)
+
+    monkeypatch.setattr(fitting, "_modewise", counted)
+    table = random_adjusted_table(ps.generic_schema(6, 3), rng)
+    ps.interaction_limit(table, order_spec(2))
+    assert sizes == [table.counts.size] * 5
+    sizes.clear()
+    ps.scan(table, 2)
+    assert sizes == [table.counts.size] * 2
+
+
 def test_uniform_table_unchanged(schema33):
     table = ps.ContingencyTable(schema33, np.full(27, 3.0), 81.0, adjusted=True)
     for k in (1, 2):
@@ -130,7 +161,7 @@ def test_rounding_refuses_totals_float64_cannot_sum_exactly(monkeypatch, rng):
     assert released.counts.sum() == 2 ** 53 and np.array_equal(released.counts, np.rint(released.counts))
     above = random_adjusted_table(schema, rng, n_total=6 * 10 ** 17)
     with monkeypatch.context() as patch:
-        patch.setattr(ps.depersonalize, "_zero_blocks", None)  # refused before any transform
+        patch.setattr(ps.depersonalize, "_coefficients", None)  # refused before any transform
         with pytest.raises(DomainError, match=r"total of 600000000000000000: totals above 2\*\*53"):
             ps.interaction_limit(above, order_spec(1, round_counts=True))
     with pytest.raises(DomainError, match=r"above 2\*\*53"):

@@ -22,6 +22,16 @@ def test_fit_uniform_table(schema22):
     assert np.abs(coef.flat[1:]).max() < 1e-12
 
 
+@pytest.mark.parametrize("n, m", [(4, 7), (5, 5), (6, 3), (12, 2)])
+def test_fit_of_a_constant_table_is_exactly_zero_off_the_constant_entry(n, m):
+    # the fit transforms the centred logs, which are exactly 0, so no rounding is left behind
+    schema = ps.generic_schema(n, m)
+    table = ps.ContingencyTable(schema, np.full(schema.n_cells, 1234.5), 1234.5 * schema.n_cells, adjusted=True)
+    coef = ps.fit_beta(ps.log_transform(table))
+    assert not coef.ravel()[1:].any()
+    assert math.isclose(coef[(0,) * n], math.log(1234.5), rel_tol=1e-15)
+
+
 def test_fit_single_basis_column(schema22):
     values = 0.25 * np.array([1.0, -1.0, -1.0, 1.0])
     coef = ps.fit_beta(ps.LogTable(schema22, values)).ravel()
@@ -191,18 +201,20 @@ def test_expansion_memory_stays_near_table_size(rng):
 def test_zero_blocks_peak_memory_stays_near_four_tables(rng):
     # the mask is expanded along each axis as booleans, never as a support tensor of integers
     from psalience.basis import subset_sizes
-    from psalience.fitting import _zero_blocks
+    from psalience.fitting import _coefficients, _zero_blocks
 
     log_table = ps.log_transform(random_adjusted_table(ps.generic_schema(16, 2), rng))
     mask = subset_sizes(16) > 2
+    coef, mean = _coefficients(log_table)
     tracemalloc.start()
     try:
-        limited = _zero_blocks(log_table, mask)
+        values = _zero_blocks(coef, mean, mask)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 4.3 * log_table.values.nbytes, peak / log_table.values.nbytes
     # at M=2 each axis's level-factor column is its lattice bit, so the mask indexes coef directly
+    limited = ps.LogTable(log_table.schema, values)
     assert np.abs(ps.fit_beta(limited)[mask.reshape((2,) * 16)]).max() <= 1e-9
 
 

@@ -12,7 +12,7 @@ import pytest
 import psalience as ps
 from psalience.synthetic import planted_interaction_table, random_adjusted_table
 
-PIPELINE = ("_modewise", "_coefficients", "_cells", "subset_energies", "subset_salience",
+PIPELINE = ("_modewise", "_coefficients", "_cells", "_energies", "subset_energies", "subset_salience",
             "_spectrum_salience", "_zero_blocks")
 
 
