@@ -30,8 +30,7 @@ _PUBLIC = {
     ),
     "errors": (
         "ArgumentError", "DegeneratePopulationError", "DomainError", "EmptyInputError",
-        "IngestionError", "SalienceError", "SchemaError", "ShapeError", "SizeGuardError",
-        "StateError",
+        "IngestionError", "SalienceError", "SchemaError", "ShapeError", "StateError",
     ),
     "fitting": ("fit_beta", "reconstruct"),
     "marginal": ("complement_attributes", "conditional_subtable", "geometric_mean_subtable"),

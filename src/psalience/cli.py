@@ -7,18 +7,16 @@ subset), ``depersonalize`` (interaction-limited release plus audit) and
 
 Exit codes: 0 success, 1 verification failure (a ``verify`` suite failed,
 or a release's audit found contract violations or zeroed blocks that do
-not refit to zero; the release is then not written), 2 usage error (an
-``ArgumentError``, whether this module or the library raises it), 3 data
-error.  The four usage errors only this module checks (``scan --workers``
-and ``--threshold``, ``depersonalize``'s choice of one mode, and the syntax
-of a subset argument) are reported before any input file is read; so are a
-number that is not ASCII digits after an optional ``-`` (one ``.`` allowed
-in ``--threshold``), an ``--out`` whose last path component is empty, ``.``
-or ``..``, and an output (``--out``, or the ``.audit.json`` beside a release)
-that is the same file as one of the command's inputs.  The library's own
-argument rules run after the table is loaded, so with a missing table
-``scan --k 0`` exits 3, not 2.  Given the same inputs and seed every
-command is deterministic.
+not refit to zero; the release is then not written), 2 usage error, 3 data
+error; a failure prints one ``error:`` line on stderr.  Each argument rule
+this module owns is an argparse type (``_integer``, ``_workers``,
+``_fraction``, ``_subset``, ``_output``) or ``depersonalize``'s required
+group of one mode, so argparse refuses it while it parses the command line,
+before any input is read, with its usage and one ``psalience <command>:
+error:`` line.  A command body refuses only an output that is one of its
+inputs, also before reading.  The library's rules raise ``ArgumentError``
+(exit 2) after the table is loaded, so with a missing table ``scan --k 0``
+exits 3.  Given the same inputs and seed every command is deterministic.
 
 ``run`` is the process entry point (``python -m psalience.cli`` and the
 ``psalience`` script); in-process callers use ``main``.
@@ -62,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="rank all size-k attribute subsets by salience")
     p.add_argument("--table", required=True, help="adjusted table JSON file")
     p.add_argument("--k", type=_integer, required=True, help="subset size, 1 <= k <= N-1")
-    p.add_argument("--threshold", type=_decimal, default=DEFAULT_AMBER,
-                   help=f"amber warning boundary (default {DEFAULT_AMBER})")
-    p.add_argument("--workers", type=_integer, default=1,
+    p.add_argument("--threshold", type=_fraction, default=DEFAULT_AMBER,
+                   help=f"amber warning boundary in [0, 1] (default {DEFAULT_AMBER})")
+    p.add_argument("--workers", type=_workers, default=1,
                    help="accepted for compatibility (>= 1) but changes nothing: every "
                    "subset's score comes from one transform plus O(N*2**N) sums")
     p.add_argument("--out", required=True, type=_output, help="output report JSON file")
@@ -72,17 +70,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="per-conditioning salience of one subset")
     p.add_argument("--table", required=True, help="adjusted table JSON file")
-    p.add_argument("--subset", required=True,
+    p.add_argument("--subset", required=True, type=_subset,
                    help="comma-separated attribute indices, descending (e.g. 4,2,0)")
     p.add_argument("--out", required=True, type=_output, help="output analysis JSON file")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("depersonalize", help="interaction-limited release of a table")
     p.add_argument("--table", required=True, help="adjusted table JSON file")
-    p.add_argument("--max-order", type=_integer, default=None,
-                   help="zero every block of size above this order")
-    p.add_argument("--zero", action="append", default=None, metavar="SUBSET",
-                   help="subset to zero (repeatable); closed upward automatically")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--max-order", type=_integer, help="zero every block of size above this order")
+    mode.add_argument("--zero", action="append", type=_subset, metavar="SUBSET",
+                      help="subset to zero (repeatable); closed upward automatically")
     p.add_argument("--no-renormalize", action="store_true",
                    help="keep the raw reconstruction instead of rescaling to the original total")
     p.add_argument("--round-counts", action="store_true",
@@ -105,22 +103,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _integer(text: str) -> int:
-    """An integer argument: ASCII digits after an optional ``-``, which the range checks
-    then refuse by name.  ``int`` alone also reads ``1_0``, ``+1``, padding and other
-    scripts' digits (``\u0661`` is 1)."""
+    """An integer argument: ASCII digits after an optional ``-``, which the library's range
+    checks then refuse by name.  ``int`` alone also reads ``1_0``, ``+1``, padding and
+    other scripts' digits (``\u0661`` is 1)."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     return int(text)
 
 
-def _decimal(text: str) -> float:
-    """A decimal argument: ASCII digits with at most one ``.``, after an optional ``-``.  ``float``
-    alone also reads ``0.0_5``, padding, exponents, ``nan`` and other scripts' digits."""
-    digits = (text[1:] if text.startswith("-") else text).replace(".", "", 1)
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal number")
+def _workers(text: str) -> int:
+    workers = _integer(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not at least 1")
+    return workers
+
+
+def _fraction(text: str) -> float:
+    """A decimal in ``[0, 1]``: ASCII digits with at most one ``.`` and no sign.  ``float``
+    alone also reads ``-0``, ``0.0_5``, padding, exponents, ``nan`` and other scripts' digits."""
+    digits = text.replace(".", "", 1)
+    if not (digits.isascii() and digits.isdigit() and float(text) <= 1.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal number in [0, 1]")
     return float(text)
+
+
+def _subset(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; the library checks their range and order against the table."""
+    return tuple(_integer(part) for part in text.split(","))
 
 
 def _output(text: str) -> str:
@@ -128,13 +138,6 @@ def _output(text: str) -> str:
     if os.path.basename(text) in ("", ".", ".."):
         raise argparse.ArgumentTypeError(f"{text!r} names no file")
     return text
-
-
-def _parse_subset(text: str):
-    try:
-        return tuple(_integer(part) for part in text.split(","))
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ArgumentError(f"subset {text!r} is not a comma-separated list of integers")
 
 
 def _refuse_input_as_output(args, *outputs) -> None:
@@ -177,15 +180,11 @@ def cmd_scan(args) -> int:
     from .fileio import atomic_write_json, classify_warning, report_to_dict
     from .salience import scan
 
-    if args.workers < 1:
-        raise ArgumentError("workers must be at least 1")
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ArgumentError("threshold must lie in [0, 1]")
     _refuse_input_as_output(args, args.out)
     table = _load_adjusted_table(args.table)
     amber = args.threshold
     red = max(DEFAULT_RED, amber)
-    report = scan(table, args.k, workers=args.workers)
+    report = scan(table, args.k)
     atomic_write_json(args.out, report_to_dict(report, table.schema, amber, red))
     top = np.flatnonzero(report.rank <= 10)  # ranks are 1..len: one pass, and only ten are sorted
     rows = zip(*(a[top].tolist() for a in (report.rank, report.psi, report.index)))
@@ -203,16 +202,15 @@ def cmd_analyze(args) -> int:
     from .salience import psi_histogram, subset_salience
     from .table import log_transform
 
-    subset = _parse_subset(args.subset)
     _refuse_input_as_output(args, args.out)
     table = _load_adjusted_table(args.table)
     logs = log_transform(table)  # taken once, for all three analyses
-    gm_logs = geometric_mean_subtable(logs, subset)
+    gm_logs = geometric_mean_subtable(logs, args.subset)
     # the spectrum scan reads, so both commands report the same Psi
-    overall = float(subset_salience(logs)[0][subset_index(subset)])
-    histogram = psi_histogram(logs, subset)
-    atomic_write_json(args.out, analysis_to_dict(subset, table.schema, overall, gm_logs, histogram))
-    print(f"analyze subset {list(subset)}: Psi={overall:.4f}, "
+    overall = float(subset_salience(logs)[0][subset_index(args.subset)])
+    histogram = psi_histogram(logs, args.subset)
+    atomic_write_json(args.out, analysis_to_dict(args.subset, table.schema, overall, gm_logs, histogram))
+    print(f"analyze subset {list(args.subset)}: Psi={overall:.4f}, "
           f"{len(histogram)} conditional subtables -> {args.out}")
     return 0
 
@@ -221,9 +219,6 @@ def cmd_depersonalize(args) -> int:
     from .depersonalize import REFIT_TOL, LimitSpec, interaction_limit, selective_zero
     from .fileio import atomic_write_json, audit_to_dict, save_table
 
-    if (args.max_order is None) == (args.zero is None):
-        raise ArgumentError("choose exactly one of --max-order or --zero")
-    seeds = None if args.zero is None else tuple(_parse_subset(text) for text in args.zero)
     audit_path = Path(args.out).with_suffix(".audit.json")
     _refuse_input_as_output(args, args.out, audit_path)
     table = _load_adjusted_table(args.table)
@@ -234,10 +229,10 @@ def cmd_depersonalize(args) -> int:
         released, audit = interaction_limit(table, spec)
         mode = f"order_limit(k={args.max_order})"
     else:
-        spec = LimitSpec("selective", zero_subsets=seeds,
+        spec = LimitSpec("selective", zero_subsets=args.zero,
                          renormalize=renormalize, round_counts=args.round_counts)
         released, audit = selective_zero(table, spec)
-        mode = f"selective({len(seeds)} seeds)"
+        mode = f"selective({len(args.zero)} seeds)"
     atomic_write_json(audit_path, audit_to_dict(audit, table.schema, mode))
     problems = []
     if audit.refit_residual > REFIT_TOL:
@@ -263,6 +258,8 @@ def cmd_verify(args) -> int:
     )
     for line in report.lines():
         print(line)
+    if not report.passed:
+        print("error: verification failed; the FAIL lines above name the suites", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -277,10 +274,7 @@ def main(argv=None) -> int:
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SalienceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (SalienceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

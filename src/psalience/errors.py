@@ -54,7 +54,3 @@ class DomainError(SalienceError, ValueError):
 
 class ShapeError(SalienceError, ValueError):
     """Array dimensions do not match the schema."""
-
-
-class SizeGuardError(SalienceError, RuntimeError):
-    """A test-oracle construction was refused because the table is too large."""

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import SubsetKey, _subset_kron, all_subsets, check_subset, level_contrasts, subset_index
-from .errors import ArgumentError, SizeGuardError
+from .errors import ArgumentError
 from .fitting import centred_norm, row_norms
 from .marginal import complement_attributes, geometric_mean_subtable
 from .salience import SalienceValue
@@ -110,12 +110,12 @@ def gram_schmidt_oracle(schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray
     candidates.  Returns the ``M**N`` orthonormal columns in the order they
     were accepted and the lattice index of the subset each came from.  This
     is the reference construction the tensor-product generator is tested
-    against; it materialises the full basis, so it is refused beyond
-    ``GRAM_SCHMIDT_CELL_LIMIT`` cells.
+    against; it materialises the full basis, so it refuses, with
+    :class:`ArgumentError`, more than ``GRAM_SCHMIDT_CELL_LIMIT`` cells.
     """
     m_t = schema.n_cells
     if m_t > GRAM_SCHMIDT_CELL_LIMIT:
-        raise SizeGuardError(
+        raise ArgumentError(
             f"{m_t} cells exceeds the Gram-Schmidt oracle limit of {GRAM_SCHMIDT_CELL_LIMIT}"
         )
     n, m = schema.n_attributes, schema.n_levels

@@ -6,7 +6,7 @@ import pytest
 
 import psalience as ps
 from psalience.basis import check_subset, marked_subsets, subset_index, subset_sizes
-from psalience.errors import ArgumentError, SizeGuardError
+from psalience.errors import ArgumentError
 
 from oracles import (
     closed_form_all_zero,
@@ -227,7 +227,7 @@ def test_gram_schmidt_projector_equality(n, m):
 
 def test_gram_schmidt_size_guard():
     big = ps.generic_schema(13, 2)  # 8192 cells
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(ArgumentError, match="8192 cells"):
         ps.gram_schmidt_oracle(big)
 
 

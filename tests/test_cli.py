@@ -75,6 +75,15 @@ def test_tabulate_empty_csv_body(tmp_path, capsys):
         assert f"{csv_path}: no records after the header row" in capsys.readouterr().err
 
 
+def test_tabulate_empty_csv_file(tmp_path, capsys):
+    csv_path = tmp_path / "micro.csv"
+    csv_path.write_bytes(b"")
+    assert main(["tabulate", "--schema", write_schema(tmp_path / "schema.json"), "--input", str(csv_path),
+                 "--out", str(tmp_path / "t.json")]) == 3
+    assert capsys.readouterr().err == f"error: {csv_path}: file is empty, expected a header row\n"
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_tabulate_missing_file(tmp_path):
     schema_path = write_schema(tmp_path / "schema.json")
     code = main(["tabulate", "--schema", schema_path, "--input", str(tmp_path / "nope.csv"),
@@ -510,13 +519,20 @@ def test_scan_and_its_file_rows_peak_memory():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["scan", "--k", "1", "--workers", "0"], "workers must be at least 1"),
-    (["scan", "--k", "1", "--threshold", "1.5"], "threshold must lie in [0, 1]"),
-    (["depersonalize"], "choose exactly one of --max-order or --zero"),
-    (["analyze", "--subset", "a,b"], "subset 'a,b' is not a comma-separated list of integers"),
-    (["depersonalize", "--zero", "1,x"], "subset '1,x' is not a comma-separated list of integers"),
+    (["scan", "--k", "1", "--workers", "0"], "argument --workers: '0' is not at least 1"),
+    (["scan", "--k", "1", "--threshold", "1.5"], "argument --threshold: '1.5' is not a decimal number in [0, 1]"),
+    (["depersonalize"], "one of the arguments --max-order --zero is required"),
+    (["analyze", "--subset", "a,b"], "argument --subset: 'a' is not an integer"),
+    (["depersonalize", "--zero", "1,x"], "argument --zero: 'x' is not an integer"),
+    (["depersonalize", "--max-order", "1", "--zero", "1"], "argument --zero: not allowed with argument --max-order"),
+], ids=[  # each names the rule its case breaks
+    "argv0-workers must be at least 1", "argv1-threshold must lie in [0, 1]",
+    "argv2-choose exactly one of --max-order or --zero",
+    "argv3-subset 'a,b' is not a comma-separated list of integers",
+    "argv4-subset '1,x' is not a comma-separated list of integers", "argv5-not both --max-order and --zero",
 ])
 def test_cli_usage_errors_are_refused_before_the_table_is_read(tmp_path, monkeypatch, capsys, argv, message):
+    """Each rule the command line owns is argparse's: its usage, then one error line."""
     def refuse(path):
         raise AssertionError("the table was read")
 
@@ -524,14 +540,17 @@ def test_cli_usage_errors_are_refused_before_the_table_is_read(tmp_path, monkeyp
     out = tmp_path / "out.json"
     missing = str(tmp_path / "missing.json")
     assert main([argv[0], "--table", missing, *argv[1:], "--out", str(out)]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: psalience {argv[0]} ") and err.count("error:") == 1, err
+    assert err.endswith(f"\npsalience {argv[0]}: error: {message}\n"), err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threshold", ["0.0_5", "\u0660.\u0665", " 0.5"],
-                         ids=["underscore", "arabic-indic", "space"])
+@pytest.mark.parametrize("threshold", ["0.0_5", "\u0660.\u0665", " 0.5", "-0", "-0.0"],
+                         ids=["underscore", "arabic-indic", "space", "minus-zero", "minus-zero-point-zero"])
 def test_threshold_is_ascii_decimal_text_before_any_input_is_read(tmp_path, monkeypatch, capsys, threshold):
-    """``float`` read ``--threshold 0.0_5`` as 0.05 and ran the scan with that amber band."""
+    """``float`` read ``--threshold 0.0_5`` as 0.05 and ran the scan with that amber band, and
+    ``-0`` passed the range check and was written as an amber boundary of ``-0.0``."""
     monkeypatch.setattr(fileio, "load_table", lambda path: pytest.fail("the table was read"))
     out = tmp_path / "out.json"
     assert main(["scan", "--table", str(tmp_path / "missing.json"), "--k", "1",

@@ -200,6 +200,17 @@ def test_identity_requires_containment(rng):
         ps.gm_projection_identity(table, (3, 1), (2,))
 
 
+@pytest.mark.parametrize("identity, subsets", [
+    ("gm_projection_identity", ((), (1,))),
+    ("gm_projection_identity", ((3, 1), ())),
+    ("gm_projection_total_identity", ((),)),
+])
+def test_identities_refuse_an_empty_subset(rng, identity, subsets):
+    table = random_adjusted_table(ps.generic_schema(4, 2), rng)
+    with pytest.raises(ArgumentError, match="must be non-empty"):
+        getattr(ps, identity)(table, *subsets)
+
+
 def test_reduced_subset_key_mapping():
     assert ps.reduced_subset_key((4, 2, 1), (4, 1)) == (2, 0)
     assert ps.reduced_subset_key((4, 2, 1), (2,)) == (1,)

@@ -134,6 +134,8 @@ def test_Psi_argument_checks(schema32, rng):
     table = random_adjusted_table(schema32, rng)
     with pytest.raises(ArgumentError):
         ps.Psi(table, ())
+    with pytest.raises(ArgumentError, match="subset must be non-empty"):
+        ps.psi_histogram(table, ())
 
 
 # ----------------------------------------------------------------- scan
@@ -352,6 +354,19 @@ def test_correlated_pair_reaches_its_closed_form():
     value = ps.Psi(table, (2, 0)).psi
     assert math.isclose(value, math.sqrt(1 - 1 / 3), rel_tol=1e-12)
     assert ps.Psi(table, (3, 1)).psi < 1e-12
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda schema: random_adjusted_table(schema, np.random.default_rng(0), n_total=8),
+     "n_total must exceed the cell count"),
+    (lambda schema: planted_interaction_table(schema, ()), "plant a non-empty subset"),
+    (lambda schema: planted_interaction_table(schema, (1,), strength=0.0), "strength must be positive"),
+    (lambda schema: correlated_pair_table(schema, (2, 1, 0)), "need exactly two attributes"),
+    (lambda schema: correlated_pair_table(schema, (1, 0), weight=1.0), "weight must exceed 1"),
+], ids=["n_total", "plant-empty", "strength", "pair-size", "weight"])
+def test_synthetic_tables_refuse_arguments_outside_their_range(schema32, make, message):
+    with pytest.raises(ArgumentError, match=message):
+        make(schema32)
 
 
 # ------------------------------------------------- spectrum against Psi

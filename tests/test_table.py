@@ -269,6 +269,16 @@ def test_table_shape_validation(schema22):
         ps.ContingencyTable(schema22, [0.5, 1, 1, 1.5], 4, adjusted=True)
     with pytest.raises(ShapeError):
         ps.ContingencyTable(schema22, [-1, 2, 2, 1], 4)
+    with pytest.raises(ShapeError, match="expected 4 log values"):
+        ps.LogTable(schema22, [0.0, 1.0, 2.0])
+    with pytest.raises(ShapeError, match="must be finite"):
+        ps.LogTable(schema22, [0.0, 1.0, math.inf, 2.0])
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (2, 1)])
+def test_generic_schema_needs_an_attribute_and_two_levels(n, m):
+    with pytest.raises(SchemaError, match="need n >= 1 attributes and m >= 2 levels"):
+        ps.generic_schema(n, m)
 
 
 @pytest.mark.parametrize("n_total", [math.inf, -math.inf, math.nan])
@@ -407,6 +417,7 @@ def test_schema_equality_and_hash_survive_json(schema33):
     assert loaded._level_maps  # state derived at construction is no field
     assert loaded == schema33 and hash(loaded) == hash(schema33)
     assert loaded != ps.generic_schema(3, 2)
+    assert (loaded == "x") is False and loaded != "x"  # Frozen.__eq__ returns NotImplemented
     assert repr(loaded) == f"AttributeSchema(attributes={schema33.attributes!r})"
 
 
