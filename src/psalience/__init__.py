@@ -37,7 +37,7 @@ _PUBLIC = {
     "reference": (
         "Psi", "full_basis", "gm_projection_identity", "gm_projection_total_identity",
         "gram_schmidt_oracle", "hypercube_psi", "ortho_column", "project_subset", "raw_column",
-        "reduced_subset_key", "subspace_basis",
+        "subspace_basis",
     ),
     "salience": ("SalienceReport", "SalienceValue", "ScanEntry", "psi", "psi_histogram", "scan"),
     "synthetic": ("correlated_pair_table", "planted_interaction_table", "random_adjusted_table"),

@@ -134,9 +134,12 @@ def _subset(text: str) -> tuple[int, ...]:
 
 
 def _output(text: str) -> str:
-    """An ``--out`` that names a file: its last path component is not empty, ``.`` or ``..``."""
+    """An ``--out`` that names a file: its last path component is not empty, ``.`` or ``..``,
+    and it is not an existing directory, which the write would fail on after the command ran."""
     if os.path.basename(text) in ("", ".", ".."):
         raise argparse.ArgumentTypeError(f"{text!r} names no file")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
     return text
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .basis import SubsetKey, check_subset, marked_subsets, subset_index, subset_sizes, subset_sums
-from .errors import ArgumentError, DomainError, ShapeError, StateError
+from .errors import ArgumentError, DomainError, ShapeError
 from .fitting import _coefficients, _energies, _zero_blocks, subset_energies
 from .salience import _spectrum_salience
 from .table import ADJUSTED_MIN, ContingencyTable, Frozen, LogTable, _read_int, log_transform
@@ -180,8 +180,6 @@ def _rounded_total(total: float) -> int:
 
 def _apply_zeroing(table: ContingencyTable, zero_mask: np.ndarray, spec: LimitSpec):
     """``zero_mask`` is closed upward, so it also marks the subsets containing a zeroed block."""
-    if not table.adjusted:
-        raise StateError("de-personalisation needs an adjusted table")
     if spec.round_counts and spec.renormalize:
         _rounded_total(table.n_total)  # the release keeps this total: refuse it before any transform
     coef, mean = _coefficients(log_transform(table))

@@ -5,6 +5,8 @@ They are built only from 0/1 indicator columns, Kronecker products of
 per-attribute factors (:func:`psalience.basis._subset_kron`) and means along
 axes of the cell tensor, and run none of the coefficient transform of
 :mod:`psalience.fitting` or the subset spectrum of :mod:`psalience.salience`.
+They import nothing from :mod:`psalience.marginal`: a geometric-mean table is
+the log tensor's mean over the axes outside its subset, taken here.
 They hold no records: the whole basis is one array, the Kronecker product of
 the factors ``[1 | level_contrasts(M)]``, with the lattice index of the subset
 each column belongs to; then come one subset's unnormalised columns; a
@@ -25,11 +27,10 @@ import numpy as np
 from .basis import SubsetKey, _subset_kron, all_subsets, check_subset, level_contrasts, subset_index
 from .errors import ArgumentError
 from .fitting import centred_norm, row_norms
-from .marginal import complement_attributes, geometric_mean_subtable
 from .salience import SalienceValue
-from .table import AttributeSchema, ContingencyTable, LogTable, _read_int, generic_schema, log_transform
+from .table import AttributeSchema, ContingencyTable, LogTable, _read_int, log_transform
 
-GRAM_SCHMIDT_CELL_LIMIT = 4096
+GRAM_SCHMIDT_CELL_LIMIT = 256
 
 
 def raw_column(subset: Sequence[int], levels: Sequence[int], schema: AttributeSchema) -> np.ndarray:
@@ -110,8 +111,9 @@ def gram_schmidt_oracle(schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray
     candidates.  Returns the ``M**N`` orthonormal columns in the order they
     were accepted and the lattice index of the subset each came from.  This
     is the reference construction the tensor-product generator is tested
-    against; it materialises the full basis, so it refuses, with
-    :class:`ArgumentError`, more than ``GRAM_SCHMIDT_CELL_LIMIT`` cells.
+    against; it materialises the full basis and its cost is cubic in the
+    cells, so it refuses, with :class:`ArgumentError`, more than
+    ``GRAM_SCHMIDT_CELL_LIMIT`` cells, the most ``verify`` runs it at.
     """
     m_t = schema.n_cells
     if m_t > GRAM_SCHMIDT_CELL_LIMIT:
@@ -144,33 +146,27 @@ def project_subset(log_table: LogTable, subset: Sequence[int]) -> np.ndarray:
     """Orthogonal projection ``chi`` of the log table onto one subset's subspace,
     by one sweep over the axes: a member's axis loses its mean, and every other
     axis is averaged away and broadcast back at the end."""
-    n, m = log_table.schema.n_attributes, log_table.schema.n_levels
+    n = log_table.schema.n_attributes
     members = check_subset(subset, n)
-    x = log_table.reshaped()
-    for axis in range(n):
-        mean = x.sum(axis=axis, keepdims=True) / m
-        x = x - mean if n - 1 - axis in members else mean
-    chi = np.zeros((m,) * n)
+    return _project(log_table.reshaped(), {n - 1 - a for a in members})
+
+
+def _project(x: np.ndarray, axes: set[int]) -> np.ndarray:
+    """The sweep of :func:`project_subset` over a tensor: the ``axes`` lose their
+    mean, the rest are averaged away; returned ravelled at ``x``'s full size."""
+    shape = x.shape
+    for axis in range(x.ndim):
+        mean = x.sum(axis=axis, keepdims=True) / shape[axis]
+        x = x - mean if axis in axes else mean
+    chi = np.zeros(shape)
     chi += x
     return chi.ravel()
 
 
-def reduced_subset_key(outer: SubsetKey, inner: SubsetKey) -> SubsetKey:
-    """Re-index ``inner`` by its positions inside ``outer``.
-
-    The geometric-mean table of ``outer`` (size ``k0``) is a table in its
-    own right whose attribute ``k0-1`` corresponds to the largest member
-    of ``outer`` and attribute ``0`` to the smallest.  Descending order is
-    preserved.
-    """
-    k0 = len(outer)
-    positions = []
-    for member in inner:
-        try:
-            positions.append(outer.index(member))
-        except ValueError:
-            raise ArgumentError(f"attribute {member} of inner subset not in outer {outer}")
-    return tuple(k0 - 1 - p for p in positions)
+def _axes_outside(members: SubsetKey, n: int) -> tuple[int, ...]:
+    """Axes of the cell tensor that hold the attributes outside ``members``; axis
+    ``n-1-a`` holds attribute ``a``."""
+    return tuple(axis for axis in range(n) if n - 1 - axis not in members)
 
 
 def gm_projection_identity(
@@ -180,9 +176,10 @@ def gm_projection_identity(
 
     Left: projection magnitude of the full log table onto the ``inner``
     subspace.  Right: ``M**((N-k0)/2)`` times the projection magnitude of
-    the log geometric-mean table of ``outer`` onto the re-indexed inner
-    subspace of the reduced ``k0``-attribute basis.  The two sides agree
-    whenever ``inner`` is contained in ``outer``.
+    the log geometric-mean table of ``outer`` onto the subspace of
+    ``inner``'s attributes in that ``k0``-attribute table, whose axes are
+    ``outer``'s members in order.  The two sides agree whenever ``inner`` is
+    contained in ``outer``.
     """
     schema = table.schema
     n, m = schema.n_attributes, schema.n_levels
@@ -193,13 +190,12 @@ def gm_projection_identity(
     if not set(inner_key) <= set(outer_key):
         raise ArgumentError(f"inner subset {inner_key} must be contained in outer {outer_key}")
 
-    log_table = log_transform(table)  # taken once, for both sides
-    lhs = float(np.linalg.norm(project_subset(log_table, inner_key)))
+    logs = log_transform(table).reshaped()  # taken once, for both sides
+    lhs = float(np.linalg.norm(_project(logs, {n - 1 - a for a in inner_key})))
 
-    k0 = len(outer_key)
-    gamma = LogTable(generic_schema(k0, m), geometric_mean_subtable(log_table, outer_key))
-    reduced = float(np.linalg.norm(project_subset(gamma, reduced_subset_key(outer_key, inner_key))))
-    rhs = m ** ((n - k0) / 2.0) * reduced
+    gamma = logs.mean(axis=_axes_outside(outer_key, n))
+    reduced = float(np.linalg.norm(_project(gamma, {outer_key.index(a) for a in inner_key})))
+    rhs = m ** ((n - len(outer_key)) / 2.0) * reduced
     return lhs, rhs
 
 
@@ -219,15 +215,15 @@ def gm_projection_total_identity(
     if not outer_key:
         raise ArgumentError("outer subset must be non-empty")
 
-    log_table = log_transform(table)
+    logs = log_transform(table).reshaped()
     total = 0.0
     for size in range(1, len(outer_key) + 1):
         for inner in itertools.combinations(outer_key, size):
-            total += float(np.linalg.norm(project_subset(log_table, inner))) ** 2
+            total += float(np.linalg.norm(_project(logs, {n - 1 - a for a in inner}))) ** 2
     lhs = float(np.sqrt(total))
 
-    k0 = len(outer_key)
-    rhs = m ** ((n - k0) / 2.0) * float(centred_norm(geometric_mean_subtable(log_table, outer_key)))
+    gamma = logs.mean(axis=_axes_outside(outer_key, n)).ravel()
+    rhs = m ** ((n - len(outer_key)) / 2.0) * float(centred_norm(gamma))
     return lhs, rhs
 
 
@@ -245,8 +241,7 @@ def Psi(table: ContingencyTable | LogTable, subset: Sequence[int]) -> SalienceVa
         raise ArgumentError("subset must be non-empty")
     logs = (table if isinstance(table, LogTable) else log_transform(table)).reshaped()
     mean = logs.mean()
-    axes = tuple(n - 1 - a for a in complement_attributes(members, n))
-    centred = (logs - mean).mean(axis=axes).ravel()
+    centred = (logs - mean).mean(axis=_axes_outside(members, n)).ravel()
     chi, norm = float(centred_norm(centred)), float(row_norms(centred + mean))
     return SalienceValue(min(chi / norm, 1.0) if norm > 0.0 else 0.0, chi, norm)
 

@@ -6,7 +6,8 @@ and energy conservation on seeded random tables, the salience spectrum
 that ``scan`` and every release audit read against the literal
 geometric-mean Psi of every non-empty subset, the closed-form salience of
 a spike of every radius, and agreement with the sequential Gram-Schmidt
-reference construction, which is skipped above 256 cells.  The salience
+reference construction, which is skipped above the oracle's own limit,
+:data:`psalience.reference.GRAM_SCHMIDT_CELL_LIMIT` (256 cells).  The salience
 spectrum is also checked on three near-uniform tables, where rounding
 matters most.  The basis is built once, as the single Kronecker-product
 matrix of :func:`psalience.reference.full_basis`, and normalised in place;
@@ -27,14 +28,13 @@ import numpy as np
 from .basis import all_subsets, marked_subsets, subset_index, subset_sizes
 from .errors import ArgumentError
 from .fitting import fit_beta, reconstruct, subset_energies
-from .reference import Psi, full_basis, gram_schmidt_oracle, hypercube_psi
+from .reference import GRAM_SCHMIDT_CELL_LIMIT, Psi, full_basis, gram_schmidt_oracle, hypercube_psi
 from .salience import psi, subset_salience
 from .synthetic import random_adjusted_table
 from .table import ContingencyTable, _read_int, generic_schema, log_transform
 
 CELL_LIMIT = 4096
 _GRAM_BAND = 256           # columns per Gram product: 8 MiB of products at the cell limit
-_GS_SUITE_LIMIT = 256      # the literal Gram-Schmidt reference is cubic; cap it
 
 ORTHO_TOL = 1e-9
 IDENTITY_TOL = 1e-9
@@ -172,9 +172,9 @@ def _suite_spikes(schema):
 
 def _suite_gram_schmidt(schema, matrix, lattice):
     m_t = schema.n_cells
-    if m_t > _GS_SUITE_LIMIT:
+    if m_t > GRAM_SCHMIDT_CELL_LIMIT:
         return SuiteResult(
-            "gram-schmidt", True, 0, f"skipped ({m_t} cells > {_GS_SUITE_LIMIT})",
+            "gram-schmidt", True, 0, f"skipped ({m_t} cells > {GRAM_SCHMIDT_CELL_LIMIT})",
             {"skipped": True},
         )
     reference, reference_lattice = gram_schmidt_oracle(schema)

@@ -525,25 +525,35 @@ def test_scan_and_its_file_rows_peak_memory():
     (["analyze", "--subset", "a,b"], "argument --subset: 'a' is not an integer"),
     (["depersonalize", "--zero", "1,x"], "argument --zero: 'x' is not an integer"),
     (["depersonalize", "--max-order", "1", "--zero", "1"], "argument --zero: not allowed with argument --max-order"),
+    (["scan", "--k", "1", "--out", "{dir}"], "argument --out: '{dir}' is a directory"),
+    (["analyze", "--subset", "1", "--out", "{dir}"], "argument --out: '{dir}' is a directory"),
+    (["depersonalize", "--max-order", "1", "--out", "{dir}"], "argument --out: '{dir}' is a directory"),
 ], ids=[  # each names the rule its case breaks
     "argv0-workers must be at least 1", "argv1-threshold must lie in [0, 1]",
     "argv2-choose exactly one of --max-order or --zero",
     "argv3-subset 'a,b' is not a comma-separated list of integers",
     "argv4-subset '1,x' is not a comma-separated list of integers", "argv5-not both --max-order and --zero",
+    "argv6-scan --out must not be a directory", "argv7-analyze --out must not be a directory",
+    "argv8-depersonalize --out must not be a directory",
 ])
 def test_cli_usage_errors_are_refused_before_the_table_is_read(tmp_path, monkeypatch, capsys, argv, message):
-    """Each rule the command line owns is argparse's: its usage, then one error line."""
+    """Each rule the command line owns is argparse's: its usage, then one error line.
+    An existing directory as ``--out`` was written to only after the command ran
+    (exit 3), and ``depersonalize`` had already written ``<dir>.audit.json``."""
     def refuse(path):
         raise AssertionError("the table was read")
 
     monkeypatch.setattr(fileio, "load_table", refuse)
-    out = tmp_path / "out.json"
+    out, directory = tmp_path / "out.json", tmp_path / "dir"
+    directory.mkdir()
+    argv, message = [arg.format(dir=directory) for arg in argv], message.format(dir=directory)
     missing = str(tmp_path / "missing.json")
-    assert main([argv[0], "--table", missing, *argv[1:], "--out", str(out)]) == 2
+    outputs = [] if "--out" in argv else ["--out", str(out)]
+    assert main([argv[0], "--table", missing, *argv[1:], *outputs]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: psalience {argv[0]} ") and err.count("error:") == 1, err
     assert err.endswith(f"\npsalience {argv[0]}: error: {message}\n"), err
-    assert not out.exists()
+    assert sorted(tmp_path.iterdir()) == [directory] and not any(directory.iterdir())
 
 
 @pytest.mark.parametrize("threshold", ["0.0_5", "\u0660.\u0665", " 0.5", "-0", "-0.0"],
@@ -1223,9 +1233,10 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
-@pytest.mark.parametrize("target", ["missing/out.json", "taken"])
+@pytest.mark.parametrize("target", ["missing/out.json", "taken/out.json"], ids=["missing/out.json", "taken"])
 def test_write_errors_name_the_requested_path(tmp_path, rng, capsys, target):
-    (tmp_path / "taken").mkdir()
+    # a file where the output's directory should be: the parser refuses a directory as --out
+    (tmp_path / "taken").write_text("")
     path = save_table(tmp_path, random_adjusted_table(ps.generic_schema(3, 2), rng))
     out = tmp_path / target
     assert main(["scan", "--table", path, "--k", "1", "--out", str(out)]) == 3

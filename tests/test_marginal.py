@@ -110,15 +110,18 @@ def test_geometric_mean_of_identical_slices(schema32):
     assert np.allclose(gm, pattern)
 
 
-def test_geometric_mean_log_space_matches_products(rng):
-    schema = ps.generic_schema(4, 2)
+@pytest.mark.parametrize("n, m, subset", [
+    (n, m, subset) for n, m in ((4, 2), (3, 3)) for subset in ps.all_subsets(n)[1:]
+], ids=lambda value: ",".join(map(str, value)) if isinstance(value, tuple) else str(value))
+def test_geometric_mean_log_space_matches_products(rng, n, m, subset):
+    schema = ps.generic_schema(n, m)
     table = random_adjusted_table(schema, rng)
-    gm = np.exp(ps.geometric_mean_subtable(table, (3, 1)))
-    for position in range(4):
+    gm = np.exp(ps.geometric_mean_subtable(table, subset))
+    for position in range(m ** len(subset)):
         product = 1.0
         factors = 0
-        for combo in itertools.product(range(2), repeat=2):
-            counts, _ = ps.conditional_subtable(table, (3, 1), combo)
+        for combo in itertools.product(range(m), repeat=n - len(subset)):
+            counts, _ = ps.conditional_subtable(table, subset, combo)
             product *= counts[position]
             factors += 1
         assert math.isclose(gm[position], product ** (1.0 / factors), rel_tol=1e-9)
@@ -209,11 +212,3 @@ def test_identities_refuse_an_empty_subset(rng, identity, subsets):
     table = random_adjusted_table(ps.generic_schema(4, 2), rng)
     with pytest.raises(ArgumentError, match="must be non-empty"):
         getattr(ps, identity)(table, *subsets)
-
-
-def test_reduced_subset_key_mapping():
-    assert ps.reduced_subset_key((4, 2, 1), (4, 1)) == (2, 0)
-    assert ps.reduced_subset_key((4, 2, 1), (2,)) == (1,)
-    assert ps.reduced_subset_key((3, 1), (3, 1)) == (1, 0)
-    with pytest.raises(ArgumentError):
-        ps.reduced_subset_key((4, 2), (1,))

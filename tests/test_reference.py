@@ -13,7 +13,7 @@ import psalience as ps
 from psalience.synthetic import planted_interaction_table, random_adjusted_table
 
 PIPELINE = ("_modewise", "_coefficients", "_cells", "_energies", "subset_energies", "subset_salience",
-            "_spectrum_salience", "_zero_blocks")
+            "_spectrum_salience", "_zero_blocks", "geometric_mean_subtable", "conditional_subtable")
 
 
 def reference_calls(table):
@@ -26,7 +26,6 @@ def reference_calls(table):
         "full_basis": lambda: ps.full_basis(schema),
         "gram_schmidt_oracle": lambda: ps.gram_schmidt_oracle(schema),
         "project_subset": lambda: ps.project_subset(log_table, (2, 0)),
-        "reduced_subset_key": lambda: ps.reduced_subset_key((2, 1, 0), (2, 0)),
         "gm_projection_identity": lambda: ps.gm_projection_identity(table, (2, 0), (0,)),
         "gm_projection_total_identity": lambda: ps.gm_projection_total_identity(table, (2, 1)),
         "Psi": lambda: ps.Psi(table, (2, 0)),
