@@ -2,14 +2,15 @@
 contingency tables, with interaction-limited release.
 
 The pipeline: build a table over equal-level categorical attributes
-(:mod:`psalience.table`), decompose its log into orthogonal per-subset
-interaction subspaces (:mod:`psalience.basis`, :mod:`psalience.fitting`),
-reduce to attribute subsets by geometric-mean marginalisation without
-losing interaction structure (:mod:`psalience.marginal`), score how
-sharply each subset's values stand out (:mod:`psalience.salience`), and
-blunt the sharpest structure before releasing the data
-(:mod:`psalience.depersonalize`).  The literal constructions the pipeline is
-checked against are in :mod:`psalience.reference`.
+(:mod:`psalience.schema`, :mod:`psalience.table`), decompose its log into
+orthogonal per-subset interaction subspaces (:mod:`psalience.basis`,
+:mod:`psalience.fitting`), reduce to attribute subsets by geometric-mean
+marginalisation without losing interaction structure
+(:mod:`psalience.marginal`), score how sharply each subset's values stand
+out (:mod:`psalience.salience`), and blunt the sharpest structure before
+releasing the data (:mod:`psalience.depersonalize`).  The literal
+constructions the pipeline is checked against are in
+:mod:`psalience.reference`.
 
 ``import psalience`` loads no submodule.  Each name in ``__all__``, the
 submodules among them, is imported on first use (PEP 562) and then
@@ -40,11 +41,9 @@ _PUBLIC = {
         "subspace_basis",
     ),
     "salience": ("SalienceReport", "SalienceValue", "ScanEntry", "psi", "psi_histogram", "scan"),
+    "schema": ("AttributeSchema", "generic_schema"),
     "synthetic": ("correlated_pair_table", "planted_interaction_table", "random_adjusted_table"),
-    "table": (
-        "AttributeSchema", "ContingencyTable", "LogTable", "generic_schema", "log_transform",
-        "tabulate", "zero_adjust",
-    ),
+    "table": ("ContingencyTable", "LogTable", "log_transform", "tabulate", "zero_adjust"),
     "verify": ("VerificationReport", "run_verification"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -10,7 +10,7 @@ or a release's audit found contract violations or zeroed blocks that do
 not refit to zero; the release is then not written), 2 usage error, 3 data
 error; a failure prints one ``error:`` line on stderr.  Each argument rule
 this module owns is an argparse type (``_integer``, ``_workers``,
-``_fraction``, ``_subset``, ``_output``) or ``depersonalize``'s required
+``_fraction``, ``_subset``, ``_output``, ``_release``) or ``depersonalize``'s required
 group of one mode, so argparse refuses it while it parses the command line,
 before any input is read, with its usage and one ``psalience <command>:
 error:`` line.  A command body refuses only an output that is one of its
@@ -30,14 +30,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ArgumentError, SalienceError
 
 # Each command imports the modules it runs inside its own body, so a process
-# loads only those: --version and tabulate never import the analysis modules,
-# and only verify imports verify, synthetic and reference.
+# loads only those: --version and tabulate never import numpy or the analysis
+# modules, and only verify imports verify, synthetic and reference.
 
 DEFAULT_AMBER = 0.5
 DEFAULT_RED = 0.8
@@ -86,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--round-counts", action="store_true",
                    help="round released counts to integers, preserving the total exactly; "
                    "totals above 2**53 are refused (exit 3)")
-    p.add_argument("--out", required=True, type=_output, help="released table JSON file; the audit "
+    p.add_argument("--out", required=True, type=_release, help="released table JSON file; the audit "
                    "is written alongside with an .audit.json suffix")
     p.set_defaults(func=cmd_depersonalize)
 
@@ -143,6 +141,20 @@ def _output(text: str) -> str:
     return text
 
 
+def _audit_path(release: str) -> Path:
+    """Where ``depersonalize`` writes the audit of a release written to ``release``."""
+    return Path(release).with_suffix(".audit.json")
+
+
+def _release(text: str) -> str:
+    """``depersonalize``'s ``--out``: an :func:`_output` whose audit path is not an
+    existing directory either, which the audit's write would fail on after the release ran."""
+    audit = _audit_path(_output(text))
+    if audit.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} writes its audit to {str(audit)!r}, a directory")
+    return text
+
+
 def _refuse_input_as_output(args, *outputs) -> None:
     """Refuse, as a usage error, an output that is the same file as an input,
     which the write would replace.  Runs before any file is read."""
@@ -168,14 +180,18 @@ def _load_adjusted_table(path):
 
 
 def cmd_tabulate(args) -> int:
-    from .fileio import load_schema, save_table, tabulate_microdata
-    from .table import zero_adjust
+    # the adjusted table goes from the plain-Python tally to its file, so no numpy is loaded
+    from .fileio import atomic_write_json, count_microdata, counts_to_dict, load_schema
+    from .schema import zero_adjustment
 
     _refuse_input_as_output(args, args.out)
     schema = load_schema(args.schema)
-    raw = tabulate_microdata(args.input, schema)
-    save_table(args.out, zero_adjust(raw))
-    print(f"tabulated {int(raw.n_total)} records into {raw.schema.n_cells} cells -> {args.out}")
+    counts, n_total = count_microdata(args.input, schema)
+    adjust = zero_adjustment(float(n_total), schema.n_cells)
+    # a table holds few distinct counts: adjust each once
+    adjusted = list(map({count: adjust(count) for count in set(counts)}.__getitem__, counts))
+    atomic_write_json(args.out, counts_to_dict(schema, adjusted, n_total, adjusted=True))
+    print(f"tabulated {n_total} records into {schema.n_cells} cells -> {args.out}")
     return 0
 
 
@@ -189,7 +205,7 @@ def cmd_scan(args) -> int:
     red = max(DEFAULT_RED, amber)
     report = scan(table, args.k)
     atomic_write_json(args.out, report_to_dict(report, table.schema, amber, red))
-    top = np.flatnonzero(report.rank <= 10)  # ranks are 1..len: one pass, and only ten are sorted
+    top = (report.rank <= 10).nonzero()[0]  # ranks are 1..len: one pass, and only ten are sorted
     rows = zip(*(a[top].tolist() for a in (report.rank, report.psi, report.index)))
     for rank, psi, i in sorted(rows):  # i is the subset's lattice index: bit a holds attribute a
         names = (table.schema.attribute_name(a) for a in reversed(range(i.bit_length())) if i >> a & 1)
@@ -222,7 +238,7 @@ def cmd_depersonalize(args) -> int:
     from .depersonalize import REFIT_TOL, LimitSpec, interaction_limit, selective_zero
     from .fileio import atomic_write_json, audit_to_dict, save_table
 
-    audit_path = Path(args.out).with_suffix(".audit.json")
+    audit_path = _audit_path(args.out)
     _refuse_input_as_output(args, args.out, audit_path)
     table = _load_adjusted_table(args.table)
     renormalize = not args.no_renormalize

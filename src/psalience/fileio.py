@@ -9,17 +9,18 @@ Table file:     {"schema": ..., "counts": [...], "n_total": ..., "adjusted": boo
                 with counts in lexicographic cell order.
 Microdata CSV:  UTF-8 (a leading byte-order mark is dropped), header row
                 with the attribute names, one level label per cell.
-                tabulate_microdata tallies the raw lines after the header
+                count_microdata tallies the raw lines after the header
                 as bytes in one C-level pass and drops the blank ones
                 (only carriage returns and line feeds) from the tally.
                 One function then decodes, parses and ranks the other
                 distinct lines, in batches of BATCH_LINES, column by
-                column into one rank vector: O(distinct lines) memory.
-                A file it cannot read line by line goes through
-                the per-record read_microdata instead: bytes that are not
-                UTF-8, a lone carriage return as a line end, a record
-                that spans lines, and every error.  read_microdata's
-                errors name the first offending file row.
+                column, and adds each line's count to its cell in one
+                list: O(distinct lines) memory and no numpy.  A file it
+                cannot read line by line goes through the per-record
+                read_microdata instead: bytes that are not UTF-8, a lone
+                carriage return as a line end, a record that spans
+                lines, and every error.  read_microdata's errors name
+                the first offending file row.
 
 Written JSON is compact (no indentation, no spaces) and round-trips
 exactly: floats are serialised with enough digits to reproduce the
@@ -42,14 +43,15 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import EmptyInputError, IngestionError, SchemaError, ShapeError
-from .table import AttributeSchema, ContingencyTable, _record_rank, tabulate, values_close
+from .schema import AttributeSchema, _record_rank, tally, tally_records
 
-if TYPE_CHECKING:  # annotations only: tabulate and load_table need neither module
+if TYPE_CHECKING:  # annotations only: each function imports what it runs, so tabulate loads no numpy
+    import numpy as np
+
     from .depersonalize import ReleaseAudit
     from .salience import SalienceReport
+    from .table import ContingencyTable
 
 # Largest M**N accepted, refused before any CSV is read or vector allocated
 # (128 MiB per float64 vector).
@@ -110,15 +112,25 @@ def load_schema(path) -> AttributeSchema:
 
 
 def table_to_dict(table: ContingencyTable) -> dict:
+    return counts_to_dict(table.schema, table.counts.tolist(), table.n_total, table.adjusted)
+
+
+def counts_to_dict(schema: AttributeSchema, counts: list, n_total: float, adjusted: bool) -> dict:
+    """A table file's object from its fields, ``counts`` a list of Python numbers
+    in cell order: what :func:`table_to_dict` writes, without a table."""
     return {
-        "schema": schema_to_dict(table.schema),
-        "counts": table.counts.tolist(),
-        "n_total": float(table.n_total),
-        "adjusted": bool(table.adjusted),
+        "schema": schema_to_dict(schema),
+        "counts": counts,
+        "n_total": float(n_total),
+        "adjusted": bool(adjusted),
     }
 
 
 def table_from_dict(payload: dict) -> ContingencyTable:
+    import numpy as np
+
+    from .table import ContingencyTable
+
     try:
         schema = schema_from_dict(payload["schema"])
         counts = payload["counts"]
@@ -275,33 +287,43 @@ def read_microdata(path, schema: AttributeSchema):
         ) from exc
 
 
-def tabulate_microdata(path, schema: AttributeSchema) -> ContingencyTable:
-    """Unadjusted table of a microdata CSV, equal to :func:`tabulate` over
-    :func:`read_microdata`.
+def count_microdata(path, schema: AttributeSchema) -> tuple[list[int], int]:
+    """Per-cell counts of a microdata CSV and its number of records: what
+    :func:`psalience.schema.tally_records` gives over :func:`read_microdata`.
 
     One C-level ``Counter`` pass tallies the physical lines after the header
     as bytes, so memory is O(distinct lines) and only distinct lines are ever
     decoded.  Lines made only of carriage returns and line feeds, which CSV
     reads as no record, leave the tally before anything is decoded.  The other
     distinct lines are decoded as UTF-8 and parsed as strict CSV in batches of
-    :data:`BATCH_LINES`; each batch's cell ranks come from one label -> level
-    lookup per attribute column and fill one preallocated rank vector, and one
-    ``np.bincount`` sums the tallies per cell.  If any line is not one complete
-    valid record (the first line of a multi-line quoted record never is, nor a
-    line in which a lone carriage return ends a record), or is not UTF-8, or
-    the file has no records, the file goes through the record path instead,
-    which reads such records or raises its error.
+    :data:`BATCH_LINES`.  A line's cell rank is the sum over its columns of one
+    label lookup each, pre-scaled by the attribute's place value, and
+    :func:`psalience.schema.tally` adds the line's count to that cell.  If any
+    line is not one complete valid record (the first line of a multi-line
+    quoted record never is, nor a line in which a lone carriage return ends a
+    record), or is not UTF-8, or the file has no records, the file goes
+    through the record path instead, which reads such records or raises its
+    error.  Nothing here imports numpy.
     """
     try:
-        return _tabulate_lines(path, schema)
+        return _tally_lines(path, schema)
     except (csv.Error, UnicodeDecodeError, IngestionError):
         pass
     # outside the handler, so the record path's errors chain to nothing
-    return tabulate((labels for _, labels in read_microdata(path, schema)), schema)
+    return tally_records((labels for _, labels in read_microdata(path, schema)), schema)
 
 
-def _tabulate_lines(path, schema: AttributeSchema) -> ContingencyTable:
-    """The batched path of :func:`tabulate_microdata`.  Raises ``csv.Error``,
+def tabulate_microdata(path, schema: AttributeSchema) -> ContingencyTable:
+    """Unadjusted table of a microdata CSV, equal to :func:`psalience.table.tabulate`
+    over :func:`read_microdata`, with the counts :func:`count_microdata` reads."""
+    from .table import ContingencyTable
+
+    counts, n_total = count_microdata(path, schema)
+    return ContingencyTable(schema, counts, float(n_total), adjusted=False)
+
+
+def _tally_lines(path, schema: AttributeSchema) -> tuple[list[int], int]:
+    """The batched path of :func:`count_microdata`.  Raises ``csv.Error``,
     ``UnicodeDecodeError`` or :class:`IngestionError` (a record spanning
     lines, a wrong field count, an unknown label, no records) for a file the
     record path must decide."""
@@ -314,27 +336,33 @@ def _tabulate_lines(path, schema: AttributeSchema) -> ContingencyTable:
         del lines[blank]
     if not lines:
         raise EmptyInputError(f"{path}: no records after the header row", record_number=0)
-    ranks = np.zeros(len(lines), dtype=np.int64)
-    distinct = iter(lines)
-    for start in range(0, len(ranks), BATCH_LINES):
-        text = [line.decode("utf-8") for line in itertools.islice(distinct, BATCH_LINES)]
-        rows = list(csv.reader(text, strict=True))
-        if len(rows) != len(text) or set(map(len, rows)) - {schema.n_attributes}:
+    ranked = itertools.chain.from_iterable(_ranked_batches(lines, positions, schema, path))
+    return tally(ranked, schema.n_cells), sum(lines.values())
+
+
+def _ranked_batches(lines: Counter, positions: list[int], schema: AttributeSchema, path):
+    """Yield, per batch of distinct lines of ``lines``, an iterator of their
+    ``(rank, count)`` pairs, each consumed before the next batch is read; see
+    :func:`_tally_lines` for what it raises."""
+    n, m = schema.n_attributes, schema.n_levels
+    # schema position p holds attribute N-1-p, whose level is worth M**(N-1-p) in a rank
+    place_levels = [{label: level * m ** (n - 1 - p) for label, level in levels.items()}
+                    for p, levels in enumerate(schema._level_maps)]
+    distinct, counts = iter(lines), iter(lines.values())
+    while batch := list(itertools.islice(distinct, BATCH_LINES)):
+        rows = list(csv.reader(map(bytes.decode, batch), strict=True))
+        if len(rows) != len(batch) or set(map(len, rows)) - {n}:
             raise IngestionError(f"{path}: a record spans lines or has the wrong field count")
         columns = tuple(zip(*rows))
-        rank = ranks[start:start + len(rows)]
-        for position, levels in zip(positions, schema._level_maps):
+        terms = []
+        for position, levels in zip(positions, place_levels):
             column = columns[position]
             # a column holds few distinct raw labels: strip and look each up once
             lookup = {label: levels.get(label.strip()) for label in set(column)}
             if None in lookup.values():
                 raise IngestionError(f"{path}: a label is not in the schema")
-            rank *= schema.n_levels
-            rank += np.fromiter(map(lookup.__getitem__, column), dtype=np.int64, count=len(column))
-    weights = np.fromiter(lines.values(), dtype=float, count=len(lines))
-    del lines, distinct  # drop the distinct lines first, so the counts below do not add to their peak
-    counts = np.bincount(ranks, weights=weights, minlength=schema.n_cells)
-    return ContingencyTable(schema, counts, float(weights.sum()), adjusted=False)
+            terms.append(map(lookup.__getitem__, column))
+        yield zip(map(sum, zip(*terms)), itertools.islice(counts, len(batch)))
 
 
 def report_to_dict(
@@ -384,6 +412,10 @@ def analysis_to_dict(subset, schema: AttributeSchema, psi: float, gm_logs: np.nd
     :func:`psalience.table.values_close`, so last-ulp noise cannot choose among
     subtables that tie in exact arithmetic.  Rows hold only atoms and tuples.
     """
+    import numpy as np
+
+    from .table import values_close
+
     values = np.array([value for _, value in histogram])
     distances = np.abs(values - psi)
     return {
@@ -411,6 +443,8 @@ def audit_to_dict(audit: ReleaseAudit, schema: AttributeSchema, mode: str) -> di
     # violations from those keys.  Rows hold only atoms and tuples, as in report_to_dict, and
     # no names, size, delta or contains_zeroed: attribute_names, their other fields and
     # zeroed_blocks give those.
+    import numpy as np
+
     from .basis import marked_subsets  # here, so tabulate does not load the lattice module
     index, subsets = marked_subsets(np.arange(audit.zeroed.size) > 0)
     before, after = audit.psi_before[index].tolist(), audit.psi_after[index].tolist()

@@ -28,7 +28,8 @@ import numpy as np
 
 from .basis import level_factor
 from .errors import ShapeError
-from .table import AttributeSchema, LogTable
+from .schema import AttributeSchema
+from .table import LogTable
 
 
 def _modewise(values: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:

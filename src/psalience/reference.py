@@ -28,7 +28,8 @@ from .basis import SubsetKey, _subset_kron, all_subsets, check_subset, level_con
 from .errors import ArgumentError
 from .fitting import centred_norm, row_norms
 from .salience import SalienceValue
-from .table import AttributeSchema, ContingencyTable, LogTable, _read_int, log_transform
+from .schema import AttributeSchema
+from .table import ContingencyTable, LogTable, _read_int, log_transform
 
 GRAM_SCHMIDT_CELL_LIMIT = 256
 

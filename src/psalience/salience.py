@@ -35,7 +35,8 @@ from .basis import SubsetKey, check_subset, enumerate_subsets, subset_sizes, sub
 from .errors import ArgumentError, DomainError
 from .fitting import centred_norm, row_norms, subset_energies
 from .marginal import complement_attributes
-from .table import ADJUSTED_MIN, ContingencyTable, Frozen, LogTable, _read_int, log_transform
+from .schema import Frozen
+from .table import ADJUSTED_MIN, ContingencyTable, LogTable, _read_int, log_transform
 
 
 class SalienceValue(NamedTuple):

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -317,6 +319,27 @@ def test_tabulate_microdata_agrees_with_record_path(tmp_path_factory, case):
     assert fast == records
 
 
+@given(case=messy_microdata())
+def test_cli_tabulate_writes_what_the_library_saves(tmp_path_factory, case):
+    """The CLI writes its table from the plain-Python tally, the library from a
+    ``ContingencyTable``: the same bytes, or the same error line."""
+    schema, text = case
+    root = tmp_path_factory.mktemp("csv")
+    path = root / "micro.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fileio.atomic_write_json(root / "schema.json", fileio.schema_to_dict(schema))
+    try:
+        fileio.save_table(root / "library.json", ps.zero_adjust(fileio.tabulate_microdata(path, schema)))
+        expected = (0, (root / "library.json").read_bytes(), "")
+    except ps.SalienceError as exc:
+        expected = (3, None, f"error: {exc}\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["tabulate", "--schema", str(root / "schema.json"), "--input", str(path),
+                     "--out", str(root / "cli.json")])
+    written = (root / "cli.json").read_bytes() if (root / "cli.json").exists() else None
+    assert (code, written, err.getvalue()) == expected
+
+
 def test_tabulate_clean_csv_never_walks_records(tmp_path, monkeypatch):
     schema = fileio.schema_from_dict(SCHEMA)
     schema_path = write_schema(tmp_path / "schema.json")
@@ -528,6 +551,8 @@ def test_scan_and_its_file_rows_peak_memory():
     (["scan", "--k", "1", "--out", "{dir}"], "argument --out: '{dir}' is a directory"),
     (["analyze", "--subset", "1", "--out", "{dir}"], "argument --out: '{dir}' is a directory"),
     (["depersonalize", "--max-order", "1", "--out", "{dir}"], "argument --out: '{dir}' is a directory"),
+    (["depersonalize", "--max-order", "1", "--out", "{release}"],
+     "argument --out: '{release}' writes its audit to '{dir}', a directory"),
 ], ids=[  # each names the rule its case breaks
     "argv0-workers must be at least 1", "argv1-threshold must lie in [0, 1]",
     "argv2-choose exactly one of --max-order or --zero",
@@ -535,18 +560,21 @@ def test_scan_and_its_file_rows_peak_memory():
     "argv4-subset '1,x' is not a comma-separated list of integers", "argv5-not both --max-order and --zero",
     "argv6-scan --out must not be a directory", "argv7-analyze --out must not be a directory",
     "argv8-depersonalize --out must not be a directory",
+    "argv9-depersonalize --out must not put its audit on a directory",
 ])
 def test_cli_usage_errors_are_refused_before_the_table_is_read(tmp_path, monkeypatch, capsys, argv, message):
     """Each rule the command line owns is argparse's: its usage, then one error line.
     An existing directory as ``--out`` was written to only after the command ran
-    (exit 3), and ``depersonalize`` had already written ``<dir>.audit.json``."""
+    (exit 3), and ``depersonalize`` had already written ``<dir>.audit.json``; one
+    as the release's audit path failed the same way after the whole release ran."""
     def refuse(path):
         raise AssertionError("the table was read")
 
     monkeypatch.setattr(fileio, "load_table", refuse)
-    out, directory = tmp_path / "out.json", tmp_path / "dir"
+    out, directory = tmp_path / "out.json", tmp_path / "r.audit.json"
     directory.mkdir()
-    argv, message = [arg.format(dir=directory) for arg in argv], message.format(dir=directory)
+    paths = {"dir": directory, "release": tmp_path / "r.json"}
+    argv, message = [arg.format(**paths) for arg in argv], message.format(**paths)
     missing = str(tmp_path / "missing.json")
     outputs = [] if "--out" in argv else ["--out", str(out)]
     assert main([argv[0], "--table", missing, *argv[1:], *outputs]) == 2
@@ -1425,7 +1453,7 @@ def test_output_that_is_an_input_is_refused_before_it_is_read(tmp_path, monkeypa
         raise AssertionError("an input was read")
 
     monkeypatch.setattr(fileio, "_load_json", refuse)
-    monkeypatch.setattr(fileio, "tabulate_microdata", refuse)
+    monkeypatch.setattr(fileio, "count_microdata", refuse)
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: output ") and "input" in err and err.count("\n") == 1, err

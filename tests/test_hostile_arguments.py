@@ -34,7 +34,7 @@ OUT = st.just("out.json")
 SUBSET = st.lists(st.integers(0, 3).map(str), min_size=1, max_size=3).map(",".join)
 SCHEMA = b'{"attributes": [{"name": "a", "levels": ["x", "y"]}, {"name": "b", "levels": ["x", "y"]}]}'
 MICRODATA = b"a,b\nx,y\ny,x\nx,x\ny,y\nx,y\n"
-LOADERS = ("load_schema", "load_table", "tabulate_microdata")  # every input a command reads
+LOADERS = ("load_schema", "load_table", "count_microdata")  # every input a command reads
 TABLE = fileio.table_to_dict(random_adjusted_table(ps.generic_schema(3, 2), np.random.default_rng(7)))
 
 # command -> its flags, each with its usual values (None for a switch) and whether it is optional.

@@ -1,7 +1,8 @@
 """Start-up and exit: ``import psalience`` loads no submodule, and each CLI
 command loads only the modules it runs, and never ``dataclasses``, whose
-classes generate code at import; the process entry keeps ``main``'s exit
-codes and output and freezes the heap only on its way out.  Every check
+classes generate code at import; ``--version`` and ``tabulate`` never load
+numpy; the process entry keeps ``main``'s exit codes and output and freezes
+the heap only on its way out.  Every check
 runs in a fresh interpreter, because this one has long since imported the
 whole package."""
 
@@ -23,7 +24,7 @@ from psalience import cli, fileio
 from psalience.synthetic import random_adjusted_table
 
 SRC = str(Path(ps.__file__).resolve().parents[1])
-LOADED = "sorted(m for m in sys.modules if m.startswith('psalience.') or m == 'dataclasses')"
+LOADED = "sorted(m for m in sys.modules if m.startswith('psalience.') or m in ('dataclasses', 'numpy'))"
 
 
 def interpreter(*args: str) -> subprocess.CompletedProcess:
@@ -117,11 +118,62 @@ def test_each_command_loads_only_what_it_runs(inputs, command):
     if command == "version":
         assert loaded == BASE
     elif command == "tabulate":
-        assert loaded == BASE | {"psalience.table", "psalience.fileio"}
+        assert loaded == BASE | {"psalience.schema", "psalience.fileio"}
     elif command == "verify":
-        assert {"psalience.verify", "psalience.synthetic", "psalience.reference"} <= loaded
+        assert {"psalience.verify", "psalience.synthetic", "psalience.reference", "numpy"} <= loaded
     else:
+        assert "numpy" in loaded
         assert not loaded & {"psalience.verify", "psalience.synthetic", "psalience.reference"}, loaded
+
+
+# Microdata over a schema whose level "far\nsouth" needs a quoted record spanning two lines,
+# and what tabulate printed and returned for each before it stopped importing numpy.
+BLOCKED_SCHEMA = {"attributes": [{"name": "region", "levels": ["north", "far\nsouth"]},
+                                 {"name": "band", "levels": ["lo", "hi"]}]}
+TABULATED = (0, "tabulated 5 records into 4 cells -> {d}/t.json\n", "")
+BLOCKED_CASES = {
+    "batched": (b"region,band\nnorth,lo\nnorth,hi\nnorth,lo\nnorth,hi\nnorth,lo\n", TABULATED),
+    "multi-line record": (b'region,band\n"far\nsouth",hi\nnorth,lo\nnorth,lo\n"far\nsouth",lo\nnorth,hi\n',
+                          TABULATED),
+    "lone carriage return": (b"region,band\nnorth,lo\rnorth,hi\nnorth,lo\nnorth,hi\nnorth,lo\n", TABULATED),
+    "byte-order mark": (b"\xef\xbb\xbfband,region\r\nlo,north\r\nhi,north\r\n\r\nlo,north\r\nlo,north\r\n"
+                        b"hi,north\r\n", TABULATED),
+    "byte-order mark and multi-line record": (b'\xef\xbb\xbfband,region\nlo,north\nhi,"far\nsouth"\n\n'
+                                              b"lo,north\nlo,north\nhi,north\n", TABULATED),
+    "unknown label": (b"region,band\nnorth,lo\nnorth,mid\nnorth,lo\nnorth,hi\nnorth,lo\n",
+                      (3, "", "error: {d}/micro.csv: row 3: unknown level 'mid' for attribute 'band'\n")),
+    "wrong field count": (b"region,band\nnorth,lo\nnorth,hi\nnorth,lo,hi\nnorth,lo\nnorth,lo\n",
+                          (3, "", "error: {d}/micro.csv: row 4 has 3 fields, expected 2\n")),
+    "invalid UTF-8": (b"region,band\nnorth,lo\nnorth,hi\nn\xffrth,lo\nnorth,lo\nnorth,lo\n",
+                      (3, "", "error: {d}/micro.csv: row 4 is not valid UTF-8\n")),
+    "header mismatch": (b"region,size\nnorth,lo\nnorth,hi\nnorth,lo\nnorth,lo\nnorth,lo\n",
+                        (3, "", "error: {d}/micro.csv: header ['region', 'size'] does not match schema "
+                                "attributes ['region', 'band']\n")),
+    "header only": (b"region,band\n\n", (3, "", "error: {d}/micro.csv: no records after the header row\n")),
+    "rows not above the cells": (b"region,band\nnorth,lo\nnorth,hi\nnorth,lo\nnorth,lo\n",
+                                 (3, "", "error: population total 4.0 must exceed the cell count 4\n")),
+}
+
+
+@pytest.mark.parametrize("case", BLOCKED_CASES)
+def test_tabulate_runs_with_numpy_unimportable(tmp_path, case):
+    """With ``sys.modules["numpy"] = None`` any import of numpy raises, so each path of
+    ``tabulate``, the record fallback and every data error included, must get by without
+    it, with the same exit code, output and table file as before."""
+    text, (code, out, err) = BLOCKED_CASES[case]
+    fileio.atomic_write_json(tmp_path / "schema.json", BLOCKED_SCHEMA)
+    (tmp_path / "micro.csv").write_bytes(text)
+    proc = interpreter("-c", "import sys; sys.modules['numpy'] = None; from psalience.cli import run; run()",
+                       "tabulate", "--schema", str(tmp_path / "schema.json"),
+                       "--input", str(tmp_path / "micro.csv"), "--out", str(tmp_path / "t.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.format(d=tmp_path), err.format(d=tmp_path))
+    if code == 0:
+        schema = fileio.load_schema(tmp_path / "schema.json")
+        fileio.save_table(tmp_path / "library.json",
+                          ps.zero_adjust(fileio.tabulate_microdata(tmp_path / "micro.csv", schema)))
+        assert (tmp_path / "t.json").read_bytes() == (tmp_path / "library.json").read_bytes()
+    else:
+        assert not (tmp_path / "t.json").exists()
 
 
 ENTRY_CASES = {

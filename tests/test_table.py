@@ -21,7 +21,8 @@ from psalience.errors import (
     ShapeError,
     StateError,
 )
-from psalience.table import ABS_TOL, REL_TOL, Frozen, _record_rank, values_close
+from psalience.schema import Frozen, _record_rank
+from psalience.table import ABS_TOL, REL_TOL, values_close
 
 
 # ---------------------------------------------------------------- schema
