@@ -26,8 +26,7 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "basis": ("SubsetKey", "all_subsets", "enumerate_subsets", "level_contrasts"),
     "depersonalize": (
-        "AuditEntry", "LimitSpec", "ReleaseAudit", "audit", "interaction_limit",
-        "selective_zero", "upward_closure",
+        "AuditEntry", "LimitSpec", "ReleaseAudit", "audit", "interaction_limit", "selective_zero",
     ),
     "errors": (
         "ArgumentError", "DegeneratePopulationError", "DomainError", "EmptyInputError",

@@ -133,11 +133,15 @@ def _subset(text: str) -> tuple[int, ...]:
 
 def _output(text: str) -> str:
     """An ``--out`` that names a file: its last path component is not empty, ``.`` or ``..``,
-    and it is not an existing directory, which the write would fail on after the command ran."""
+    it is not an existing directory, and its directory is one, all of which the write
+    would fail on after the command ran."""
     if os.path.basename(text) in ("", ".", ".."):
         raise argparse.ArgumentTypeError(f"{text!r} names no file")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):  # missing, or a file
+        raise argparse.ArgumentTypeError(f"{text!r} is in {directory!r}, which is not a directory")
     return text
 
 

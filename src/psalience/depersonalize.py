@@ -94,11 +94,6 @@ class AuditEntry(NamedTuple):
     subset: SubsetKey
     psi_before: float
     psi_after: float
-    contains_zeroed: bool
-
-    @property
-    def delta(self) -> float:
-        return self.psi_after - self.psi_before
 
 
 class ReleaseAudit(Frozen):
@@ -110,10 +105,10 @@ class ReleaseAudit(Frozen):
     salience grew despite one, or moved at all without one, both read-only
     boolean masks.  ``refit_residual`` is the norm of the released logs'
     zero-set blocks over their whole norm, ``None`` if the zero set is unknown.
-    ``entries`` holds one :class:`AuditEntry` per non-empty subset, and
-    ``zeroed_blocks`` and ``violations`` the keys the two masks mark, each in
-    enumeration order and built afresh on every read.  Not a tuple, so a
-    release's ``(table, audit)`` pair is never mistaken for an audit.
+    ``entries`` holds one :class:`AuditEntry` ``(subset, psi_before, psi_after)``
+    per non-empty subset, and ``zeroed_blocks`` and ``violations`` the keys the
+    two masks mark, each in enumeration order and built afresh on every read.
+    Not a tuple, so a release's ``(table, audit)`` pair is never mistaken for an audit.
     """
 
     __slots__ = ("psi_before", "psi_after", "zeroed", "violated", "total_drift", "refit_residual")
@@ -121,8 +116,8 @@ class ReleaseAudit(Frozen):
     @property
     def entries(self) -> tuple[AuditEntry, ...]:
         index, subsets = marked_subsets(np.arange(self.zeroed.size) > 0)
-        before, after, contains = (a[index].tolist() for a in (self.psi_before, self.psi_after, self.zeroed))
-        return tuple(map(AuditEntry, subsets, before, after, contains))
+        before, after = self.psi_before[index].tolist(), self.psi_after[index].tolist()
+        return tuple(map(AuditEntry, subsets, before, after))
 
     @property
     def zeroed_blocks(self) -> tuple[SubsetKey, ...]:
@@ -133,17 +128,11 @@ class ReleaseAudit(Frozen):
         return marked_subsets(self.violated)[1]
 
 
-def upward_closure(seeds: Sequence[Sequence[int]], n_attributes: int) -> tuple[SubsetKey, ...]:
-    """All subsets containing at least one seed, in enumeration order.
-
-    Removing a block while keeping a superset block would leave structure
-    that implies the removed one, so the zero set is always closed upward.
-    """
-    return marked_subsets(_zero_set(seeds, n_attributes))[1]
-
-
 def _zero_set(seeds: Sequence[Sequence[int]], n_attributes: int) -> np.ndarray:
-    """Lattice mask of the upward closure of checked seeds, never the constant term."""
+    """Lattice mask of the upward closure of checked seeds, never the constant term:
+    every subset containing at least one seed.  Removing a block while keeping a
+    superset block would leave structure that implies the removed one, so the
+    zero set is always closed upward."""
     keys = [check_subset(s, n_attributes) for s in seeds]
     if any(len(s) == 0 for s in keys):
         raise ArgumentError("cannot zero the constant term")

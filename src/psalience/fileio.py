@@ -258,7 +258,7 @@ def read_microdata(path, schema: AttributeSchema):
     into :func:`tabulate` takes O(distinct rows) memory.  Errors, malformed
     CSV and bytes that are not UTF-8 included, name the first offending file
     row; a file without records raises :class:`EmptyInputError` naming the
-    file.  This is the reference and error path of :func:`tabulate_microdata`.
+    file.  This is the reference and error path of :func:`count_microdata`.
     """
     row_number = 0  # the last row read in full; the header is row 1
     try:
@@ -311,15 +311,6 @@ def count_microdata(path, schema: AttributeSchema) -> tuple[list[int], int]:
         pass
     # outside the handler, so the record path's errors chain to nothing
     return tally_records((labels for _, labels in read_microdata(path, schema)), schema)
-
-
-def tabulate_microdata(path, schema: AttributeSchema) -> ContingencyTable:
-    """Unadjusted table of a microdata CSV, equal to :func:`psalience.table.tabulate`
-    over :func:`read_microdata`, with the counts :func:`count_microdata` reads."""
-    from .table import ContingencyTable
-
-    counts, n_total = count_microdata(path, schema)
-    return ContingencyTable(schema, counts, float(n_total), adjusted=False)
 
 
 def _tally_lines(path, schema: AttributeSchema) -> tuple[list[int], int]:

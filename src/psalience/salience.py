@@ -126,6 +126,8 @@ def scan(table: ContingencyTable, k: int, workers: int | None = None) -> Salienc
     """
     n = table.schema.n_attributes
     k = _read_int(k, "subset size k")
+    if n == 1:
+        raise ArgumentError("a table with one attribute has no subset size from 1 to N-1 to scan")
     if not 1 <= k < n:
         raise ArgumentError(f"subset size {k} out of range [1, {n - 1}]")
     # descending lattice indices of size k are in enumerate_subsets(n, k) order

@@ -1,22 +1,24 @@
 """Self-contained verification suites behind the ``verify`` CLI command.
 
 Each suite checks one structural guarantee, exhaustively: orthogonality of
-every basis column pair, subspace dimension counts, expansion round-trip
-and energy conservation on seeded random tables, the salience spectrum
-that ``scan`` and every release audit read against the literal
-geometric-mean Psi of every non-empty subset, the closed-form salience of
-a spike of every radius, and agreement with the sequential Gram-Schmidt
+every basis column pair, subspace dimension counts and each column's subset
+label, expansion round-trip and energy conservation on seeded random tables,
+the salience spectrum that ``scan`` and every release audit read against the
+literal geometric-mean Psi of every non-empty subset, the closed-form salience
+of a spike of every radius, and agreement with the sequential Gram-Schmidt
 reference construction, which is skipped above the oracle's own limit,
 :data:`psalience.reference.GRAM_SCHMIDT_CELL_LIMIT` (256 cells).  The salience
-spectrum is also checked on three near-uniform tables, where rounding
-matters most.  The basis is built once, as the single Kronecker-product
-matrix of :func:`psalience.reference.full_basis`, and normalised in place;
-the orthogonality, dimension and Gram-Schmidt suites read that matrix and
-the lattice index of each of its columns.  The seeded generator draws only
-the random tables and the near-uniform tables' two scaled cells.  A
-deliberate-perturbation mode corrupts one basis column after the
-Gram-Schmidt comparison, to prove the orthogonality checker reports
-failures rather than rubber-stamping.
+spectrum is also checked on three near-uniform tables, where rounding matters
+most.  The basis is built once, as the single Kronecker-product matrix of
+:func:`psalience.reference.full_basis`, and normalised in place; the
+orthogonality, dimension and Gram-Schmidt suites read that matrix and the
+lattice index of each of its columns; the dimension suite pools the random
+tables' squared coordinates by label, so a mislabelled column moves energy to
+the wrong subset.  The seeded generator draws only the random tables and the
+near-uniform tables' two scaled cells.  A deliberate-perturbation mode
+corrupts one basis column after the dimension and Gram-Schmidt suites read it,
+to prove the orthogonality checker reports failures rather than
+rubber-stamping.
 """
 
 from __future__ import annotations
@@ -95,32 +97,39 @@ def _suite_orthogonality(schema, matrix, perturb):
     )
 
 
-def _suite_dimensions(schema, lattice):
+def _suite_dimensions(schema, matrix, lattice, tables):
+    # the column counts hold whatever the labels are; a column labelled with the
+    # wrong subset moves its energy to that subset's pool
     n, m = schema.n_attributes, schema.n_levels
     dimensions = np.bincount(lattice, minlength=2 ** n)
     total = int(dimensions.sum())
-    passed = np.array_equal(dimensions, (m - 1) ** subset_sizes(n).astype(int)) and total == m ** n
+    log_tables = [log_transform(table) for table in tables]
+    squares = np.square(matrix.T @ np.column_stack([t.values for t in log_tables]))
+    pooled = np.stack([np.bincount(lattice, weights=w, minlength=2 ** n) for w in squares.T])
+    energies = np.stack([subset_energies(t) for t in log_tables])
+    worst = float((np.abs(pooled - energies).max(axis=1) / np.maximum(energies.sum(axis=1), 1e-12)).max())
+    counted = np.array_equal(dimensions, (m - 1) ** subset_sizes(n).astype(int)) and total == m ** n
+    passed = counted and worst < IDENTITY_TOL
     return SuiteResult(
         "dimensions", passed, 2 ** n,
-        f"total columns {total} (expected {m ** n})",
-        {"total_columns": total},
+        f"total columns {total} (expected {m ** n}), worst energy gap {worst:.3e}",
+        {"total_columns": total, "worst_gap": worst},
     )
 
 
-def _suite_expansion(schema, rng, trials):
+def _suite_expansion(tables):
     worst_rt = 0.0
     worst_parseval = 0.0
-    for _ in range(trials):
-        table = random_adjusted_table(schema, rng)
+    for table in tables:
         log_table = log_transform(table)
-        rebuilt = reconstruct(fit_beta(log_table), schema)
+        rebuilt = reconstruct(fit_beta(log_table), table.schema)
         worst_rt = max(worst_rt, float(np.abs(rebuilt.values - log_table.values).max()))
         total = float(subset_energies(log_table).sum())
         norm_sq = float(log_table.values @ log_table.values)
         worst_parseval = max(worst_parseval, abs(total - norm_sq) / max(norm_sq, 1e-12))
     passed = worst_rt < IDENTITY_TOL and worst_parseval < IDENTITY_TOL
     return SuiteResult(
-        "expansion", passed, trials,
+        "expansion", passed, len(tables),
         f"worst round-trip {worst_rt:.3e}, worst energy mismatch {worst_parseval:.3e}",
         {"round_trip": worst_rt, "parseval": worst_parseval},
     )
@@ -228,13 +237,15 @@ def run_verification(
     schema = generic_schema(n, m)
     matrix, lattice = full_basis(schema)
     matrix /= np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
-    # Gram-Schmidt reads the basis before the self-test corrupts it
-    gram_schmidt = _suite_gram_schmidt(schema, matrix, lattice)
     rng = np.random.default_rng(seed)
+    tables = [random_adjusted_table(schema, rng) for _ in range(trials)]
+    # the dimension and Gram-Schmidt suites read the basis before the self-test corrupts it
+    dimensions = _suite_dimensions(schema, matrix, lattice, tables)
+    gram_schmidt = _suite_gram_schmidt(schema, matrix, lattice)
     suites = (
         _suite_orthogonality(schema, matrix, perturb),
-        _suite_dimensions(schema, lattice),
-        _suite_expansion(schema, rng, trials),
+        dimensions,
+        _suite_expansion(tables),
         _suite_gm_identity(schema, rng, max(1, trials // 4)),
         _suite_spikes(schema),
         gram_schmidt,

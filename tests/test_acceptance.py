@@ -166,7 +166,7 @@ def test_criterion_6_depersonalisation_contract():
                 assert audit.violations == ()
                 for entry in audit.entries:
                     if len(entry.subset) <= k_dagger:
-                        assert abs(entry.delta) <= 1e-9, (entry, k_dagger)
+                        assert abs(entry.psi_after - entry.psi_before) <= 1e-9, (entry, k_dagger)
                     else:
                         assert entry.psi_after <= entry.psi_before + 1e-9, (entry, k_dagger)
     print("\nACCEPTANCE 6: PASS (refit-zero blocks, salience non-increase/invariance)")

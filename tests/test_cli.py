@@ -15,9 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import psalience as ps
-from psalience import cli, fileio
+from psalience import cli, fileio, verify
 from psalience.basis import subset_index
 from psalience.cli import main
+from psalience.schema import tally_records
 from psalience.synthetic import correlated_pair_table, planted_interaction_table, random_adjusted_table
 
 
@@ -300,12 +301,16 @@ def messy_microdata(draw):
     return schema, "".join(line + end for line, end in zip(lines, ends))
 
 
-def ingestion_outcome(tabulate_file):
+def ingestion_outcome(count_file):
     try:
-        table = tabulate_file()
+        return count_file()
     except ps.IngestionError as exc:
         return "error", str(exc)
-    return table.counts.tolist(), table.n_total
+
+
+def record_counts(path, schema):
+    """What :func:`fileio.count_microdata` must return: the record path's tally."""
+    return tally_records((labels for _, labels in fileio.read_microdata(path, schema)), schema)
 
 
 @given(case=messy_microdata())
@@ -313,10 +318,8 @@ def test_tabulate_microdata_agrees_with_record_path(tmp_path_factory, case):
     schema, text = case
     path = tmp_path_factory.mktemp("csv") / "micro.csv"
     path.write_bytes(text.encode("utf-8"))
-    fast = ingestion_outcome(lambda: fileio.tabulate_microdata(path, schema))
-    records = ingestion_outcome(
-        lambda: ps.tabulate((labels for _, labels in fileio.read_microdata(path, schema)), schema))
-    assert fast == records
+    fast = ingestion_outcome(lambda: fileio.count_microdata(path, schema))
+    assert fast == ingestion_outcome(lambda: record_counts(path, schema))
 
 
 @given(case=messy_microdata())
@@ -329,7 +332,8 @@ def test_cli_tabulate_writes_what_the_library_saves(tmp_path_factory, case):
     path.write_bytes(text.encode("utf-8"))
     fileio.atomic_write_json(root / "schema.json", fileio.schema_to_dict(schema))
     try:
-        fileio.save_table(root / "library.json", ps.zero_adjust(fileio.tabulate_microdata(path, schema)))
+        table = ps.ContingencyTable(schema, *fileio.count_microdata(path, schema))
+        fileio.save_table(root / "library.json", ps.zero_adjust(table))
         expected = (0, (root / "library.json").read_bytes(), "")
     except ps.SalienceError as exc:
         expected = (3, None, f"error: {exc}\n")
@@ -365,10 +369,9 @@ def test_bom_and_crlf_are_counted_by_the_batched_path(tmp_path, monkeypatch):
     csv_path = tmp_path / "micro.csv"
     csv_path.write_bytes(b"\xef\xbb\xbfband,region\r\nlo,north\r\nhi,south\r\n\r\nlo,north\r\n")
     monkeypatch.setattr(fileio, "read_microdata", None)  # the batches alone must count it
-    table = fileio.tabulate_microdata(csv_path, schema)
-    expected = ps.tabulate([("north", "lo"), ("south", "hi"), ("north", "lo")], schema)
-    assert np.array_equal(table.counts, expected.counts)
-    assert table.n_total == 3.0
+    expected = tally_records([("north", "lo"), ("south", "hi"), ("north", "lo")], schema)
+    assert fileio.count_microdata(csv_path, schema) == expected
+    assert expected[1] == 3
 
 
 def test_header_name_quoted_across_lines_is_refused_as_the_record_path_refuses_it(tmp_path):
@@ -378,7 +381,7 @@ def test_header_name_quoted_across_lines_is_refused_as_the_record_path_refuses_i
     csv_path = tmp_path / "micro.csv"
     csv_path.write_text('"a\nx"\ny\n', encoding="utf-8")
     with pytest.raises(ps.IngestionError, match="does not match schema attributes"):
-        fileio.tabulate_microdata(csv_path, schema)
+        fileio.count_microdata(csv_path, schema)
 
 
 @pytest.mark.parametrize("text, row", [
@@ -391,7 +394,7 @@ def test_invalid_utf8_names_its_row(tmp_path, text, row):
     csv_path = tmp_path / "micro.csv"
     csv_path.write_bytes(text)
     with pytest.raises(ps.IngestionError, match=f"row {row} is not valid UTF-8") as info:
-        fileio.tabulate_microdata(csv_path, schema)
+        fileio.count_microdata(csv_path, schema)
     assert info.value.record_number == row
 
 
@@ -406,10 +409,9 @@ def test_tabulate_microdata_reads_multiline_quoted_labels(tmp_path, levels, reco
     schema = ps.AttributeSchema(tuple(zip(("place", "band"), levels)))
     csv_path = tmp_path / "micro.csv"
     csv_path.write_text(text, encoding="utf-8")
-    table = fileio.tabulate_microdata(csv_path, schema)
-    expected = ps.tabulate(records, schema)
-    assert np.array_equal(table.counts, expected.counts)
-    assert table.n_total == expected.n_total == len(records)
+    counts, n_total = fileio.count_microdata(csv_path, schema)
+    assert (counts, n_total) == tally_records(records, schema)
+    assert n_total == len(records)
 
 
 @pytest.mark.parametrize("text, clean", [
@@ -424,13 +426,11 @@ def test_batches_equal_the_record_path(tmp_path, monkeypatch, text, clean):
     schema = ps.AttributeSchema((("place", ("a", "b", "a\nb")), ("band", ("x", "y", "z"))))
     csv_path = tmp_path / "micro.csv"
     csv_path.write_text(text, encoding="utf-8")
-    records = ps.tabulate((labels for _, labels in fileio.read_microdata(csv_path, schema)), schema)
+    records = record_counts(csv_path, schema)
     monkeypatch.setattr(fileio, "BATCH_LINES", 2)
     if clean:
         monkeypatch.setattr(fileio, "read_microdata", None)  # the batches alone must count it
-    table = fileio.tabulate_microdata(csv_path, schema)
-    assert np.array_equal(table.counts, records.counts)
-    assert table.n_total == records.n_total
+    assert fileio.count_microdata(csv_path, schema) == records
 
 
 def test_tabulate_peak_memory_with_many_distinct_lines(tmp_path):
@@ -447,7 +447,7 @@ def test_tabulate_peak_memory_with_many_distinct_lines(tmp_path):
     del codes, lines
     tracemalloc.start()
     try:
-        table = fileio.tabulate_microdata(csv_path, schema)
+        table = ps.ContingencyTable(schema, *fileio.count_microdata(csv_path, schema))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -584,6 +584,39 @@ def test_cli_usage_errors_are_refused_before_the_table_is_read(tmp_path, monkeyp
     assert sorted(tmp_path.iterdir()) == [directory] and not any(directory.iterdir())
 
 
+@pytest.mark.parametrize("parent", ["nodir", "table.json"], ids=["missing", "file"])
+@pytest.mark.parametrize("argv", [
+    ["tabulate", "--schema", "{schema}", "--input", "{micro}"],
+    ["scan", "--table", "{table}", "--k", "1"],
+    ["analyze", "--table", "{table}", "--subset", "1"],
+    ["depersonalize", "--table", "{table}", "--max-order", "1"],
+], ids=["tabulate", "scan", "analyze", "depersonalize"])
+def test_out_whose_directory_is_not_one_is_refused_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, argv, parent):
+    """An ``--out`` in a missing directory, or under a file, was refused only by the
+    write after the command ran (exit 3); a release's audit file sits beside it."""
+    paths = {
+        "schema": write_schema(tmp_path / "schema.json"),
+        "micro": write_csv(tmp_path / "micro.csv", ["north,lo", "south,hi"]),
+        "table": save_table(tmp_path, random_adjusted_table(ps.generic_schema(2, 2), np.random.default_rng(3))),
+    }
+    before = {name: (tmp_path / name).read_bytes() for name in sorted(os.listdir(tmp_path))}
+
+    def refuse(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(fileio, "_load_json", refuse)
+    monkeypatch.setattr(fileio, "count_microdata", refuse)
+    directory = str(tmp_path / parent)
+    out = os.path.join(directory, "r.json")
+    assert main([*(arg.format(**paths) for arg in argv), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: psalience {argv[0]} ") and err.count("error:") == 1, err
+    assert err.endswith(f"\npsalience {argv[0]}: error: argument --out: "
+                        f"{out!r} is in {directory!r}, which is not a directory\n"), err
+    assert {name: (tmp_path / name).read_bytes() for name in sorted(os.listdir(tmp_path))} == before
+
+
 @pytest.mark.parametrize("threshold", ["0.0_5", "\u0660.\u0665", " 0.5", "-0", "-0.0"],
                          ids=["underscore", "arabic-indic", "space", "minus-zero", "minus-zero-point-zero"])
 def test_threshold_is_ascii_decimal_text_before_any_input_is_read(tmp_path, monkeypatch, capsys, threshold):
@@ -673,6 +706,16 @@ def test_scan_k_out_of_range_is_usage_error(tmp_path, rng):
     code = main(["scan", "--table", save_table(tmp_path, table), "--k", "3",
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("k", ["1", "0"])
+def test_scan_of_a_one_attribute_table_says_why_it_is_refused(tmp_path, rng, capsys, k):
+    """The refusal read ``subset size 1 out of range [1, 0]``, an empty range without its cause."""
+    table = random_adjusted_table(ps.generic_schema(1, 3), rng)
+    out = tmp_path / "r.json"
+    assert main(["scan", "--table", save_table(tmp_path, table), "--k", k, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: a table with one attribute has no subset size from 1 to N-1 to scan\n"
+    assert not out.exists()
 
 
 def test_scan_rejects_unadjusted_table(tmp_path):
@@ -884,7 +927,7 @@ def test_depersonalize_order_limit_writes_audit(tmp_path, rng):
 @pytest.mark.parametrize("n, m, k_dagger", [(4, 3, 1), (4, 3, 2), (6, 2, 2), (6, 2, 4)])
 def test_audit_file_states_each_fact_once(tmp_path, n, m, k_dagger):
     """Rows hold no names, size, delta or contains_zeroed: the file's other fields
-    give them bit for bit, as the library's audit entries hold them."""
+    give them, and its rows hold the library's audit entries bit for bit."""
     path = save_table(tmp_path, random_adjusted_table(ps.generic_schema(n, m), np.random.default_rng(n)))
     out = tmp_path / "released.json"
     assert main(["depersonalize", "--table", path, "--max-order", str(k_dagger), "--out", str(out)]) == 0
@@ -897,9 +940,8 @@ def test_audit_file_states_each_fact_once(tmp_path, n, m, k_dagger):
     zeroed = set(map(tuple, written["zeroed_blocks"]))
     for row, entry in zip(written["entries"], audit.entries):
         assert list(row) == ["subset", "psi_before", "psi_after"]
-        assert tuple(row["subset"]) == entry.subset
-        assert row["psi_after"] - row["psi_before"] == entry.delta  # bit for bit
-        assert (entry.subset in zeroed) == entry.contains_zeroed
+        assert (tuple(row["subset"]), row["psi_before"], row["psi_after"]) == entry  # bit for bit
+        assert (entry.subset in zeroed) == audit.zeroed[subset_index(entry.subset)]
 
 
 def test_audit_file_is_written_from_one_lattice_walk(monkeypatch, rng):
@@ -1033,10 +1075,9 @@ def test_audit_of_a_rounded_release_reports_a_residual_and_no_new_violation(tmp_
     audit = ps.audit(table, fileio.load_table(out), zeroed_blocks=zeroed)
     assert audit.refit_residual > REFIT_TOL  # rounding moved the refitted blocks
     # the violations are exactly the salience rule's: the residual adds none
-    assert audit.violations == tuple(
-        e.subset for e in audit.entries
-        if (e.delta if e.contains_zeroed else abs(e.delta)) > PSI_DRIFT_TOL
-    )
+    delta = audit.psi_after - audit.psi_before
+    moved = np.where(audit.zeroed, delta, np.abs(delta)) > PSI_DRIFT_TOL
+    assert audit.violations == tuple(e.subset for e in audit.entries if moved[subset_index(e.subset)])
 
 
 @pytest.mark.parametrize("total", [math.inf, math.nan])
@@ -1074,6 +1115,23 @@ def test_verify_reports_basis_column_count():
     report = ps.run_verification(3, 3, seed=0, trials=5)
     dimensions = next(s for s in report.suites if s.name == "dimensions")
     assert dimensions.data["total_columns"] == 27
+
+
+@pytest.mark.parametrize("n, m", [(6, 3), (9, 2)])
+def test_verify_fails_a_basis_whose_columns_name_the_wrong_subsets(monkeypatch, n, m):
+    """Bit-reversed labels attribute every column to its mirror subset and keep each
+    size's column count, so counting labels passed them; Gram-Schmidt is skipped here."""
+    def mirrored(schema):
+        matrix, lattice = ps.full_basis(schema)
+        return matrix, np.array([int(format(i, f"0{n}b")[::-1], 2) for i in lattice])
+
+    assert ps.run_verification(n, m, trials=1).passed
+    monkeypatch.setattr(verify, "full_basis", mirrored)
+    report = ps.run_verification(n, m, trials=1)
+    dimensions = next(s for s in report.suites if s.name == "dimensions")
+    assert not report.passed and not dimensions.passed
+    assert dimensions.data["total_columns"] == m ** n and dimensions.data["worst_gap"] > 1e-3
+    assert [s.name for s in report.suites if not s.passed] == ["dimensions"]
 
 
 def test_verify_perturbation_self_test(capsys):
@@ -1262,15 +1320,16 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 
 @pytest.mark.parametrize("target", ["missing/out.json", "taken/out.json"], ids=["missing/out.json", "taken"])
-def test_write_errors_name_the_requested_path(tmp_path, rng, capsys, target):
-    # a file where the output's directory should be: the parser refuses a directory as --out
+def test_write_errors_name_the_requested_path(tmp_path, target):
+    # a file where the output's directory should be; the parser refuses both targets
+    # as --out before a command runs, so the writer is called on them directly
     (tmp_path / "taken").write_text("")
-    path = save_table(tmp_path, random_adjusted_table(ps.generic_schema(3, 2), rng))
     out = tmp_path / target
-    assert main(["scan", "--table", path, "--k", "1", "--out", str(out)]) == 3
-    err = capsys.readouterr().err.rstrip()
+    with pytest.raises(OSError) as info:
+        fileio.atomic_write_json(out, {"x": 1})
+    err = str(info.value)
     assert err.endswith(repr(str(out))) and err.count(str(tmp_path)) == 1, err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.json", "taken"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_total_mismatch_prints_plain_floats(tmp_path, rng, capsys):

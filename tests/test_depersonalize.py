@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from oracles import axis_mean_psi
 
 import psalience as ps
-from psalience.basis import subset_index
-from psalience.depersonalize import _round_preserving_total
+from psalience.basis import marked_subsets, subset_index
+from psalience.depersonalize import _round_preserving_total, _zero_set
 from psalience.errors import ArgumentError, DomainError
 from psalience.synthetic import correlated_pair_table, random_adjusted_table
 
@@ -26,7 +26,7 @@ def test_full_order_limit_is_identity(rng):
     released, audit = ps.interaction_limit(table, order_spec(3))
     assert np.abs(released.counts - table.counts).max() < 1e-9
     assert audit.zeroed_blocks == ()
-    assert all(abs(entry.delta) < 1e-9 for entry in audit.entries)
+    assert all(abs(entry.psi_after - entry.psi_before) < 1e-9 for entry in audit.entries)
     assert audit.violations == ()
 
 
@@ -121,7 +121,7 @@ def test_salience_contract_by_size(rng):
             assert audit.violations == ()
             for entry in audit.entries:
                 if len(entry.subset) <= k_dagger:
-                    assert abs(entry.delta) <= 1e-9, entry
+                    assert abs(entry.psi_after - entry.psi_before) <= 1e-9, entry
                 else:
                     assert entry.psi_after <= entry.psi_before + 1e-9, entry
 
@@ -202,12 +202,17 @@ def test_wrong_spec_mode(rng, schema32):
 
 # -------------------------------------------------------- selective zero
 
+def upward_closure(seeds, n):
+    """The zero set of ``seeds`` as subset keys, in enumeration order."""
+    return marked_subsets(_zero_set(seeds, n))[1]
+
+
 def test_upward_closure_example():
-    assert ps.upward_closure([(1, 0)], 3) == ((1, 0), (2, 1, 0))
+    assert upward_closure([(1, 0)], 3) == ((1, 0), (2, 1, 0))
 
 
 def test_upward_closure_is_closed():
-    closed = ps.upward_closure([(2,), (1, 0)], 4)
+    closed = upward_closure([(2,), (1, 0)], 4)
     closed_sets = [set(s) for s in closed]
     for subset in closed:
         for other in ps.all_subsets(4):
@@ -227,7 +232,7 @@ def test_upward_closure_matches_brute_force(rng):
         for _ in range(20):
             picks = rng.choice(len(candidates), size=rng.integers(1, 4), replace=True)
             seeds = [candidates[i] for i in picks]
-            assert ps.upward_closure(seeds, n) == brute_force_closure(seeds, n), seeds
+            assert upward_closure(seeds, n) == brute_force_closure(seeds, n), seeds
 
 
 def test_selective_zero_applies_closure(rng, schema32):
@@ -263,7 +268,7 @@ def test_selective_contract_on_affected_subsets(rng):
         if {2, 1} <= set(entry.subset):
             assert entry.psi_after <= entry.psi_before + 1e-9
         else:
-            assert abs(entry.delta) <= 1e-9
+            assert abs(entry.psi_after - entry.psi_before) <= 1e-9
 
 
 def test_spec_validation():
@@ -320,7 +325,7 @@ def test_spec_flags_must_be_booleans(flag, bad):
 def test_audit_of_identical_tables(rng, schema33):
     table = random_adjusted_table(schema33, rng)
     report = ps.audit(table, table)
-    assert all(entry.delta == 0.0 for entry in report.entries)
+    assert all(entry.psi_after == entry.psi_before for entry in report.entries)
     assert report.total_drift == 0.0
     assert report.violations == ()
 
@@ -358,15 +363,16 @@ def test_audit_contains_zeroed_matches_brute_force(rng):
         assert [e.subset for e in report.entries] == candidates[1:]
         for entry in report.entries:
             expected = any(set(z) <= set(entry.subset) for z in zeroed)
-            assert entry.contains_zeroed == expected, (zeroed, entry)
+            assert report.zeroed[subset_index(entry.subset)] == expected, (zeroed, entry)
 
 
 def test_audit_reports_the_closure_of_its_zero_set(rng):
     table = random_adjusted_table(ps.generic_schema(5, 2), rng)
     released, _ = ps.interaction_limit(table, order_spec(2))
     report = ps.audit(table, released, zeroed_blocks=[(3, 1), (3, 1)])
-    assert report.zeroed_blocks == ps.upward_closure([(3, 1)], 5)
-    assert report.zeroed_blocks == tuple(e.subset for e in report.entries if e.contains_zeroed)
+    assert report.zeroed_blocks == upward_closure([(3, 1)], 5)
+    keys = [e.subset for e in report.entries]
+    assert report.zeroed_blocks == tuple(s for s in keys if report.zeroed[subset_index(s)])
     assert ps.audit(table, released).zeroed_blocks == ()
 
 
@@ -386,7 +392,8 @@ def test_an_empty_zero_set_is_known():
     for empty in ((), []):
         known = ps.audit(table, released, zeroed_blocks=empty)
         assert known.violations and known.refit_residual == 0.0 and known.zeroed_blocks == ()
-        moved = tuple(e.subset for e in known.entries if abs(e.delta) > ps.depersonalize.PSI_DRIFT_TOL)
+        moved = tuple(e.subset for e in known.entries
+                      if abs(e.psi_after - e.psi_before) > ps.depersonalize.PSI_DRIFT_TOL)
         assert known.violations == moved
     unknown = ps.audit(table, released)
     assert unknown.violations == () and unknown.refit_residual is None
