@@ -33,7 +33,7 @@ _PUBLIC = {
         "IngestionError", "SalienceError", "SchemaError", "ShapeError", "StateError",
     ),
     "fitting": ("fit_beta", "reconstruct"),
-    "marginal": ("complement_attributes", "conditional_subtable", "geometric_mean_subtable"),
+    "marginal": ("conditional_subtable", "geometric_mean_subtable"),
     "reference": (
         "Psi", "full_basis", "gm_projection_identity", "gm_projection_total_identity",
         "gram_schmidt_oracle", "hypercube_psi", "ortho_column", "project_subset", "raw_column",

@@ -7,10 +7,11 @@ span leaves an orthogonal complement of dimension ``(M-1)**k`` for a
 subset of size ``k``.  Summed over all ``2**N`` subsets (constant term
 included) the dimensions add up to ``M**N`` exactly.
 
-This module keeps subset keys, ``2**N`` lattice vectors over them, the
-per-attribute factors every subspace is a tensor product of, and the one
-Kronecker product that builds a column from them.  The columns themselves, and
-a Gram-Schmidt pass to check them, are in :mod:`psalience.reference`.
+This module keeps subset keys, the cell-tensor axes outside a subset, ``2**N``
+lattice vectors over subsets, the per-attribute factors every subspace is a
+tensor product of, and the one Kronecker product that builds a column from
+them.  The columns themselves, and a Gram-Schmidt pass to check them, are in
+:mod:`psalience.reference`.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ def all_subsets(n: int) -> list[SubsetKey]:
 def subset_index(subset: Sequence[int]) -> int:
     """Position of a subset in a lattice vector over all ``2**N`` subsets."""
     return sum(1 << a for a in subset)
+
+
+def complement_axes(subset: SubsetKey, n: int) -> tuple[int, ...]:
+    """Axes of the ``(M,)*N`` cell tensor that hold the attributes outside ``subset``,
+    ascending, so largest attribute first: axis ``n-1-a`` holds attribute ``a``."""
+    return tuple(axis for axis in range(n) if n - 1 - axis not in subset)
 
 
 def subset_sizes(n: int) -> np.ndarray:

@@ -28,6 +28,7 @@ import argparse
 import gc
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -208,13 +209,14 @@ def cmd_scan(args) -> int:
     amber = args.threshold
     red = max(DEFAULT_RED, amber)
     report = scan(table, args.k)
-    atomic_write_json(args.out, report_to_dict(report, table.schema, amber, red))
-    top = (report.rank <= 10).nonzero()[0]  # ranks are 1..len: one pass, and only ten are sorted
-    rows = zip(*(a[top].tolist() for a in (report.rank, report.psi, report.index)))
-    for rank, psi, i in sorted(rows):  # i is the subset's lattice index: bit a holds attribute a
-        names = (table.schema.attribute_name(a) for a in reversed(range(i.bit_length())) if i >> a & 1)
-        print(f"  #{rank:<3} {':'.join(names):<24} Psi={psi:.4f} [{classify_warning(psi, amber, red)}]")
-    print(f"scan k={args.k}: {report.rank.size} subsets -> {args.out}")
+    payload = report_to_dict(report, table.schema, amber, red)
+    atomic_write_json(args.out, payload)
+    rows = payload["entries"]
+    top = (report.rank <= 10).nonzero()[0].tolist()  # ranks are 1..len: one pass, and only ten are sorted
+    for rank, psi, subset in sorted(itemgetter("rank", "Psi", "subset")(rows[i]) for i in top):
+        names = ":".join(map(table.schema.attribute_name, subset))
+        print(f"  #{rank:<3} {names:<24} Psi={psi:.4f} [{classify_warning(psi, amber, red)}]")
+    print(f"scan k={args.k}: {len(rows)} subsets -> {args.out}")
     return 0
 
 

@@ -222,7 +222,7 @@ def interaction_limit(table: ContingencyTable, spec: LimitSpec) -> tuple[Conting
     """Zero every expansion block of size above ``spec.k_dagger`` and rebuild.
 
     With ``k_dagger = N`` nothing is zeroed and the table passes through
-    unchanged.  The audit covers every non-empty subset.
+    unchanged up to rounding.  The audit covers every non-empty subset.
     """
     if spec.mode != "order_limit":
         raise ArgumentError("interaction_limit needs an order_limit spec")
@@ -247,8 +247,8 @@ def audit(
 ) -> ReleaseAudit:
     """Compare per-subset salience of two tables sharing a schema.
 
-    Covers every non-empty subset.  Salience is evaluated on the log counts
-    directly, so releases whose entries dipped below 1 can still be audited.
+    Covers every non-empty subset of an adjusted ``original``.  Salience is read from
+    log counts clamped at the smallest positive float, so a release below 1 can be audited.
     When the zeroed blocks are known, an empty set included, unchanged-versus-
     decreased contracts are classified per subset; with ``zeroed_blocks=None``
     (unknown) only salience increases are flagged and ``refit_residual`` is
@@ -257,6 +257,8 @@ def audit(
     """
     if original.schema != released.schema:
         raise ShapeError("audit needs two tables over the same schema")
+    if not original.adjusted:
+        raise DomainError("log transform needs an adjusted table; zero-adjust the table first")
     above = None if zeroed_blocks is None else _zero_set(zeroed_blocks, original.schema.n_attributes)
     before, after = (LogTable(original.schema, np.log(np.maximum(t.counts, np.finfo(float).tiny)))
                      for t in (original, released))

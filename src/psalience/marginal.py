@@ -21,14 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, check_subset
+from .basis import check_subset, complement_axes
 from .errors import ArgumentError
 from .table import ContingencyTable, LogTable, _read_int, freeze, log_transform
-
-
-def complement_attributes(subset: SubsetKey, n_attributes: int) -> SubsetKey:
-    """Attributes outside ``subset``, largest first."""
-    return tuple(i for i in range(n_attributes - 1, -1, -1) if i not in subset)
 
 
 def conditional_subtable(
@@ -45,20 +40,17 @@ def conditional_subtable(
     the source is adjusted.
     """
     n, m = table.schema.n_attributes, table.schema.n_levels
-    members = check_subset(subset, n)
-    others = complement_attributes(members, n)
+    axes = complement_axes(check_subset(subset, n), n)
     fixed = tuple(_read_int(v, "conditioning level") for v in conditioning)
-    if len(fixed) != len(others):
-        raise ArgumentError(
-            f"expected {len(others)} conditioning values, got {len(fixed)}"
-        )
+    if len(fixed) != len(axes):
+        raise ArgumentError(f"expected {len(axes)} conditioning values, got {len(fixed)}")
     for value in fixed:
         if not 0 <= value < m:
             raise ArgumentError(f"conditioning level {value} out of range [0, {m})")
 
-    by_attribute = dict(zip(others, fixed))
+    by_axis = dict(zip(axes, fixed))
     # the subtable's own digit grid, so no rank tensor of the whole table is built
-    digits = np.ix_(*(range(m) if a in members else [by_attribute[a]] for a in range(n - 1, -1, -1)))
+    digits = np.ix_(*([by_axis[axis]] if axis in by_axis else range(m) for axis in range(n)))
     ranks = np.ravel_multi_index(digits, (m,) * n).ravel()
     ranks.setflags(write=False)
     return freeze(table.counts[ranks]), ranks
@@ -77,7 +69,6 @@ def geometric_mean_subtable(table: ContingencyTable | LogTable, subset: Sequence
     that already has them does not log twice.
     """
     n = table.schema.n_attributes
-    members = check_subset(subset, n)
-    axes = tuple(n - 1 - a for a in complement_attributes(members, n))
+    axes = complement_axes(check_subset(subset, n), n)
     logs = table if isinstance(table, LogTable) else log_transform(table)
     return freeze(logs.reshaped().mean(axis=axes).ravel())

@@ -6,7 +6,8 @@ per-attribute factors (:func:`psalience.basis._subset_kron`) and means along
 axes of the cell tensor, and run none of the coefficient transform of
 :mod:`psalience.fitting` or the subset spectrum of :mod:`psalience.salience`.
 They import nothing from :mod:`psalience.marginal`: a geometric-mean table is
-the log tensor's mean over the axes outside its subset, taken here.
+the log tensor's mean over the axes outside its subset
+(:func:`psalience.basis.complement_axes`), taken here.
 They hold no records: the whole basis is one array, the Kronecker product of
 the factors ``[1 | level_contrasts(M)]``, with the lattice index of the subset
 each column belongs to; then come one subset's unnormalised columns; a
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, _subset_kron, all_subsets, check_subset, level_contrasts, subset_index
+from .basis import _subset_kron, all_subsets, check_subset, complement_axes, level_contrasts, subset_index
 from .errors import ArgumentError
 from .fitting import centred_norm, row_norms
 from .salience import SalienceValue
@@ -164,12 +165,6 @@ def _project(x: np.ndarray, axes: set[int]) -> np.ndarray:
     return chi.ravel()
 
 
-def _axes_outside(members: SubsetKey, n: int) -> tuple[int, ...]:
-    """Axes of the cell tensor that hold the attributes outside ``members``; axis
-    ``n-1-a`` holds attribute ``a``."""
-    return tuple(axis for axis in range(n) if n - 1 - axis not in members)
-
-
 def gm_projection_identity(
     table: ContingencyTable, outer: Sequence[int], inner: Sequence[int]
 ) -> tuple[float, float]:
@@ -194,7 +189,7 @@ def gm_projection_identity(
     logs = log_transform(table).reshaped()  # taken once, for both sides
     lhs = float(np.linalg.norm(_project(logs, {n - 1 - a for a in inner_key})))
 
-    gamma = logs.mean(axis=_axes_outside(outer_key, n))
+    gamma = logs.mean(axis=complement_axes(outer_key, n))
     reduced = float(np.linalg.norm(_project(gamma, {outer_key.index(a) for a in inner_key})))
     rhs = m ** ((n - len(outer_key)) / 2.0) * reduced
     return lhs, rhs
@@ -223,7 +218,7 @@ def gm_projection_total_identity(
             total += float(np.linalg.norm(_project(logs, {n - 1 - a for a in inner}))) ** 2
     lhs = float(np.sqrt(total))
 
-    gamma = logs.mean(axis=_axes_outside(outer_key, n)).ravel()
+    gamma = logs.mean(axis=complement_axes(outer_key, n)).ravel()
     rhs = m ** ((n - len(outer_key)) / 2.0) * float(centred_norm(gamma))
     return lhs, rhs
 
@@ -242,7 +237,7 @@ def Psi(table: ContingencyTable | LogTable, subset: Sequence[int]) -> SalienceVa
         raise ArgumentError("subset must be non-empty")
     logs = (table if isinstance(table, LogTable) else log_transform(table)).reshaped()
     mean = logs.mean()
-    centred = (logs - mean).mean(axis=_axes_outside(members, n)).ravel()
+    centred = (logs - mean).mean(axis=complement_axes(members, n)).ravel()
     chi, norm = float(centred_norm(centred)), float(row_norms(centred + mean))
     return SalienceValue(min(chi / norm, 1.0) if norm > 0.0 else 0.0, chi, norm)
 

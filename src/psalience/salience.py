@@ -31,10 +31,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, check_subset, enumerate_subsets, subset_sizes, subset_sums
+from .basis import SubsetKey, check_subset, complement_axes, enumerate_subsets, subset_sizes, subset_sums
 from .errors import ArgumentError, DomainError
 from .fitting import centred_norm, row_norms, subset_energies
-from .marginal import complement_attributes
 from .schema import Frozen
 from .table import ADJUSTED_MIN, ContingencyTable, LogTable, _read_int, log_transform
 
@@ -156,11 +155,11 @@ def psi_histogram(
     if not members:
         raise ArgumentError("subset must be non-empty")
     n, m = schema.n_attributes, schema.n_levels
-    others = complement_attributes(members, n)
+    outside = complement_axes(members, n)
     # conditioning axes first, so each row is one conditional subtable; contiguous
     # rows are summed in the order psi sums a lone subtable
     logs = table if isinstance(table, LogTable) else log_transform(table)
-    logs = logs.reshaped().transpose([n - 1 - a for a in others + members])
-    rows = np.ascontiguousarray(logs.reshape(m ** len(others), m ** len(members)))
+    logs = logs.reshaped().transpose([*outside, *(n - 1 - a for a in members)])
+    rows = np.ascontiguousarray(logs.reshape(m ** len(outside), m ** len(members)))
     values = _row_salience(rows)[0]
-    return list(zip(itertools.product(range(m), repeat=len(others)), values.tolist()))
+    return list(zip(itertools.product(range(m), repeat=len(outside)), values.tolist()))

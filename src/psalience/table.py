@@ -20,9 +20,10 @@ Conventions used throughout the package:
   larger magnitude with an absolute floor of ``1e-12``.
 * The adjusted scale (every entry at least 1) is decided here alone: a
   table flagged ``adjusted`` holds no entry below :data:`ADJUSTED_MIN`,
-  ``1`` under the relative tolerance, and :func:`log_transform`, which
-  refuses any other table, is the one log of a table's counts.  It clamps
-  entries to 1, so every log is finite and non-negative.
+  ``1`` under the relative tolerance.  :func:`log_transform` refuses any
+  other table and clamps counts to 1, so every log is finite and non-negative;
+  :func:`psalience.depersonalize.audit` also logs counts, clamped at the
+  smallest positive float, so that a release below 1 can be audited.
 
 All types here are immutable after construction and all operations are
 pure functions.  Records that validate their fields or hold arrays derive

@@ -97,16 +97,15 @@ def _suite_orthogonality(schema, matrix, perturb):
     )
 
 
-def _suite_dimensions(schema, matrix, lattice, tables):
+def _suite_dimensions(schema, matrix, lattice, log_tables, spectra):
     # the column counts hold whatever the labels are; a column labelled with the
     # wrong subset moves its energy to that subset's pool
     n, m = schema.n_attributes, schema.n_levels
     dimensions = np.bincount(lattice, minlength=2 ** n)
     total = int(dimensions.sum())
-    log_tables = [log_transform(table) for table in tables]
     squares = np.square(matrix.T @ np.column_stack([t.values for t in log_tables]))
     pooled = np.stack([np.bincount(lattice, weights=w, minlength=2 ** n) for w in squares.T])
-    energies = np.stack([subset_energies(t) for t in log_tables])
+    energies = np.stack(spectra)
     worst = float((np.abs(pooled - energies).max(axis=1) / np.maximum(energies.sum(axis=1), 1e-12)).max())
     counted = np.array_equal(dimensions, (m - 1) ** subset_sizes(n).astype(int)) and total == m ** n
     passed = counted and worst < IDENTITY_TOL
@@ -117,19 +116,18 @@ def _suite_dimensions(schema, matrix, lattice, tables):
     )
 
 
-def _suite_expansion(tables):
+def _suite_expansion(log_tables, spectra):
     worst_rt = 0.0
     worst_parseval = 0.0
-    for table in tables:
-        log_table = log_transform(table)
-        rebuilt = reconstruct(fit_beta(log_table), table.schema)
+    for log_table, energies in zip(log_tables, spectra):
+        rebuilt = reconstruct(fit_beta(log_table), log_table.schema)
         worst_rt = max(worst_rt, float(np.abs(rebuilt.values - log_table.values).max()))
-        total = float(subset_energies(log_table).sum())
+        total = float(energies.sum())
         norm_sq = float(log_table.values @ log_table.values)
         worst_parseval = max(worst_parseval, abs(total - norm_sq) / max(norm_sq, 1e-12))
     passed = worst_rt < IDENTITY_TOL and worst_parseval < IDENTITY_TOL
     return SuiteResult(
-        "expansion", passed, len(tables),
+        "expansion", passed, len(log_tables),
         f"worst round-trip {worst_rt:.3e}, worst energy mismatch {worst_parseval:.3e}",
         {"round_trip": worst_rt, "parseval": worst_parseval},
     )
@@ -238,14 +236,16 @@ def run_verification(
     matrix, lattice = full_basis(schema)
     matrix /= np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
     rng = np.random.default_rng(seed)
-    tables = [random_adjusted_table(schema, rng) for _ in range(trials)]
+    # each random table is logged and transformed once, for the dimension and expansion suites
+    log_tables = [log_transform(random_adjusted_table(schema, rng)) for _ in range(trials)]
+    spectra = [subset_energies(t) for t in log_tables]
     # the dimension and Gram-Schmidt suites read the basis before the self-test corrupts it
-    dimensions = _suite_dimensions(schema, matrix, lattice, tables)
+    dimensions = _suite_dimensions(schema, matrix, lattice, log_tables, spectra)
     gram_schmidt = _suite_gram_schmidt(schema, matrix, lattice)
     suites = (
         _suite_orthogonality(schema, matrix, perturb),
         dimensions,
-        _suite_expansion(tables),
+        _suite_expansion(log_tables, spectra),
         _suite_gm_identity(schema, rng, max(1, trials // 4)),
         _suite_spikes(schema),
         gram_schmidt,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import psalience as ps
-from psalience.basis import check_subset, marked_subsets, subset_index, subset_sizes
+from psalience.basis import check_subset, complement_axes, marked_subsets, subset_index, subset_sizes
 from psalience.errors import ArgumentError
 
 from oracles import (
@@ -44,6 +44,16 @@ def test_all_subsets_counts_and_order():
     assert len(subsets) == 8
     sizes = [len(s) for s in subsets]
     assert sizes == sorted(sizes)
+
+
+def test_complement_axes_hold_the_attributes_outside_a_subset_largest_first():
+    assert complement_axes((2, 0), 3) == (1,)
+    assert complement_axes((), 2) == (0, 1)
+    assert complement_axes((1, 0), 2) == ()
+    for n in range(1, 7):
+        for subset in ps.all_subsets(n):
+            outside = [a for a in range(n - 1, -1, -1) if a not in subset]
+            assert complement_axes(subset, n) == tuple(n - 1 - a for a in outside)
 
 
 @pytest.mark.parametrize("n", range(11))

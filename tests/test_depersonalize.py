@@ -21,13 +21,16 @@ def order_spec(k, **kw):
 # ------------------------------------------------------------ order limit
 
 def test_full_order_limit_is_identity(rng):
-    schema = ps.generic_schema(3, 3)
-    table = random_adjusted_table(schema, rng)
-    released, audit = ps.interaction_limit(table, order_spec(3))
-    assert np.abs(released.counts - table.counts).max() < 1e-9
-    assert audit.zeroed_blocks == ()
-    assert all(abs(entry.psi_after - entry.psi_before) < 1e-9 for entry in audit.entries)
-    assert audit.violations == ()
+    # nothing is zeroed, so the release is the transform's round trip, renormalised or not:
+    # each count moves by rounding alone (at most 4.0e-15 relative over sizes up to N=16)
+    for n, m in [(1, 3), (2, 2), (3, 3), (5, 2), (4, 3), (7, 5), (12, 2)]:
+        table = random_adjusted_table(ps.generic_schema(n, m), rng)
+        for renormalize in (True, False):
+            released, audit = ps.interaction_limit(table, order_spec(n, renormalize=renormalize))
+            assert np.all(np.abs(released.counts - table.counts) <= 1e-12 * table.counts), (n, m)
+            assert audit.zeroed_blocks == ()
+            assert all(abs(entry.psi_after - entry.psi_before) < 1e-9 for entry in audit.entries)
+            assert audit.violations == ()
 
 
 @pytest.mark.parametrize("n, m", [(4, 7), (5, 5), (6, 3), (12, 2)])
@@ -516,6 +519,17 @@ def test_releases_match_the_coefficient_dict_oracle(n, m):
 def test_audit_requires_matching_schema(rng, schema32, schema33):
     with pytest.raises(ps.ShapeError):
         ps.audit(random_adjusted_table(schema32, rng), random_adjusted_table(schema33, rng))
+
+
+def test_audit_refuses_an_unadjusted_original():
+    # as every analysis does: its zero cells would otherwise be read as log(tiny), about -708
+    raw = ps.ContingencyTable(ps.generic_schema(3, 2), [0, 5, 3, 0, 9, 1, 0, 2], 20.0)
+    for zeroed_blocks in (None, (), [(2, 1)]):
+        with pytest.raises(DomainError, match="log transform needs an adjusted table"):
+            ps.audit(raw, raw, zeroed_blocks=zeroed_blocks)
+    # the released side may be unadjusted, as a release below 1 is
+    adjusted = ps.zero_adjust(raw)
+    assert ps.audit(adjusted, raw).psi_after.size == 8
 
 
 # -------------------------------------------------------------- rounding

@@ -124,6 +124,11 @@ def test_each_command_loads_only_what_it_runs(inputs, command):
     else:
         assert "numpy" in loaded
         assert not loaded & {"psalience.verify", "psalience.synthetic", "psalience.reference"}, loaded
+    # a subset's complement lives in basis, so only analyze's geometric-mean table loads marginal
+    if command in ("scan", "depersonalize", "verify"):
+        assert "psalience.marginal" not in loaded, loaded
+    elif command == "analyze":
+        assert "psalience.marginal" in loaded
 
 
 # Microdata over a schema whose level "far\nsouth" needs a quoted record spanning two lines,
