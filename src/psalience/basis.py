@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError
-from .table import _read_int, freeze
+from .schema import _read_int
+from .table import freeze
 
 SubsetKey = tuple[int, ...]
 """Attribute indices in strictly decreasing order; ``()`` is the constant term."""
@@ -105,7 +106,6 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def level_contrasts(m: int) -> np.ndarray:
     """An ``m x (m-1)`` matrix of mutually orthogonal zero-sum contrast columns.
 
@@ -113,27 +113,27 @@ def level_contrasts(m: int) -> np.ndarray:
     ``m-c-1`` at position ``c``, ``-1`` below, zero above.  Together with
     the all-ones vector the columns form an orthogonal basis of R^m.
     """
-    out = np.zeros((m, m - 1))
-    for c in range(m - 1):
-        out[c, c] = m - c - 1
-        out[c + 1:, c] = -1.0
-    out.setflags(write=False)
-    return out
+    return level_factor(m)[0][:, 1:]
 
 
 @lru_cache(maxsize=None)
 def level_factor(m: int) -> tuple[np.ndarray, np.ndarray]:
     """``F = [1 | level_contrasts(m)]`` and its inverse ``diag(1/|col|^2) F^T``."""
-    factor = np.hstack([np.ones((m, 1)), level_contrasts(m)])
+    factor = np.zeros((m, m))
+    factor[:, 0] = 1.0
+    for c in range(1, m):
+        factor[c - 1, c] = m - c
+        factor[c:, c] = -1.0
     return freeze(factor), freeze(factor.T / np.einsum("ij,ij->j", factor, factor)[:, None])
 
 
 def _subset_kron(n: int, m: int, subset: SubsetKey, factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product over attributes ``n-1`` down to ``0`` of ``factors[j]``
     (``m`` rows) on the subset's ``j``-th attribute and a column of ones
-    elsewhere: ``m**n`` rows, one column per combination of factor columns."""
+    elsewhere: ``m**n`` rows, one column per combination of factor columns,
+    always a fresh array."""
     ones = np.ones((m, 1))
     return reduce(np.kron, [
         factors[subset.index(attribute)] if attribute in subset else ones
         for attribute in range(n - 1, -1, -1)
-    ])
+    ], np.ones((1, 1)))

@@ -35,8 +35,8 @@ from .basis import SubsetKey, check_subset, marked_subsets, subset_index, subset
 from .errors import ArgumentError, DomainError, ShapeError
 from .fitting import _coefficients, _energies, _zero_blocks, subset_energies
 from .salience import _spectrum_salience
-from .schema import Frozen
-from .table import ADJUSTED_MIN, ContingencyTable, LogTable, _read_int, log_transform
+from .schema import Frozen, _read_int
+from .table import ADJUSTED_MIN, ContingencyTable, LogTable, log_transform
 
 PSI_DRIFT_TOL = 1e-9
 REFIT_TOL = 1e-9

@@ -23,7 +23,8 @@ import numpy as np
 
 from .basis import check_subset, complement_axes
 from .errors import ArgumentError
-from .table import ContingencyTable, LogTable, _read_int, freeze, log_transform
+from .schema import _read_int
+from .table import ContingencyTable, LogTable, freeze, log_transform
 
 
 def conditional_subtable(

@@ -25,12 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import _subset_kron, all_subsets, check_subset, complement_axes, level_contrasts, subset_index
+from .basis import (_subset_kron, all_subsets, check_subset, complement_axes, level_contrasts, level_factor,
+                    subset_index)
 from .errors import ArgumentError
 from .fitting import centred_norm, row_norms
 from .salience import SalienceValue
-from .schema import AttributeSchema
-from .table import ContingencyTable, LogTable, _read_int, log_transform
+from .schema import AttributeSchema, _read_int
+from .table import ContingencyTable, LogTable, log_transform
 
 GRAM_SCHMIDT_CELL_LIMIT = 256
 
@@ -94,10 +95,7 @@ def full_basis(schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray]:
     The matrix is the caller's to normalise in place.
     """
     n, m = schema.n_attributes, schema.n_levels
-    # built here, not read from the cached basis.level_factor: at N=1 the
-    # product is the factor itself, and it must be a fresh, writable array
-    factor = np.hstack([np.ones((m, 1)), level_contrasts(m)])
-    matrix = _subset_kron(n, m, tuple(range(n - 1, -1, -1)), [factor] * n)
+    matrix = _subset_kron(n, m, tuple(range(n - 1, -1, -1)), [level_factor(m)[0]] * n)
     lattice = np.zeros(1, dtype=np.intp)
     for _ in range(n):  # attribute n-1 first: its bit ends up most significant
         lattice = (2 * lattice[:, None] + (np.arange(m) > 0)).ravel()

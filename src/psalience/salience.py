@@ -34,8 +34,8 @@ import numpy as np
 from .basis import SubsetKey, check_subset, complement_axes, enumerate_subsets, subset_sizes, subset_sums
 from .errors import ArgumentError, DomainError
 from .fitting import centred_norm, row_norms, subset_energies
-from .schema import Frozen
-from .table import ADJUSTED_MIN, ContingencyTable, LogTable, _read_int, log_transform
+from .schema import Frozen, _read_int
+from .table import ADJUSTED_MIN, ContingencyTable, LogTable, log_transform
 
 
 class SalienceValue(NamedTuple):

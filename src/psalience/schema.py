@@ -9,9 +9,21 @@ radix-M value of its level digits with attribute 0's digit varying fastest.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
-from .errors import DegeneratePopulationError, EmptyInputError, IngestionError, SchemaError
+from .errors import ArgumentError, DegeneratePopulationError, EmptyInputError, IngestionError, SchemaError
+
+
+def _read_int(value, name: str) -> int:
+    """``value`` as a Python int.  Python and numpy integers pass; a bool, a float or
+    anything else without ``__index__`` raises :class:`ArgumentError` naming ``name``."""
+    if type(value).__name__ not in ("bool", "bool_"):  # numpy's too, without loading numpy
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 class Frozen:
@@ -130,6 +142,7 @@ class AttributeSchema(Frozen):
 
 def generic_schema(n: int, m: int) -> AttributeSchema:
     """Schema with ``n`` synthetic attributes ``a{n-1}..a0`` of ``m`` levels each."""
+    n, m = _read_int(n, "n"), _read_int(m, "m")
     if n < 1 or m < 2:
         raise SchemaError("need n >= 1 attributes and m >= 2 levels")
     return AttributeSchema(

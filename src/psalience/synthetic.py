@@ -6,8 +6,8 @@ import numpy as np
 
 from .basis import _subset_kron, check_subset, level_contrasts
 from .errors import ArgumentError
-from .schema import AttributeSchema
-from .table import ContingencyTable, _read_int, zero_adjust
+from .schema import AttributeSchema, _read_int
+from .table import ContingencyTable, zero_adjust
 
 
 def random_adjusted_table(

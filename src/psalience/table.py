@@ -36,7 +36,7 @@ which imports no numpy; this module builds its tables from them.
 
 from __future__ import annotations
 
-import operator
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,17 +68,6 @@ def freeze(array) -> np.ndarray:
     return out
 
 
-def _read_int(value, name: str) -> int:
-    """``value`` as a Python int.  Python and numpy integers pass; a bool, a float or
-    anything else without ``__index__`` raises :class:`ArgumentError` naming ``name``."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ArgumentError(f"{name} must be an integer, got {value!r}")
-
-
 class ContingencyTable(Frozen):
     """Flat count vector in lexicographic cell order plus its population total.
 
@@ -89,9 +78,17 @@ class ContingencyTable(Frozen):
     __slots__ = ("schema", "counts", "n_total", "adjusted")
 
     def __init__(self, schema: AttributeSchema, counts, n_total: float, adjusted: bool = False):
+        # float conversion would read strings and booleans as numbers, and any string is true
+        if not isinstance(adjusted, (bool, np.bool_)):
+            raise ArgumentError(f"adjusted must be a boolean, got {adjusted!r}")
+        counts = np.asarray(counts)
+        if counts.dtype.kind not in "iuf":
+            raise ArgumentError(f"counts must be integers or floats, got {counts.dtype.name} values")
+        if isinstance(n_total, bool) or not isinstance(n_total, numbers.Real):
+            raise ArgumentError(f"n_total must be a real number, got {n_total!r}")
         counts = freeze(counts)
         n_total = float(n_total)
-        super().__init__(schema, counts, n_total, adjusted)
+        super().__init__(schema, counts, n_total, bool(adjusted))
         if counts.ndim != 1 or counts.size != schema.n_cells:
             raise ShapeError(
                 f"expected {schema.n_cells} counts, got shape {counts.shape}"

@@ -32,9 +32,9 @@ from .errors import ArgumentError
 from .fitting import fit_beta, reconstruct, subset_energies
 from .reference import GRAM_SCHMIDT_CELL_LIMIT, Psi, full_basis, gram_schmidt_oracle, hypercube_psi
 from .salience import psi, subset_salience
-from .schema import generic_schema
+from .schema import _read_int, generic_schema
 from .synthetic import random_adjusted_table
-from .table import ContingencyTable, _read_int, log_transform
+from .table import ContingencyTable, log_transform
 
 CELL_LIMIT = 4096
 _GRAM_BAND = 256           # columns per Gram product: 8 MiB of products at the cell limit

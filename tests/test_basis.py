@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 import psalience as ps
-from psalience.basis import check_subset, complement_axes, marked_subsets, subset_index, subset_sizes
+from psalience.basis import (
+    _subset_kron,
+    check_subset,
+    complement_axes,
+    level_factor,
+    marked_subsets,
+    subset_index,
+    subset_sizes,
+)
 from psalience.errors import ArgumentError
 
 from oracles import (
@@ -206,6 +214,17 @@ def test_full_basis_columns_of_each_subset_are_its_subspace_basis(n, m):
         literal = functools.reduce(np.kron, [contrasts if a in subset else ones for a in range(n - 1, -1, -1)])
         assert np.array_equal(columns, ps.subspace_basis(subset, schema)), subset
         assert np.array_equal(columns, literal), subset
+
+
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_a_one_attribute_product_is_a_fresh_writable_copy_of_the_cached_factor(m):
+    factor = level_factor(m)[0]
+    contrasts = ps.level_contrasts(m)
+    assert np.array_equal(factor[:, 0], np.ones(m)) and np.array_equal(factor[:, 1:], contrasts)
+    assert np.shares_memory(contrasts, factor) and not contrasts.flags.writeable
+    product = _subset_kron(1, m, (0,), [factor])
+    assert np.array_equal(product, factor) and product.flags.writeable
+    assert not np.shares_memory(product, factor)
 
 
 # --------------------------------------------------- gram-schmidt oracle

@@ -276,6 +276,23 @@ def test_table_shape_validation(schema22):
         ps.LogTable(schema22, [0.0, 1.0, math.inf, 2.0])
 
 
+@pytest.mark.parametrize("counts, n_total, adjusted, message", [
+    ([2.0, 3.0, 4.0, 5.0], 14.0, "false", "adjusted must be a boolean, got 'false'"),
+    ([2.0, 3.0, 4.0, 5.0], 14.0, 1, "adjusted must be a boolean, got 1"),
+    (["2", "3", "4", "5"], 14.0, False, "counts must be integers or floats, got str"),
+    ([True] * 4, 4.0, False, "counts must be integers or floats, got bool values"),
+    ([2, 3, None, 5], 14.0, False, "counts must be integers or floats, got object values"),
+    ([2, 3, 4, 5], "14", False, "n_total must be a real number, got '14'"),
+    ([2, 3, 4, 5], True, False, "n_total must be a real number, got True"),
+    ([2, 3, 4, 5], np.True_, False, "n_total must be a real number, got"),
+])
+def test_table_constructor_refuses_fields_of_the_wrong_type(schema22, counts, n_total, adjusted, message):
+    with pytest.raises(ArgumentError, match=re.escape(message)):
+        ps.ContingencyTable(schema22, counts, n_total, adjusted=adjusted)
+    table = ps.ContingencyTable(schema22, np.array([2, 3, 4, 5], dtype=np.uint8), np.int64(14), adjusted=np.True_)
+    assert table.adjusted is True and table.n_total == 14.0 and table.counts.dtype == float
+
+
 @pytest.mark.parametrize("n, m", [(0, 2), (2, 1)])
 def test_generic_schema_needs_an_attribute_and_two_levels(n, m):
     with pytest.raises(SchemaError, match="need n >= 1 attributes and m >= 2 levels"):
@@ -516,6 +533,8 @@ def test_integer_arguments_refuse_floats_booleans_and_strings(schema32, value):
         (ArgumentError, lambda: ps.hypercube_psi(1, value)),
         (ArgumentError, lambda: ps.run_verification(2, 2, trials=value)),
         (ArgumentError, lambda: ps.run_verification(2, 2, seed=value)),
+        (ArgumentError, lambda: ps.generic_schema(value, 2)),
+        (ArgumentError, lambda: ps.generic_schema(2, value)),
     ]
     for error, call in calls:
         with pytest.raises(error, match=f"must be an integer, got {re.escape(repr(value))}"):
