@@ -29,7 +29,7 @@ print("power invariance:", ps.psi(values).psi, ps.psi(values ** 3.7).psi)
 # and scan every pair.  Only the planted pair scores.
 schema = ps.generic_schema(5, 3)
 table = ps.planted_interaction_table(schema, (3, 1), strength=4.0)
-report = ps.scan(table, 2, workers=4)
+report = ps.scan(table, 2)
 pairs = ps.enumerate_subsets(5, 2)  # the report's arrays are in this order
 print("\nrank  subset   Psi")
 for i in np.argsort(report.rank)[:5]:

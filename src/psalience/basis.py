@@ -7,11 +7,11 @@ span leaves an orthogonal complement of dimension ``(M-1)**k`` for a
 subset of size ``k``.  Summed over all ``2**N`` subsets (constant term
 included) the dimensions add up to ``M**N`` exactly.
 
-This module keeps subset keys, the cell-tensor axes outside a subset, ``2**N``
-lattice vectors over subsets, the per-attribute factors every subspace is a
-tensor product of, and the one Kronecker product that builds a column from
-them.  The columns themselves, and a Gram-Schmidt pass to check them, are in
-:mod:`psalience.reference`.
+This module keeps subset keys and the checks on them and on level codes, the
+cell-tensor axes outside a subset, ``2**N`` lattice vectors over subsets, the
+per-attribute factors every subspace is a tensor product of, and the one
+Kronecker product that builds a column from them.  The columns themselves, and
+a Gram-Schmidt pass to check them, are in :mod:`psalience.reference`.
 """
 
 from __future__ import annotations
@@ -39,6 +39,25 @@ def check_subset(subset: Sequence[int], n_attributes: int) -> SubsetKey:
     if any(a <= b for a, b in zip(members, members[1:])):
         raise ArgumentError(f"subset {members} must be strictly decreasing")
     return members
+
+
+def check_nonempty_subset(subset: Sequence[int], n_attributes: int) -> SubsetKey:
+    """:func:`check_subset`, refusing the constant term ``()``."""
+    members = check_subset(subset, n_attributes)
+    if not members:
+        raise ArgumentError("subset must be non-empty")
+    return members
+
+
+def check_levels(levels: Sequence[int], k: int, m: int, what: str) -> tuple[int, ...]:
+    """Validate ``k`` level codes, each an integer in ``[0, m)``; ``what`` names them."""
+    codes = tuple(_read_int(v, what) for v in levels)
+    if len(codes) != k:
+        raise ArgumentError(f"expected {k} {what}s, got {len(codes)}")
+    for v in codes:
+        if not 0 <= v < m:
+            raise ArgumentError(f"{what} {v} out of range [0, {m})")
+    return codes
 
 
 def enumerate_subsets(n: int, k: int) -> list[SubsetKey]:

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_integer, default=0, help="random seed (default 0)")
     p.add_argument("--trials", type=_integer, default=20, help="random tables per suite (default 20)")
     p.add_argument("--self-test-perturb", action="store_true",
-                   help="corrupt one basis column first; the run must then fail")
+                   help="corrupt one basis column before the orthogonality suite; the run must then fail")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -247,8 +247,9 @@ def audit(
 ) -> ReleaseAudit:
     """Compare per-subset salience of two tables sharing a schema.
 
-    Covers every non-empty subset of an adjusted ``original``.  Salience is read from
-    log counts clamped at the smallest positive float, so a release below 1 can be audited.
+    Covers every non-empty subset of an adjusted ``original``, whose logs come from
+    :func:`log_transform`; the released counts are clamped at the smallest positive
+    float before their log, so a release below 1 can be audited.
     When the zeroed blocks are known, an empty set included, unchanged-versus-
     decreased contracts are classified per subset; with ``zeroed_blocks=None``
     (unknown) only salience increases are flagged and ``refit_residual`` is
@@ -257,10 +258,8 @@ def audit(
     """
     if original.schema != released.schema:
         raise ShapeError("audit needs two tables over the same schema")
-    if not original.adjusted:
-        raise DomainError("log transform needs an adjusted table; zero-adjust the table first")
+    before = log_transform(original)
     above = None if zeroed_blocks is None else _zero_set(zeroed_blocks, original.schema.n_attributes)
-    before, after = (LogTable(original.schema, np.log(np.maximum(t.counts, np.finfo(float).tiny)))
-                     for t in (original, released))
+    after = LogTable(released.schema, np.log(np.maximum(released.counts, np.finfo(float).tiny)))
     return _audit_log_values(subset_energies(before), after, above,
                              total_drift=float(released.counts.sum() - original.n_total))

@@ -21,9 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import check_subset, complement_axes
-from .errors import ArgumentError
-from .schema import _read_int
+from .basis import check_levels, check_subset, complement_axes
 from .table import ContingencyTable, LogTable, freeze, log_transform
 
 
@@ -42,13 +40,7 @@ def conditional_subtable(
     """
     n, m = table.schema.n_attributes, table.schema.n_levels
     axes = complement_axes(check_subset(subset, n), n)
-    fixed = tuple(_read_int(v, "conditioning level") for v in conditioning)
-    if len(fixed) != len(axes):
-        raise ArgumentError(f"expected {len(axes)} conditioning values, got {len(fixed)}")
-    for value in fixed:
-        if not 0 <= value < m:
-            raise ArgumentError(f"conditioning level {value} out of range [0, {m})")
-
+    fixed = check_levels(conditioning, len(axes), m, "conditioning level")
     by_axis = dict(zip(axes, fixed))
     # the subtable's own digit grid, so no rank tensor of the whole table is built
     digits = np.ix_(*([by_axis[axis]] if axis in by_axis else range(m) for axis in range(n)))

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import (_subset_kron, all_subsets, check_subset, complement_axes, level_contrasts, level_factor,
-                    subset_index)
+from .basis import (_subset_kron, all_subsets, check_levels, check_nonempty_subset, check_subset, complement_axes,
+                    level_contrasts, level_factor, subset_index)
 from .errors import ArgumentError
 from .fitting import centred_norm, row_norms
 from .salience import SalienceValue
@@ -43,18 +43,8 @@ def raw_column(subset: Sequence[int], levels: Sequence[int], schema: AttributeSc
     """
     n, m = schema.n_attributes, schema.n_levels
     members = check_subset(subset, n)
-    codes = _check_levels(levels, len(members), m)
+    codes = check_levels(levels, len(members), m, "level")
     return _subset_kron(n, m, members, [np.eye(m)[:, [c]] for c in codes]).ravel()
-
-
-def _check_levels(levels: Sequence[int], k: int, m: int) -> tuple[int, ...]:
-    codes = tuple(_read_int(v, "level") for v in levels)
-    if len(codes) != k:
-        raise ArgumentError(f"expected {k} levels, got {len(codes)}")
-    for v in codes:
-        if not 0 <= v < m:
-            raise ArgumentError(f"level {v} out of range [0, {m})")
-    return codes
 
 
 def ortho_column(subset: Sequence[int], levels: Sequence[int], schema: AttributeSchema) -> np.ndarray:
@@ -67,10 +57,8 @@ def ortho_column(subset: Sequence[int], levels: Sequence[int], schema: Attribute
     only on the cell's subset digits.
     """
     n, m = schema.n_attributes, schema.n_levels
-    members = check_subset(subset, n)
-    if not members:
-        raise ArgumentError("ortho_column needs a non-empty subset")
-    codes = _check_levels(levels, len(members), m)
+    members = check_nonempty_subset(subset, n)
+    codes = check_levels(levels, len(members), m, "level")
     return _subset_kron(n, m, members, [np.eye(m)[:, [c]] - 1.0 / m for c in codes]).ravel()
 
 
@@ -163,6 +151,16 @@ def _project(x: np.ndarray, axes: set[int]) -> np.ndarray:
     return chi.ravel()
 
 
+def _transfer_terms(table: ContingencyTable, outer: Sequence[int]):
+    """The checked non-empty ``outer`` key, the log tensor, its geometric-mean tensor
+    over ``outer`` and the ``M**((N-k0)/2)`` scale of a projection-transfer identity."""
+    n, m = table.schema.n_attributes, table.schema.n_levels
+    outer_key = check_nonempty_subset(outer, n)
+    logs = log_transform(table).reshaped()
+    gamma = logs.mean(axis=complement_axes(outer_key, n))
+    return outer_key, logs, gamma, m ** ((n - len(outer_key)) / 2.0)
+
+
 def gm_projection_identity(
     table: ContingencyTable, outer: Sequence[int], inner: Sequence[int]
 ) -> tuple[float, float]:
@@ -175,21 +173,13 @@ def gm_projection_identity(
     ``outer``'s members in order.  The two sides agree whenever ``inner`` is
     contained in ``outer``.
     """
-    schema = table.schema
-    n, m = schema.n_attributes, schema.n_levels
-    outer_key = check_subset(outer, n)
-    inner_key = check_subset(inner, n)
-    if not outer_key or not inner_key:
-        raise ArgumentError("outer and inner subsets must be non-empty")
+    n = table.schema.n_attributes
+    inner_key = check_nonempty_subset(inner, n)
+    outer_key, logs, gamma, scale = _transfer_terms(table, outer)
     if not set(inner_key) <= set(outer_key):
         raise ArgumentError(f"inner subset {inner_key} must be contained in outer {outer_key}")
-
-    logs = log_transform(table).reshaped()  # taken once, for both sides
     lhs = float(np.linalg.norm(_project(logs, {n - 1 - a for a in inner_key})))
-
-    gamma = logs.mean(axis=complement_axes(outer_key, n))
-    reduced = float(np.linalg.norm(_project(gamma, {outer_key.index(a) for a in inner_key})))
-    rhs = m ** ((n - len(outer_key)) / 2.0) * reduced
+    rhs = scale * float(np.linalg.norm(_project(gamma, {outer_key.index(a) for a in inner_key})))
     return lhs, rhs
 
 
@@ -203,22 +193,13 @@ def gm_projection_total_identity(
     norm of the log geometric-mean table's component orthogonal to the
     uniform vector in the reduced space.
     """
-    schema = table.schema
-    n, m = schema.n_attributes, schema.n_levels
-    outer_key = check_subset(outer, n)
-    if not outer_key:
-        raise ArgumentError("outer subset must be non-empty")
-
-    logs = log_transform(table).reshaped()
+    n = table.schema.n_attributes
+    outer_key, logs, gamma, scale = _transfer_terms(table, outer)
     total = 0.0
     for size in range(1, len(outer_key) + 1):
         for inner in itertools.combinations(outer_key, size):
             total += float(np.linalg.norm(_project(logs, {n - 1 - a for a in inner}))) ** 2
-    lhs = float(np.sqrt(total))
-
-    gamma = logs.mean(axis=complement_axes(outer_key, n)).ravel()
-    rhs = m ** ((n - len(outer_key)) / 2.0) * float(centred_norm(gamma))
-    return lhs, rhs
+    return float(np.sqrt(total)), scale * float(centred_norm(gamma.ravel()))
 
 
 def Psi(table: ContingencyTable | LogTable, subset: Sequence[int]) -> SalienceValue:
@@ -230,9 +211,7 @@ def Psi(table: ContingencyTable | LogTable, subset: Sequence[int]) -> SalienceVa
     logs, so a caller scoring many subsets logs the table once.
     """
     n = table.schema.n_attributes
-    members = check_subset(subset, n)
-    if not members:
-        raise ArgumentError("subset must be non-empty")
+    members = check_nonempty_subset(subset, n)
     logs = (table if isinstance(table, LogTable) else log_transform(table)).reshaped()
     mean = logs.mean()
     centred = (logs - mean).mean(axis=complement_axes(members, n)).ravel()

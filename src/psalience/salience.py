@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SubsetKey, check_subset, complement_axes, enumerate_subsets, subset_sizes, subset_sums
+from .basis import SubsetKey, check_nonempty_subset, complement_axes, enumerate_subsets, subset_sizes, subset_sums
 from .errors import ArgumentError, DomainError
 from .fitting import centred_norm, row_norms, subset_energies
 from .schema import Frozen, _read_int
@@ -151,9 +151,7 @@ def psi_histogram(
     logs instead of taking them again.
     """
     schema = table.schema
-    members = check_subset(subset, schema.n_attributes)
-    if not members:
-        raise ArgumentError("subset must be non-empty")
+    members = check_nonempty_subset(subset, schema.n_attributes)
     n, m = schema.n_attributes, schema.n_levels
     outside = complement_axes(members, n)
     # conditioning axes first, so each row is one conditional subtable; contiguous

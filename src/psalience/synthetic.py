@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import _subset_kron, check_subset, level_contrasts
+from .basis import _subset_kron, check_nonempty_subset, check_subset, level_contrasts
 from .errors import ArgumentError
 from .schema import AttributeSchema, _read_int
 from .table import ContingencyTable, zero_adjust
@@ -35,9 +35,7 @@ def planted_interaction_table(
     ``strength``, then shifted so the smallest count is exactly 1.  Every other subset's projection is
     exactly zero, so a scan must rank ``subset`` first.
     """
-    members = check_subset(subset, schema.n_attributes)
-    if not members:
-        raise ArgumentError("plant a non-empty subset")
+    members = check_nonempty_subset(subset, schema.n_attributes)
     if strength <= 0:
         raise ArgumentError("strength must be positive")
     n, m = schema.n_attributes, schema.n_levels

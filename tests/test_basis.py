@@ -120,6 +120,27 @@ def test_raw_column_bad_level(schema22):
         ps.raw_column((0,), (0, 0), schema22)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda t: ps.psi_histogram(t, ()), r"^subset must be non-empty$"),
+    (lambda t: ps.Psi(t, ()), r"^subset must be non-empty$"),
+    (lambda t: ps.ortho_column((), (), t.schema), r"^subset must be non-empty$"),
+    (lambda t: ps.gm_projection_identity(t, (), (1,)), r"^subset must be non-empty$"),
+    (lambda t: ps.gm_projection_identity(t, (2, 1), ()), r"^subset must be non-empty$"),
+    (lambda t: ps.gm_projection_total_identity(t, ()), r"^subset must be non-empty$"),
+    (lambda t: ps.planted_interaction_table(t.schema, ()), r"^subset must be non-empty$"),
+    (lambda t: ps.raw_column((1, 0), (0,), t.schema), r"^expected 2 levels, got 1$"),
+    (lambda t: ps.ortho_column((1,), (3,), t.schema), r"^level 3 out of range \[0, 3\)$"),
+    (lambda t: ps.conditional_subtable(t, (2,), (0,)), r"^expected 2 conditioning levels, got 1$"),
+    (lambda t: ps.conditional_subtable(t, (2,), (0, -1)), r"^conditioning level -1 out of range \[0, 3\)$"),
+    (lambda t: ps.conditional_subtable(t, (2,), (0, 1.0)), r"^conditioning level must be an integer"),
+], ids=["histogram", "Psi", "ortho", "outer", "inner", "total", "plant",
+        "level-count", "level-range", "conditioning-count", "conditioning-range", "conditioning-type"])
+def test_subset_and_level_rules_refuse_with_one_message(schema33, call, message):
+    table = ps.ContingencyTable(schema33, np.ones(27), 27.0, adjusted=True)
+    with pytest.raises(ArgumentError, match=message):
+        call(table)
+
+
 # ---------------------------------------------------------- ortho columns
 
 def test_ortho_column_examples(schema22):

@@ -1134,6 +1134,20 @@ def test_verify_fails_a_basis_whose_columns_name_the_wrong_subsets(monkeypatch, 
     assert [s.name for s in report.suites if not s.passed] == ["dimensions"]
 
 
+def test_verify_fails_a_reference_with_a_column_in_the_wrong_subspace(monkeypatch):
+    def relabelled(schema):
+        matrix, lattice = ps.gram_schmidt_oracle(schema)
+        lattice[-1] = 0  # the last column, of subset (2, 1, 0), relabelled as the constant term's
+        return matrix, lattice
+
+    monkeypatch.setattr(verify, "gram_schmidt_oracle", relabelled)
+    report = ps.run_verification(3, 2, trials=1)
+    assert [s.name for s in report.suites if not s.passed] == ["gram-schmidt"]
+    gram_schmidt = next(s for s in report.suites if s.name == "gram-schmidt")
+    assert gram_schmidt.checked == 8
+    assert gram_schmidt.detail == "dimension mismatch at (): 2 vs 1"
+
+
 def test_verify_perturbation_self_test(capsys):
     assert main(["verify", "--n", "3", "--m", "2", "--self-test-perturb"]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -1330,6 +1344,18 @@ def test_write_errors_name_the_requested_path(tmp_path, target):
     err = str(info.value)
     assert err.endswith(repr(str(out))) and err.count(str(tmp_path)) == 1, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_a_failed_write_removes_its_temp_file(tmp_path):
+    with pytest.raises(TypeError):  # json cannot encode a set
+        fileio.atomic_write_json(tmp_path / "out.json", {"x": {1}})
+    assert list(tmp_path.iterdir()) == []
+    taken = tmp_path / "taken"
+    taken.mkdir()  # the temp file is written, then cannot replace a directory
+    with pytest.raises(OSError) as info:
+        fileio.atomic_write_json(taken, {"x": 1})
+    assert info.value.filename == str(taken)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"] and list(taken.iterdir()) == []
 
 
 def test_total_mismatch_prints_plain_floats(tmp_path, rng, capsys):

@@ -11,6 +11,7 @@ import psalience as ps
 from psalience.basis import marked_subsets, subset_index
 from psalience.depersonalize import _round_preserving_total, _zero_set
 from psalience.errors import ArgumentError, DomainError
+from psalience.salience import subset_salience
 from psalience.synthetic import correlated_pair_table, random_adjusted_table
 
 
@@ -514,6 +515,25 @@ def test_releases_match_the_coefficient_dict_oracle(n, m):
     for (released, audit), zeroed in releases:
         assert audit.zeroed_blocks == zeroed
         np.testing.assert_allclose(released.counts, oracle_release(table, zeroed), rtol=1e-14, atol=0)
+
+
+def test_audit_reads_the_original_through_log_transform(floor_table):
+    # one cell at 1 - 1e-10: log_transform clamps it to 1, as the release and scan do
+    released, own = ps.interaction_limit(floor_table, order_spec(1))
+    psi_before = ps.audit(floor_table, released, zeroed_blocks=own.zeroed_blocks).psi_before
+    assert psi_before.tobytes() == own.psi_before.tobytes()
+    for k in (1, 2):
+        report = ps.scan(floor_table, k)
+        assert psi_before[report.index].tobytes() == report.psi.tobytes()
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (8, 3), (16, 2)])
+def test_audit_of_an_unrenormalised_release_scores_the_released_counts(n, m):
+    # renormalising adds log c to every log, which moves Psi, so only this case is the artefact's
+    table = random_adjusted_table(ps.generic_schema(n, m), np.random.default_rng(7))
+    released, audit = ps.interaction_limit(table, order_spec(2, renormalize=False))
+    own = subset_salience(ps.log_transform(released))[0]
+    np.testing.assert_allclose(audit.psi_after[1:], own[1:], rtol=0, atol=1e-12)
 
 
 def test_audit_requires_matching_schema(rng, schema32, schema33):

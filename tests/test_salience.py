@@ -359,7 +359,7 @@ def test_correlated_pair_reaches_its_closed_form():
 @pytest.mark.parametrize("make, message", [
     (lambda schema: random_adjusted_table(schema, np.random.default_rng(0), n_total=8),
      "n_total must exceed the cell count"),
-    (lambda schema: planted_interaction_table(schema, ()), "plant a non-empty subset"),
+    (lambda schema: planted_interaction_table(schema, ()), "subset must be non-empty"),
     (lambda schema: planted_interaction_table(schema, (1,), strength=0.0), "strength must be positive"),
     (lambda schema: correlated_pair_table(schema, (2, 1, 0)), "need exactly two attributes"),
     (lambda schema: correlated_pair_table(schema, (1, 0), weight=1.0), "weight must exceed 1"),
